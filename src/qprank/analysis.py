@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ConvergenceError, ParameterError
 from .google import DEFAULT_MAX_ITER, DEFAULT_TOL, classical_pagerank, google_from_graph
 from .graphs import DirectedGraph, GeneratorSpec, generate, remove_node
 from .walk import DEFAULT_HORIZON, SzegedyWalk
@@ -327,13 +327,14 @@ class EnsembleReport:
 
 
 def run_ensemble_item(args) -> tuple[str, object]:
-    """Build one seeded graph and apply the experiment; failures are reported,
-    not raised, so one bad draw cannot sink the ensemble. Top-level so that
-    process pools can pickle it."""
+    """Build one seeded graph and apply the experiment; a parameter or
+    convergence error on that draw is reported, not raised, so one bad draw
+    cannot sink the ensemble. Any other exception is a defect and propagates.
+    Top-level so that process pools can pickle it."""
     spec, experiment = args
     try:
         return "ok", experiment(generate(spec))
-    except Exception as exc:  # any per-run failure becomes a report entry
+    except (ParameterError, ConvergenceError) as exc:
         return "fail", f"seed {spec.seed}: {exc}"
 
 

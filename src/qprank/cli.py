@@ -101,16 +101,16 @@ def _spec_from_args(args, seed: int | None = None) -> graphs.GeneratorSpec:
         raise ParameterError("a graph source is required: --family, or --input where supported")
     return graphs.GeneratorSpec(
         family=args.family,
-        n=getattr(args, "n", 0) or 0,
-        p=getattr(args, "p", 0.125),
-        sf_alpha=getattr(args, "sf_alpha", 0.41),
-        sf_beta=getattr(args, "sf_beta", 0.54),
-        sf_gamma=getattr(args, "sf_gamma", 0.05),
-        sf_delta_in=getattr(args, "sf_delta_in", 0.2),
-        sf_delta_out=getattr(args, "sf_delta_out", 0.0),
-        n_gen=getattr(args, "gen", 1),
+        n=args.n,
+        p=args.p,
+        sf_alpha=args.sf_alpha,
+        sf_beta=args.sf_beta,
+        sf_gamma=args.sf_gamma,
+        sf_delta_in=args.sf_delta_in,
+        sf_delta_out=args.sf_delta_out,
+        n_gen=args.gen,
         seed=args.seed if seed is None else seed,
-        allow_self_loops=getattr(args, "self_loops", False),
+        allow_self_loops=args.self_loops,
     )
 
 
@@ -126,7 +126,7 @@ def _load_graph_file(path: str) -> graphs.DirectedGraph:
 
 def _graph_from_args(args) -> tuple[graphs.DirectedGraph, str]:
     """Resolve the graph source to (graph, label-for-filenames)."""
-    if getattr(args, "input", None):
+    if args.input:
         return _load_graph_file(args.input), Path(args.input).stem
     g = graphs.generate(_spec_from_args(args))
     return g, args.family
@@ -216,7 +216,12 @@ def cmd_rank(args) -> int:
 
 
 def _modes(mode: str) -> tuple[str, ...]:
-    return ("quantum", "classical") if mode == "both" else (mode,)
+    if mode == "both":
+        return ("quantum", "classical")
+    # a config-file value is not checked against the flag's choices
+    if mode not in analysis.MODES:
+        raise ParameterError(f"unknown mode {mode!r}, expected quantum, classical or both")
+    return (mode,)
 
 
 def cmd_ipr(args) -> int:
@@ -268,7 +273,10 @@ def _spec_with_n(args, n: int, seed: int) -> graphs.GeneratorSpec:
 def _alpha_grid(args) -> np.ndarray:
     if args.grid == "coarse":
         return analysis.coarse_alpha_grid(args.points)
-    return np.linspace(0.01, 0.98, 98)
+    if args.grid in ("fine", "sweep"):
+        return np.linspace(0.01, 0.98, 98)
+    # a config-file value is not checked against the flag's choices
+    raise ParameterError(f"unknown grid {args.grid!r}, expected coarse, fine or sweep")
 
 
 def cmd_stability(args) -> int:
@@ -285,16 +293,15 @@ def cmd_stability(args) -> int:
             g, args.mode, alpha=args.alpha_ref, horizon=args.T, tol=args.tol, max_iter=args.max_iter
         )
         rows = [
-            [_fmt(a), _fmt(analysis.classical_fidelity(v, ref_vec)), _fmt(analysis.qpr_distance(v, ref_vec))]
+            [a, analysis.classical_fidelity(v, ref_vec), analysis.qpr_distance(v, ref_vec)]
             for a, v in zip(alphas, vectors)
         ]
-        _write_csv(outdir / f"{prefix}.csv", ["alpha", "fidelity_vs_ref", "distance_vs_ref"], rows)
-        _write_dat(
-            outdir / f"{prefix}.dat",
-            f"alpha fidelity_vs_{args.alpha_ref:g} distance",
-            [[a, analysis.classical_fidelity(v, ref_vec), analysis.qpr_distance(v, ref_vec)]
-             for a, v in zip(alphas, vectors)],
+        _write_csv(
+            outdir / f"{prefix}.csv",
+            ["alpha", "fidelity_vs_ref", "distance_vs_ref"],
+            [[_fmt(x) for x in row] for row in rows],
         )
+        _write_dat(outdir / f"{prefix}.dat", f"alpha fidelity_vs_{args.alpha_ref:g} distance", rows)
         summary = {"alpha_ref": args.alpha_ref, "n": g.n, "mode": args.mode}
     else:
         grid = analysis.pairwise_stability(vectors, alphas)
@@ -327,6 +334,30 @@ def cmd_stability(args) -> int:
     return EXIT_OK
 
 
+def _run_ensemble(args, command: str, experiment) -> tuple[analysis.EnsembleReport, str]:
+    """Run ``experiment`` over the seeded ensemble the flags describe, write its
+    summary JSON and config echo, and return the report and the file prefix."""
+    report = analysis.ensemble_run(
+        _spec_from_args(args), args.ensemble, experiment,
+        map_fn=functools.partial(parallel_map, jobs=args.jobs),
+    )
+    outdir = Path(args.out)
+    prefix = _prefix(command, args.family, n=args.n, a=args.alpha, T=args.T, seed=args.seed)
+    prefix += f"_ens{args.ensemble}"
+    _write_json(
+        outdir / f"{prefix}_summary.json",
+        {
+            "ensemble": report.count,
+            "failures": report.failures,
+            "failure_messages": list(report.failure_messages),
+            "means": report.means,
+            "stddevs": report.stds,
+        },
+    )
+    _echo_config(outdir, prefix, args)
+    return report, prefix
+
+
 def cmd_powerlaw(args) -> int:
     outdir = Path(args.out)
     modes = _modes(args.mode)
@@ -357,7 +388,6 @@ def cmd_powerlaw(args) -> int:
         _echo_config(outdir, prefix, args)
         return EXIT_OK
 
-    spec = _spec_from_args(args)
     experiment = functools.partial(
         analysis.powerlaw_metrics,
         modes=modes,
@@ -368,26 +398,12 @@ def cmd_powerlaw(args) -> int:
         tol=args.tol,
         max_iter=args.max_iter,
     )
-    report = analysis.ensemble_run(
-        spec, args.ensemble, experiment, map_fn=functools.partial(parallel_map, jobs=args.jobs)
-    )
-    prefix = _prefix("powerlaw", args.family, n=args.n, a=args.alpha, T=args.T, seed=args.seed)
-    prefix += f"_ens{args.ensemble}"
+    report, prefix = _run_ensemble(args, "powerlaw", experiment)
     _write_csv(
         outdir / f"{prefix}.csv",
         ["metric", "mean", "stddev"],
         [[key, _fmt(report.means[key]), _fmt(report.stds[key])] for key in report.means],
     )
-    _write_json(
-        outdir / f"{prefix}_summary.json",
-        {
-            "ensemble": report.count,
-            "failures": report.failures,
-            "means": report.means,
-            "stddevs": report.stds,
-        },
-    )
-    _echo_config(outdir, prefix, args)
     for mode in modes:
         print(f"{mode}: mean beta {report.means[f'beta_{mode}']:.4f} "
               f"(std {report.stds[f'beta_{mode}']:.4f})")
@@ -398,7 +414,6 @@ def cmd_attack(args) -> int:
     if args.input:
         raise ParameterError("attack runs on generated ensembles; use --family")
     modes = _modes(args.mode)
-    spec = _spec_from_args(args)
     experiment = functools.partial(
         analysis.attack_metrics,
         removals=args.removals,
@@ -408,12 +423,8 @@ def cmd_attack(args) -> int:
         tol=args.tol,
         max_iter=args.max_iter,
     )
-    report = analysis.ensemble_run(
-        spec, args.ensemble, experiment, map_fn=functools.partial(parallel_map, jobs=args.jobs)
-    )
+    report, prefix = _run_ensemble(args, "attack", experiment)
     outdir = Path(args.out)
-    prefix = _prefix("attack", args.family, n=args.n, a=args.alpha, T=args.T, seed=args.seed)
-    prefix += f"_ens{args.ensemble}"
     header = ["removals"]
     for mode in modes:
         header += [f"kendall_{mode}_mean", f"kendall_{mode}_std"]
@@ -431,16 +442,6 @@ def cmd_attack(args) -> int:
             [[r, report.means[f"kendall_{mode}_{r}"], report.stds[f"kendall_{mode}_{r}"]]
              for r in range(1, args.removals + 1)],
         )
-    _write_json(
-        outdir / f"{prefix}_summary.json",
-        {
-            "ensemble": report.count,
-            "failures": report.failures,
-            "means": report.means,
-            "stddevs": report.stds,
-        },
-    )
-    _echo_config(outdir, prefix, args)
     print(f"wrote {prefix}.csv to {outdir} ({report.failures} failed runs)")
     return EXIT_OK
 
@@ -562,46 +563,34 @@ def _read_config_file(path: str) -> dict[str, str]:
     return values
 
 
-def _inject_config(argv: list[str], table: dict[str, argparse.ArgumentParser]) -> list[str]:
-    """Splice config-file entries in as flags right after the subcommand.
+def _apply_config(sp: argparse.ArgumentParser, parsed: dict, values: dict[str, str]) -> None:
+    """Make config-file entries the subcommand's defaults.
 
-    User flags appear later on the command line and therefore win. Keys the
-    chosen subcommand does not define are skipped, so one config file can
-    serve several subcommands.
+    Flags given on the command line still win on the re-parse, which also
+    type-converts the string values. Keys the chosen subcommand does not
+    define are skipped, so one config file can serve several subcommands.
+    Boolean flags take 1/true/yes as set.
     """
-    if "--config" not in argv:
-        return argv
-    path = argv[argv.index("--config") + 1]
-    values = _read_config_file(path)
-    command = next((tok for tok in argv if not tok.startswith("-")), None)
-    sp = table.get(command)
-    if sp is None:
-        return argv
-    known_flags = {s for action in sp._actions for s in action.option_strings}
-    store_true = {
-        s for action in sp._actions if isinstance(action, argparse._StoreTrueAction)
-        for s in action.option_strings
-    }
-    injected: list[str] = []
+    defaults = {}
     for key, value in values.items():
-        flag = "--" + key.replace("_", "-")
-        if flag not in known_flags:
+        dest = key.replace("-", "_")
+        if dest in ("command", "config", "func") or dest not in parsed:
             continue
-        if flag in store_true:
-            if value.lower() in ("1", "true", "yes"):
-                injected.append(flag)
+        if isinstance(parsed[dest], bool):
+            defaults[dest] = value.lower() in ("1", "true", "yes")
         else:
-            injected += [flag, value]
-    at = argv.index(command) + 1
-    return argv[:at] + injected + argv[at:]
+            defaults[dest] = value
+    sp.set_defaults(**defaults)
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, table = build_parser()
     try:
-        argv = _inject_config(argv, table)
         args = parser.parse_args(argv)
+        if args.config is not None:
+            _apply_config(table[args.command], vars(args), _read_config_file(args.config))
+            args = parser.parse_args(argv)
         return args.func(args)
     except ParseError as exc:
         print(f"error [stage=input]: {exc}", file=sys.stderr)

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qprank import (
+    ConvergenceError,
     DirectedGraph,
     GeneratorSpec,
     gen_hierarchical_outerplanar,
@@ -284,7 +285,7 @@ class TestEnsemble:
 
         def flaky(g):
             if g.num_edges % 2 == 1:
-                raise RuntimeError("odd edge count")
+                raise ConvergenceError("odd edge count", residual=1.0)
             return {"edges": float(g.num_edges)}
 
         report = ensemble_run(spec, 6, flaky)
@@ -295,6 +296,13 @@ class TestEnsemble:
     def test_count_validation(self):
         with pytest.raises(ParameterError):
             ensemble_run(GeneratorSpec(family="er", n=5), 0, lambda g: {})
+
+    def test_programming_errors_propagate(self):
+        def broken(g):
+            raise TypeError("not a per-seed failure")
+
+        with pytest.raises(TypeError):
+            ensemble_run(GeneratorSpec(family="er", n=5, seed=0), 3, broken)
 
     def test_powerlaw_metrics_keys(self):
         spec = GeneratorSpec(family="sf", n=32, seed=3)

@@ -1,17 +1,27 @@
 import csv
 import json
+import re
+import shlex
 from pathlib import Path
 
 import pytest
 
 from qprank import __version__, load_edge_list, load_pajek
-from qprank.cli import main
+from qprank.cli import build_parser, main
 
 from conftest import epa_path
 
 
 def run(args) -> int:
     return main([str(a) for a in args])
+
+
+def exit_code(args) -> int:
+    """Exit status of a run, whether returned by main or raised by argparse."""
+    try:
+        return run(args)
+    except SystemExit as exc:
+        return exc.code
 
 
 def read_rows(path: Path) -> list[dict]:
@@ -139,6 +149,34 @@ class TestConfigFile:
         assert run(["rank", "--family", "sf", "--n", 8, "--config", cfg,
                     "--out", tmp_path]) == 0
 
+    def test_equals_form_applies_file_values(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n=20\nT=30\n")
+        assert run(["rank", "--family", "sf", f"--config={cfg}", "--out", tmp_path]) == 0
+        assert (tmp_path / "rank_sf_n20_a0.85_T30.csv").exists()
+
+    def test_trailing_config_flag_exits_2(self, tmp_path):
+        assert exit_code(["rank", "--family", "sf", "--out", tmp_path, "--config"]) == 2
+
+    def test_store_true_key_honoured(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("self_loops=true\n")
+        assert run(["generate", "--family", "sf", "--n", 10, "--config", cfg,
+                    "--out", tmp_path]) == 0
+        config = json.loads((tmp_path / "generate_sf_n10_seed0_run_config.json").read_text())
+        assert config["params"]["self_loops"] is True
+
+    @pytest.mark.parametrize("command, entry", [
+        ("rank", "alpha=abc"),
+        ("stability", "grid=bogus"),
+        ("attack", "mode=bogus"),
+    ])
+    def test_bad_value_exits_2(self, tmp_path, command, entry):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(entry + "\n")
+        assert exit_code([command, "--family", "sf", "--n", 8, "--T", 20, "--config", cfg,
+                          "--out", tmp_path]) == 2
+
 
 class TestIprCommand:
     def test_example_invocation_reports_delocalized(self, tmp_path):
@@ -201,6 +239,9 @@ class TestAttackCommand:
                 "kendall_classical_mean", "kendall_classical_std"} <= set(rows[0])
         for row in rows:
             assert 0.0 <= float(row["kendall_quantum_mean"]) <= 1.0
+        summary = json.loads((tmp_path / "attack_sf_n10_a0.85_T50_seed1_ens4_summary.json").read_text())
+        assert summary["failures"] == 0
+        assert summary["failure_messages"] == []
 
     def test_jobs_do_not_change_bytes(self, tmp_path):
         outs = []
@@ -216,6 +257,23 @@ class TestAttackCommand:
             if name.endswith("run_config.json"):
                 continue
             assert serial[name] == parallel[name]
+
+
+class TestReadme:
+    def test_documented_invocations_parse(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        blocks = re.findall(r"^ *```[^\n]*\n(.*?)^ *```", readme, flags=re.M | re.S)
+        lines = [line.strip() for block in blocks for line in block.splitlines()
+                 if line.strip().startswith("qprank ")]
+        assert lines
+        parser, _ = build_parser()
+        for line in lines:
+            # shell variables in the recipes stand for numbers
+            argv = ["0" if tok.startswith("$") else tok for tok in shlex.split(line)[1:]]
+            try:
+                parser.parse_args(argv)
+            except SystemExit:
+                pytest.fail(f"README invocation does not parse: {line}")
 
 
 @pytest.mark.skipif(epa_path() is None, reason="EPA Pajek file not present")
