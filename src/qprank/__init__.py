@@ -45,6 +45,6 @@ from .graphs import (
     write_edge_list,
     write_pajek,
 )
-from .walk import DenseWalk, SzegedyWalk, WalkState, average_qpr
+from .walk import DenseWalk, SzegedyWalk, WalkState
 
 __version__ = "0.1.0"

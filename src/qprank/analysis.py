@@ -24,21 +24,20 @@ LOCALIZED_MAX_ABS_SLOPE = 0.25
 DELOCALIZED_MAX_SLOPE = -0.6
 
 
-def rank_list(p: np.ndarray) -> list[tuple[int, float]]:
-    """Nodes sorted by importance descending; ties break by ascending node id."""
-    order = np.lexsort((np.arange(len(p)), -np.asarray(p)))
-    return [(int(i), float(p[i])) for i in order]
-
-
 def ranking_order(p: np.ndarray) -> list[int]:
-    return [node for node, _ in rank_list(p)]
+    """Nodes sorted by importance descending; ties break by ascending node id."""
+    return np.lexsort((np.arange(len(p)), -np.asarray(p))).tolist()
+
+
+def rank_list(p: np.ndarray) -> list[tuple[int, float]]:
+    """(node, importance) pairs in ranking_order."""
+    return [(i, float(p[i])) for i in ranking_order(p)]
 
 
 def node_ranks(p: np.ndarray) -> np.ndarray:
-    """1-based rank of each node under rank_list ordering."""
+    """1-based rank of each node under ranking_order."""
     ranks = np.empty(len(p), dtype=np.int64)
-    for position, node in enumerate(ranking_order(p), start=1):
-        ranks[node] = position
+    ranks[ranking_order(p)] = np.arange(1, len(p) + 1)
     return ranks
 
 
@@ -143,6 +142,8 @@ class StabilityGrid:
 
 def coarse_alpha_grid(points: int = 20) -> np.ndarray:
     """Evenly spaced damping values spanning 0.01 to 0.98 inclusive."""
+    if points < 1:
+        raise ParameterError(f"grid needs at least one point, got {points}")
     return np.linspace(0.01, 0.98, points)
 
 
@@ -320,10 +321,13 @@ class EnsembleReport:
     """Per-metric mean and sample standard deviation over seeded runs."""
 
     count: int
-    failures: int
     failure_messages: tuple[str, ...]
     means: dict[str, float]
     stds: dict[str, float]
+
+    @property
+    def failures(self) -> int:
+        return len(self.failure_messages)
 
 
 def run_ensemble_item(args) -> tuple[str, object]:
@@ -369,13 +373,7 @@ def ensemble_run(spec: GeneratorSpec, count: int, experiment, map_fn=map) -> Ens
     if not metric_dicts:
         raise ParameterError(f"all {count} ensemble runs failed; first: {failures[0]}")
     means, stds = aggregate_metrics(metric_dicts)
-    return EnsembleReport(
-        count=count,
-        failures=len(failures),
-        failure_messages=failures,
-        means=means,
-        stds=stds,
-    )
+    return EnsembleReport(count=count, failure_messages=failures, means=means, stds=stds)
 
 
 def attack_metrics(

@@ -26,7 +26,8 @@ import numpy as np
 
 from . import __version__, analysis, graphs, walk
 from .errors import ConvergenceError, ParameterError, ParseError
-from .google import classical_pagerank, format_dense_matrix, google_from_graph
+from .google import (DEFAULT_MAX_ITER, DEFAULT_TOL, classical_pagerank, format_dense_matrix,
+                     google_from_graph)
 
 EXIT_OK = 0
 EXIT_PARAMETER = 2
@@ -105,7 +106,6 @@ def _spec_from_args(args, seed: int | None = None) -> graphs.GeneratorSpec:
         p=args.p,
         sf_alpha=args.sf_alpha,
         sf_beta=args.sf_beta,
-        sf_gamma=args.sf_gamma,
         sf_delta_in=args.sf_delta_in,
         sf_delta_out=args.sf_delta_out,
         n_gen=args.gen,
@@ -116,8 +116,8 @@ def _spec_from_args(args, seed: int | None = None) -> graphs.GeneratorSpec:
 
 def _load_graph_file(path: str) -> graphs.DirectedGraph:
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     if path.endswith(".net"):
         return graphs.load_pajek(text)
@@ -168,7 +168,8 @@ def cmd_rank(args) -> int:
     g, label = _graph_from_args(args)
     gm = google_from_graph(g, args.alpha)
     classical = classical_pagerank(gm, tol=args.tol, max_iter=args.max_iter)
-    quantum, delta = walk.SzegedyWalk(gm).average_with_convergence(args.T)
+    qwalk = walk.SzegedyWalk(gm)
+    quantum, delta = qwalk.average_with_convergence(args.T)
     cl_ranks = analysis.node_ranks(classical)
     q_ranks = analysis.node_ranks(quantum)
 
@@ -201,7 +202,7 @@ def cmd_rank(args) -> int:
     }
     _write_json(outdir / f"{prefix}_summary.json", summary)
     if args.trajectory:
-        traj = walk.SzegedyWalk(gm).trajectory(args.trajectory)
+        traj = qwalk.trajectory(args.trajectory)
         rows = [
             [t, node, _fmt(traj[t, node])]
             for t in range(args.trajectory)
@@ -225,7 +226,10 @@ def _modes(mode: str) -> tuple[str, ...]:
 
 
 def cmd_ipr(args) -> int:
-    sizes = [int(tok) for tok in args.sizes.split(",") if tok]
+    try:
+        sizes = [int(tok) for tok in args.sizes.split(",") if tok]
+    except ValueError:
+        raise ParameterError(f"--sizes {args.sizes!r} is not a list of integers") from None
     if len(set(sizes)) < 2:
         raise ParameterError("--sizes needs at least two distinct sizes")
     if args.family not in ("sf", "er"):
@@ -274,7 +278,7 @@ def _alpha_grid(args) -> np.ndarray:
     if args.grid == "coarse":
         return analysis.coarse_alpha_grid(args.points)
     if args.grid in ("fine", "sweep"):
-        return np.linspace(0.01, 0.98, 98)
+        return analysis.coarse_alpha_grid(98)
     # a config-file value is not checked against the flag's choices
     raise ParameterError(f"unknown grid {args.grid!r}, expected coarse, fine or sweep")
 
@@ -290,7 +294,7 @@ def cmd_stability(args) -> int:
 
     if args.grid == "sweep":
         ref_vec = analysis.importance_vector(
-            g, args.mode, alpha=args.alpha_ref, horizon=args.T, tol=args.tol, max_iter=args.max_iter
+            g, args.mode, alpha=args.alpha, horizon=args.T, tol=args.tol, max_iter=args.max_iter
         )
         rows = [
             [a, analysis.classical_fidelity(v, ref_vec), analysis.qpr_distance(v, ref_vec)]
@@ -301,8 +305,8 @@ def cmd_stability(args) -> int:
             ["alpha", "fidelity_vs_ref", "distance_vs_ref"],
             [[_fmt(x) for x in row] for row in rows],
         )
-        _write_dat(outdir / f"{prefix}.dat", f"alpha fidelity_vs_{args.alpha_ref:g} distance", rows)
-        summary = {"alpha_ref": args.alpha_ref, "n": g.n, "mode": args.mode}
+        _write_dat(outdir / f"{prefix}.dat", f"alpha fidelity_vs_{args.alpha:g} distance", rows)
+        summary = {"alpha_ref": args.alpha, "n": g.n, "mode": args.mode}
     else:
         grid = analysis.pairwise_stability(vectors, alphas)
         alpha_header = [_fmt(a) for a in alphas]
@@ -454,15 +458,16 @@ def cmd_attack(args) -> int:
 def _add_common(sp: argparse.ArgumentParser, *, ranking: bool = True) -> None:
     sp.add_argument("--out", default=os.environ.get(OUT_ENV_VAR, "runs"),
                     help=f"output directory (env {OUT_ENV_VAR} overrides the default)")
-    sp.add_argument("--seed", type=int, default=0, help="base RNG seed")
+    sp.add_argument("--seed", type=int, default=graphs.GeneratorSpec.seed, help="base RNG seed")
     sp.add_argument("--jobs", type=int, default=1, help="worker processes for independent runs")
     sp.add_argument("--config", default=None, help="key=value defaults file; flags override")
     if ranking:
-        sp.add_argument("--alpha", type=float, default=0.85, help="damping parameter")
+        sp.add_argument("--alpha", type=float, default=0.85,
+                        help="damping parameter (stability --grid sweep: the reference)")
         sp.add_argument("--T", type=int, default=walk.DEFAULT_HORIZON,
                         help="quantum averaging horizon (double-steps)")
-        sp.add_argument("--tol", type=float, default=1e-12, help="classical fixed-point tolerance")
-        sp.add_argument("--max-iter", type=int, default=100_000, help="classical iteration cap")
+        sp.add_argument("--tol", type=float, default=DEFAULT_TOL, help="classical fixed-point tolerance")
+        sp.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER, help="classical iteration cap")
 
 
 def _add_generator(sp: argparse.ArgumentParser, *, with_input: bool = False) -> None:
@@ -470,30 +475,33 @@ def _add_generator(sp: argparse.ArgumentParser, *, with_input: bool = False) -> 
         sp.add_argument("--input", default=None, help="graph file (.net Pajek, else edge list)")
     sp.add_argument("--family", choices=graphs.FAMILIES, default=None, help="generator family")
     sp.add_argument("--n", type=int, default=64, help="node count (sf, er)")
-    sp.add_argument("--p", type=float, default=0.125, help="er edge probability")
-    sp.add_argument("--gen", type=int, default=1, help="hierarchical generation index")
-    sp.add_argument("--sf-alpha", type=float, default=0.41, help="sf: P(new node with edge to existing)")
-    sp.add_argument("--sf-beta", type=float, default=0.54, help="sf: P(edge between existing nodes)")
-    sp.add_argument("--sf-gamma", type=float, default=0.05, help="sf: P(existing to new node)")
-    sp.add_argument("--sf-delta-in", type=float, default=0.2, help="sf: in-degree offset")
-    sp.add_argument("--sf-delta-out", type=float, default=0.0, help="sf: out-degree offset")
+    defaults = graphs.GeneratorSpec
+    sp.add_argument("--p", type=float, default=defaults.p, help="er edge probability")
+    sp.add_argument("--gen", type=int, default=defaults.n_gen, help="hierarchical generation index")
+    sp.add_argument("--sf-alpha", type=float, default=defaults.sf_alpha,
+                    help="sf: P(new node with edge to existing)")
+    sp.add_argument("--sf-beta", type=float, default=defaults.sf_beta,
+                    help="sf: P(edge between existing nodes); the rest adds existing to new")
+    sp.add_argument("--sf-delta-in", type=float, default=defaults.sf_delta_in,
+                    help="sf: in-degree offset")
+    sp.add_argument("--sf-delta-out", type=float, default=defaults.sf_delta_out,
+                    help="sf: out-degree offset")
     sp.add_argument("--self-loops", action="store_true", help="keep generated self-loops")
 
 
 def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and its subcommand parsers by name."""
     parser = argparse.ArgumentParser(
         prog="qprank",
         description="Quantum and classical PageRank on directed complex networks.",
     )
     parser.add_argument("--version", action="version", version=f"qprank {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    table: dict[str, argparse.ArgumentParser] = {}
 
     sp = sub.add_parser("generate", help="write a generated graph to disk")
     _add_generator(sp)
     _add_common(sp, ranking=False)
     sp.set_defaults(func=cmd_generate)
-    table["generate"] = sp
 
     sp = sub.add_parser("rank", help="classical and quantum ranking of one graph")
     _add_generator(sp, with_input=True)
@@ -503,7 +511,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     sp.add_argument("--dump-matrix", action="store_true",
                     help="also write the dense transition matrix at full precision")
     sp.set_defaults(func=cmd_rank)
-    table["rank"] = sp
 
     sp = sub.add_parser("ipr", help="inverse participation ratio across graph sizes")
     _add_generator(sp)
@@ -512,17 +519,14 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     sp.add_argument("--mode", choices=("quantum", "classical", "both"), default="quantum")
     sp.add_argument("--r", type=int, default=1, help="participation-ratio order")
     sp.set_defaults(func=cmd_ipr)
-    table["ipr"] = sp
 
     sp = sub.add_parser("stability", help="ranking stability across damping values")
     _add_generator(sp, with_input=True)
     _add_common(sp)
     sp.add_argument("--grid", choices=("coarse", "fine", "sweep"), default="coarse")
     sp.add_argument("--points", type=int, default=20, help="coarse grid size")
-    sp.add_argument("--alpha-ref", type=float, default=0.85, help="sweep reference damping")
     sp.add_argument("--mode", choices=("quantum", "classical"), default="quantum")
     sp.set_defaults(func=cmd_stability)
-    table["stability"] = sp
 
     sp = sub.add_parser("powerlaw", help="power-law fit of the sorted ranking")
     _add_generator(sp, with_input=True)
@@ -532,7 +536,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     sp.add_argument("--i-min", type=int, default=1, help="first 1-based rank index of the fit")
     sp.add_argument("--i-max", type=int, default=None, help="last rank index (default: before the degenerate tail)")
     sp.set_defaults(func=cmd_powerlaw)
-    table["powerlaw"] = sp
 
     sp = sub.add_parser("attack", help="iterated hub removal over a seeded ensemble")
     _add_generator(sp, with_input=True)
@@ -541,15 +544,14 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     sp.add_argument("--removals", type=int, default=5, help="nodes to remove, one per round")
     sp.add_argument("--ensemble", type=int, default=100, help="graphs in the ensemble")
     sp.set_defaults(func=cmd_attack)
-    table["attack"] = sp
 
-    return parser, table
+    return parser, sub.choices
 
 
 def _read_config_file(path: str) -> dict[str, str]:
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read config {path}: {exc}") from exc
     values: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -585,11 +587,11 @@ def _apply_config(sp: argparse.ArgumentParser, parsed: dict, values: dict[str, s
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser, table = build_parser()
+    parser, subparsers = build_parser()
     try:
         args = parser.parse_args(argv)
         if args.config is not None:
-            _apply_config(table[args.command], vars(args), _read_config_file(args.config))
+            _apply_config(subparsers[args.command], vars(args), _read_config_file(args.config))
             args = parser.parse_args(argv)
         return args.func(args)
     except ParseError as exc:

@@ -60,8 +60,6 @@ def build_patched_connectivity(g: DirectedGraph) -> np.ndarray:
 
 def build_google(e: np.ndarray, alpha: float) -> GoogleMatrix:
     """Mix the link matrix with uniform hopping: alpha * E + (1 - alpha) / n."""
-    if not 0.0 < alpha < 1.0:
-        raise ParameterError(f"damping alpha={alpha} outside (0, 1)")
     n = e.shape[0]
     return GoogleMatrix(n, alpha, alpha * e + (1.0 - alpha) / n)
 

@@ -76,7 +76,6 @@ class GeneratorSpec:
     p: float = 0.125
     sf_alpha: float = 0.41
     sf_beta: float = 0.54
-    sf_gamma: float = 0.05
     sf_delta_in: float = 0.2
     sf_delta_out: float = 0.0
     n_gen: int = 1
@@ -86,12 +85,10 @@ class GeneratorSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ParameterError(f"unknown family {self.family!r}, expected one of {FAMILIES}")
+        if self.seed < 0:
+            raise ParameterError(f"seed {self.seed} must be >= 0")
         if self.family == "sf":
-            probs = (self.sf_alpha, self.sf_beta, self.sf_gamma)
-            if min(probs) < 0 or abs(sum(probs) - 1.0) > 1e-9:
-                raise ParameterError("sf move probabilities must be nonnegative and sum to 1")
-            if self.sf_delta_in < 0 or self.sf_delta_out < 0:
-                raise ParameterError("sf degree offsets must be nonnegative")
+            _check_scale_free(self.sf_alpha, self.sf_beta, self.sf_delta_in, self.sf_delta_out)
         if self.family == "er" and not 0.0 <= self.p <= 1.0:
             raise ParameterError(f"edge probability p={self.p} outside [0, 1]")
         if self.family in ("hier3", "hier2") and self.n_gen < 1:
@@ -105,7 +102,6 @@ def generate(spec: GeneratorSpec) -> DirectedGraph:
             spec.n,
             alpha=spec.sf_alpha,
             beta=spec.sf_beta,
-            gamma=spec.sf_gamma,
             delta_in=spec.sf_delta_in,
             delta_out=spec.sf_delta_out,
             seed=spec.seed,
@@ -125,12 +121,19 @@ def _preferential_pick(rng: np.random.Generator, degrees: np.ndarray, offset: fl
     return min(idx, len(degrees) - 1)
 
 
+def _check_scale_free(alpha: float, beta: float, delta_in: float, delta_out: float) -> None:
+    # written as "not (valid)" so that NaN is rejected too
+    if not (alpha >= 0 and beta >= 0 and alpha + beta <= 1.0):
+        raise ParameterError("sf move probabilities must be nonnegative with alpha + beta <= 1")
+    if not (delta_in >= 0 and delta_out >= 0):
+        raise ParameterError("sf degree offsets must be nonnegative")
+
+
 def gen_scale_free(
     n: int,
     *,
     alpha: float = 0.41,
     beta: float = 0.54,
-    gamma: float = 0.05,
     delta_in: float = 0.2,
     delta_out: float = 0.0,
     seed: int = 0,
@@ -143,20 +146,17 @@ def gen_scale_free(
     an existing node chosen proportionally to in-degree + ``delta_in``; with
     probability ``beta`` add an edge between two existing nodes, the source
     chosen by out-degree + ``delta_out`` and the target by in-degree; with
-    probability ``gamma`` add a new node receiving an edge from an existing
-    node chosen by out-degree. Growth stops when ``n`` nodes exist. Repeat
-    edges count toward degrees during growth but collapse in the result;
-    self-loops (possible in the middle move) are dropped unless flagged.
+    the remaining probability gamma = 1 - alpha - beta add a new node
+    receiving an edge from an existing node chosen by out-degree. Growth
+    stops when ``n`` nodes exist. Repeat edges count toward degrees during
+    growth but collapse in the result; self-loops (possible in the middle
+    move) are dropped unless flagged.
     """
     if n < 3:
         raise ParameterError("scale-free growth needs n >= 3 (3-node seed cycle)")
-    probs = (alpha, beta, gamma)
-    if min(probs) < 0 or abs(sum(probs) - 1.0) > 1e-9:
-        raise ParameterError("move probabilities must be nonnegative and sum to 1")
-    if delta_in < 0 or delta_out < 0:
-        raise ParameterError("degree offsets must be nonnegative")
-    if n > 3 and alpha + gamma <= 0:
-        raise ParameterError("alpha + gamma must be positive for the graph to grow")
+    _check_scale_free(alpha, beta, delta_in, delta_out)
+    if n > 3 and beta >= 1.0:
+        raise ParameterError("beta must be below 1 for the graph to grow")
 
     rng = np.random.default_rng(seed)
     in_deg = np.zeros(n, dtype=np.float64)

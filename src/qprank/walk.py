@@ -73,18 +73,20 @@ class SzegedyWalk:
         a, b = state.a, state.b
         return float(a @ a + b @ b + 2.0 * (a @ (self.d @ b)))
 
+    def _distributions(self, horizon: int):
+        """Yield the node distribution after 0, 1, ..., horizon - 1 double-steps."""
+        if horizon < 1:
+            raise ParameterError("horizon must be >= 1")
+        state = self.initial_state()
+        yield self.measure(state)
+        for _ in range(1, horizon):
+            state = self.step(self.step(state))
+            yield self.measure(state)
+
     def trajectory(self, horizon: int) -> np.ndarray:
         """Instantaneous node distributions; row t is the measurement after t
         double-steps of the unitary (row 0 is the initial state)."""
-        if horizon < 1:
-            raise ParameterError("horizon must be >= 1")
-        out = np.empty((horizon, self.n))
-        state = self.initial_state()
-        out[0] = self.measure(state)
-        for t in range(1, horizon):
-            state = self.step(self.step(state))
-            out[t] = self.measure(state)
-        return out
+        return np.array(list(self._distributions(horizon)))
 
     def average_with_convergence(self, horizon: int = DEFAULT_HORIZON) -> tuple[np.ndarray, float]:
         """Time-averaged node distribution over ``horizon`` double-steps.
@@ -93,16 +95,12 @@ class SzegedyWalk:
         half-horizon average, a direct handle on how settled the Cesaro mean
         is (NaN when horizon == 1).
         """
-        if horizon < 1:
-            raise ParameterError("averaging horizon must be >= 1")
-        state = self.initial_state()
-        acc = self.measure(state)
         half = horizon // 2
-        half_snapshot = acc.copy() if half == 1 else None
-        for t in range(1, horizon):
-            state = self.step(self.step(state))
-            acc += self.measure(state)
-            if t + 1 == half:
+        acc = np.zeros(self.n)
+        half_snapshot = None
+        for t, p in enumerate(self._distributions(horizon), start=1):
+            acc += p
+            if t == half:
                 half_snapshot = acc.copy()
         avg = acc / horizon
         if half_snapshot is None:
@@ -111,11 +109,6 @@ class SzegedyWalk:
 
     def average(self, horizon: int = DEFAULT_HORIZON) -> np.ndarray:
         return self.average_with_convergence(horizon)[0]
-
-
-def average_qpr(gm: GoogleMatrix, horizon: int = DEFAULT_HORIZON) -> np.ndarray:
-    """Time-averaged walk distribution for a transition matrix; deterministic."""
-    return SzegedyWalk(gm).average(horizon)
 
 
 class DenseWalk:

@@ -2,7 +2,6 @@ import os
 from pathlib import Path
 
 import numpy as np
-import pytest
 from hypothesis import strategies as st
 
 from qprank import DirectedGraph
@@ -45,17 +44,11 @@ def small_digraphs(draw, max_nodes: int = 10):
     return DirectedGraph(n, frozenset(edges))
 
 
-@pytest.fixture
-def directed_cycle():
-    def make(n: int) -> DirectedGraph:
-        return DirectedGraph(n, frozenset((i, (i + 1) % n) for i in range(n)))
-
-    return make
+def cycle(n: int) -> DirectedGraph:
+    """Directed n-cycle 0 -> 1 -> ... -> n-1 -> 0."""
+    return DirectedGraph(n, frozenset((i, (i + 1) % n) for i in range(n)))
 
 
-@pytest.fixture
-def complete_digraph():
-    def make(n: int) -> DirectedGraph:
-        return DirectedGraph(n, frozenset((i, j) for i in range(n) for j in range(n) if i != j))
-
-    return make
+def complete(n: int) -> DirectedGraph:
+    """Complete digraph: every ordered pair of distinct nodes is an edge."""
+    return DirectedGraph(n, frozenset((i, j) for i in range(n) for j in range(n) if i != j))

@@ -33,15 +33,7 @@ from qprank import (
 from qprank.analysis import attack_metrics, coarse_alpha_grid, powerlaw_metrics
 from qprank.cli import main as cli_main
 
-from conftest import epa_path, random_graph
-
-
-def cycle(n):
-    return DirectedGraph(n, frozenset((i, (i + 1) % n) for i in range(n)))
-
-
-def complete(n):
-    return DirectedGraph(n, frozenset((i, j) for i in range(n) for j in range(n) if i != j))
+from conftest import complete, cycle, epa_path, random_graph
 
 
 def note(num, text):

@@ -27,9 +27,7 @@ from qprank import (
 )
 from qprank.analysis import attack_metrics, node_ranks, powerlaw_metrics
 
-
-def cycle(n):
-    return DirectedGraph(n, frozenset((i, (i + 1) % n) for i in range(n)))
+from conftest import cycle
 
 
 def normalized_vectors(min_size=2, max_size=12):

@@ -130,6 +130,23 @@ class TestExitCodes:
         assert run(["attack", "--input", net, "--removals", 1, "--ensemble", 2,
                     "--out", tmp_path]) == 2
 
+    @pytest.mark.parametrize("argv, code", [
+        (["rank", "--family", "sf", "--seed", -1], 2),
+        (["ipr", "--family", "sf", "--sizes", "16,32", "--seed", -1], 2),
+        (["attack", "--family", "sf", "--n", 8, "--ensemble", 2, "--seed", -1], 2),
+        (["stability", "--family", "sf", "--n", 8, "--grid", "coarse", "--points", 0], 2),
+        (["stability", "--family", "sf", "--n", 8, "--grid", "coarse", "--points", -1], 2),
+        (["ipr", "--family", "sf", "--sizes", "32,a"], 2),
+        (["rank", "--input", "NOT_UTF8"], 3),
+        (["rank", "--family", "sf", "--config", "NOT_UTF8"], 3),
+    ], ids=["rank-seed", "ipr-seed", "attack-seed", "points-0", "points-neg", "sizes-not-int",
+            "input-not-utf8", "config-not-utf8"])
+    def test_bad_input_exit_code(self, tmp_path, argv, code):
+        not_utf8 = tmp_path / "latin1.net"
+        not_utf8.write_bytes(b"*Vertices 1\n1 \"caf\xe9\"\n")
+        argv = [not_utf8 if a == "NOT_UTF8" else a for a in argv]
+        assert exit_code(argv + ["--T", 10, "--out", tmp_path]) == code
+
 
 class TestConfigFile:
     def test_config_supplies_defaults_and_flags_override(self, tmp_path):
@@ -210,6 +227,17 @@ class TestStabilityCommand:
         assert len(rows) == 98
         ref_row = min(rows, key=lambda r: abs(float(r["alpha"]) - 0.85))
         assert float(ref_row["fidelity_vs_ref"]) == pytest.approx(1.0, abs=1e-12)
+
+    def test_sweep_reference_is_alpha(self, tmp_path):
+        assert run(["stability", "--family", "sf", "--n", 10, "--grid", "sweep", "--alpha", 0.3,
+                    "--T", 30, "--seed", 1, "--out", tmp_path]) == 0
+        prefix = "stability_sf_n10_T30_seed1_sweep_quantum"
+        header = (tmp_path / f"{prefix}.dat").read_text().splitlines()[0]
+        assert header == "# alpha fidelity_vs_0.3 distance"
+        rows = read_rows(tmp_path / f"{prefix}.csv")
+        ref_row = min(rows, key=lambda r: abs(float(r["alpha"]) - 0.3))
+        assert float(ref_row["fidelity_vs_ref"]) == pytest.approx(1.0, abs=1e-12)
+        assert float(ref_row["distance_vs_ref"]) == pytest.approx(0.0, abs=1e-12)
 
 
 class TestPowerlawCommand:

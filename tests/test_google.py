@@ -16,20 +16,12 @@ from qprank import (
     google_from_graph,
 )
 
-from conftest import small_digraphs
+from conftest import complete, cycle, small_digraphs
 
 TWO_NODE = DirectedGraph(2, frozenset({(0, 1)}))
 # Hand-solved fixed point of the damped 2-node chain at alpha = 0.85:
 # I1 = 1.85 I0 and I0 + I1 = 1.
 TWO_NODE_PR = np.array([1.0, 1.85]) / 2.85
-
-
-def cycle(n):
-    return DirectedGraph(n, frozenset((i, (i + 1) % n) for i in range(n)))
-
-
-def complete(n):
-    return DirectedGraph(n, frozenset((i, j) for i in range(n) for j in range(n) if i != j))
 
 
 class TestPatchedConnectivity:

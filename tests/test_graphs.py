@@ -20,11 +20,7 @@ from qprank import (
     write_pajek,
 )
 
-from conftest import epa_path, small_digraphs
-
-
-def cycle(n):
-    return DirectedGraph(n, frozenset((i, (i + 1) % n) for i in range(n)))
+from conftest import complete, cycle, epa_path, small_digraphs
 
 
 class TestDirectedGraph:
@@ -63,10 +59,12 @@ class TestScaleFree:
             gen_scale_free(2)
 
     def test_invalid_probabilities_rejected(self):
+        # gamma = 1 - alpha - beta, so alpha + beta > 1 is a negative gamma
+        for alpha, beta in ((0.6, 0.5), (-0.1, 0.5), (0.5, -0.1), (float("nan"), 0.5)):
+            with pytest.raises(ParameterError):
+                gen_scale_free(10, alpha=alpha, beta=beta)
         with pytest.raises(ParameterError):
-            gen_scale_free(10, alpha=0.9, beta=0.9, gamma=-0.8)
-        with pytest.raises(ParameterError):
-            gen_scale_free(10, alpha=0.2, beta=0.2, gamma=0.2)
+            gen_scale_free(10, alpha=0.0, beta=1.0)  # no move adds a node
 
     def test_hub_dominance_across_seeds(self):
         # 20 seeds at n=256: a dominant hub and a decaying log-log rank profile
@@ -147,8 +145,11 @@ class TestGeneratorSpec:
     def test_validation(self):
         with pytest.raises(ParameterError):
             GeneratorSpec(family="er", p=-0.1)
+        for alpha, beta in ((0.6, 0.5), (-0.1, 0.5), (0.5, -0.1)):
+            with pytest.raises(ParameterError):
+                GeneratorSpec(family="sf", sf_alpha=alpha, sf_beta=beta)
         with pytest.raises(ParameterError):
-            GeneratorSpec(family="sf", sf_alpha=0.9, sf_beta=0.9, sf_gamma=0.9)
+            GeneratorSpec(family="er", seed=-1)
         with pytest.raises(ParameterError):
             GeneratorSpec(family="nope")
 
@@ -195,7 +196,7 @@ class TestDegreeDistribution:
         assert list(in_hist) == [0, 3] and list(out_hist) == [0, 3]
 
     def test_complete(self):
-        g = DirectedGraph(5, frozenset((i, j) for i in range(5) for j in range(5) if i != j))
+        g = complete(5)
         in_hist, out_hist = degree_distribution(g)
         assert in_hist[4] == 5 and out_hist[4] == 5
         assert in_hist.sum() == 5 and out_hist.sum() == 5

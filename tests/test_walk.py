@@ -7,16 +7,11 @@ from qprank import (
     ParameterError,
     SzegedyWalk,
     WalkState,
-    average_qpr,
     gen_scale_free,
     google_from_graph,
 )
 
-from conftest import random_graph
-
-
-def cycle(n):
-    return DirectedGraph(n, frozenset((i, (i + 1) % n) for i in range(n)))
+from conftest import complete, cycle, random_graph
 
 
 def walk_for(g, alpha=0.85):
@@ -108,8 +103,7 @@ class TestMeasurement:
     def test_complete_digraph_symmetry_instantaneous(self):
         # Every node permutation is an automorphism of the complete digraph.
         n = 5
-        g = DirectedGraph(n, frozenset((i, j) for i in range(n) for j in range(n) if i != j))
-        w = walk_for(g)
+        w = walk_for(complete(n))
         s = w.initial_state()
         for _ in range(25):
             p = w.measure(s)
@@ -120,12 +114,12 @@ class TestMeasurement:
 class TestAverage:
     def test_three_cycle_uniform(self):
         for alpha in (0.1, 0.85):
-            avg = average_qpr(google_from_graph(cycle(3), alpha), 200)
+            avg = walk_for(cycle(3), alpha).average(200)
             assert np.abs(avg - 1 / 3).max() < 1e-10
 
     def test_two_cycle_any_horizon(self):
         for horizon in (1, 7, 50):
-            avg = average_qpr(google_from_graph(cycle(2), 0.5), horizon)
+            avg = walk_for(cycle(2), 0.5).average(horizon)
             assert np.abs(avg - 0.5).max() < 1e-12
 
     def test_cesaro_settles(self):
@@ -145,11 +139,11 @@ class TestAverage:
 
     def test_deterministic_bitwise(self):
         gm = google_from_graph(gen_scale_free(20, seed=2), 0.85)
-        assert np.array_equal(average_qpr(gm, 300), average_qpr(gm, 300))
+        assert np.array_equal(SzegedyWalk(gm).average(300), SzegedyWalk(gm).average(300))
 
     def test_horizon_validation(self):
         with pytest.raises(ParameterError):
-            average_qpr(google_from_graph(cycle(3), 0.85), 0)
+            walk_for(cycle(3)).average(0)
 
 
 class TestDenseOracle:
@@ -182,9 +176,8 @@ class TestDenseOracle:
                     ds = den.step(den.step(ds))
 
     def test_size_guard(self):
-        g = DirectedGraph(65, frozenset((i, (i + 1) % 65) for i in range(65)))
         with pytest.raises(ParameterError):
-            DenseWalk(google_from_graph(g, 0.85))
+            DenseWalk(google_from_graph(cycle(65), 0.85))
 
 
 class TestTrajectory:
@@ -195,3 +188,12 @@ class TestTrajectory:
         for t in range(5):
             assert np.array_equal(traj[t], w.measure(s))
             s = w.step(w.step(s))
+
+    def test_rows_give_average_and_half_horizon_gap(self):
+        w = walk_for(gen_scale_free(12, seed=4))
+        for horizon in (2, 3, 50):
+            traj = w.trajectory(horizon)
+            avg, gap = w.average_with_convergence(horizon)
+            assert np.abs(traj.sum(axis=0) / horizon - avg).max() < 1e-14
+            half_avg = traj[: horizon // 2].mean(axis=0)
+            assert abs(gap - np.abs(avg - half_avg).max()) < 1e-14
