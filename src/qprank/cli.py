@@ -41,13 +41,20 @@ def _fmt(x) -> str:
     return format(float(x), ".17g")
 
 
+def _make_parent(path: Path) -> None:
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ParameterError(f"cannot use output directory {path.parent}: {exc}") from None
+
+
 def _write_text(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
+    _make_parent(path)
     path.write_text(text)
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
+    _make_parent(path)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
@@ -165,6 +172,8 @@ def cmd_generate(args) -> int:
 
 
 def cmd_rank(args) -> int:
+    if args.trajectory < 0:
+        raise ParameterError(f"--trajectory {args.trajectory} must be >= 0")
     g, label = _graph_from_args(args)
     gm = google_from_graph(g, args.alpha)
     classical = classical_pagerank(gm, tol=args.tol, max_iter=args.max_iter)
@@ -210,7 +219,7 @@ def cmd_rank(args) -> int:
         ]
         _write_csv(outdir / f"{prefix}_trajectory.csv", ["t", "node", "instantaneous_qpr"], rows)
     if args.dump_matrix:
-        _write_text(outdir / f"{prefix}_google.txt", format_dense_matrix(gm.entries))
+        _write_text(outdir / f"{prefix}_google.txt", format_dense_matrix(gm.toarray()))
     _echo_config(outdir, prefix, args)
     print(f"wrote {prefix}.csv to {outdir}")
     return EXIT_OK
@@ -232,6 +241,8 @@ def cmd_ipr(args) -> int:
         raise ParameterError(f"--sizes {args.sizes!r} is not a list of integers") from None
     if len(set(sizes)) < 2:
         raise ParameterError("--sizes needs at least two distinct sizes")
+    if len(set(sizes)) < len(sizes):
+        raise ParameterError(f"--sizes {args.sizes!r} repeats a size")
     if args.family not in ("sf", "er"):
         raise ParameterError("ipr sweeps support --family sf or er")
     graphs_by_size = [

@@ -12,6 +12,50 @@ from .graphs import DirectedGraph
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 100_000
 
+# google_from_graph builds the structured form for large sparse graphs only:
+# from STRUCTURED_MIN_NODES nodes on, with at most STRUCTURED_MAX_DENSITY links
+# per ordered node pair. Its gain depends on sparseness: a stored entry of a
+# structured product costs about 15 times a matrix entry of a dense one, so on
+# denser graphs (er at its default p = 0.125, complete graphs) the dense arrays
+# are faster at every size. Below the size floor fixed per-product costs
+# leave dense faster, or within about 1.3x up to n = 256, and small graphs keep
+# their results bit for bit. The measured sweeps are in CHANGES.md.
+STRUCTURED_MIN_NODES = 320
+STRUCTURED_MAX_DENSITY = 1 / 64
+
+
+@dataclass(frozen=True, eq=False)
+class RankOnePlusSparse:
+    """The n x n matrix outer(u, v) + S, where S is zero except at
+    S[rows[i], cols[i]] = vals[i] (each position listed at most once).
+
+    A product with a vector costs O(n + len(vals)) and nothing of size n**2
+    is stored.
+    """
+
+    u: np.ndarray
+    v: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (len(self.u), len(self.v))
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        return self.u * (self.v @ x) + np.bincount(
+            self.rows, self.vals * x[self.cols], minlength=len(self.u)
+        )
+
+    def column_sums(self) -> np.ndarray:
+        return self.u.sum() * self.v + np.bincount(self.cols, self.vals, minlength=len(self.v))
+
+    def toarray(self) -> np.ndarray:
+        a = np.outer(self.u, self.v)
+        a[self.rows, self.cols] += self.vals
+        return a
+
 
 @dataclass(frozen=True, eq=False)
 class GoogleMatrix:
@@ -21,23 +65,61 @@ class GoogleMatrix:
     following links (uniform over out-neighbors, dangling columns patched to
     uniform over all nodes) plus ``(1 - alpha) / n`` of unconditional hopping
     to every node.
+
+    ``entries`` is either the dense array or, in structured form, the
+    ``RankOnePlusSparse`` 1 c^T + S: c holds each column's background value
+    (hopping, plus the dangling patch) and S the link weights on the edges.
+    Both are applied with ``@``.
     """
 
     n: int
     alpha: float
-    entries: np.ndarray
+    entries: np.ndarray | RankOnePlusSparse
 
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
             raise ParameterError(f"damping alpha={self.alpha} outside (0, 1)")
-        if self.entries.shape != (self.n, self.n):
+        e = self.entries
+        if e.shape != (self.n, self.n):
             raise ParameterError("entries must be an n x n matrix")
-        col_err = np.abs(self.entries.sum(axis=0) - 1.0).max()
+        if isinstance(e, np.ndarray):
+            col_sums, low = e.sum(axis=0), e.min()
+        else:
+            # every entry c_j + S[i, j] is at least min(c) + min(S, 0)
+            col_sums, low = e.column_sums(), e.v.min() + e.vals.min(initial=0.0)
+        col_err = np.abs(col_sums - 1.0).max()
         if col_err > 1e-12:
             raise ParameterError(f"columns must sum to 1 (off by {col_err:.3e})")
         floor = (1.0 - self.alpha) / self.n - 1e-15
-        if self.entries.min() < floor:
+        if low < floor:
             raise ParameterError("entries fall below the random-hopping floor")
+
+    def toarray(self) -> np.ndarray:
+        """The dense n x n matrix; the entries themselves in dense form."""
+        e = self.entries
+        return e if isinstance(e, np.ndarray) else e.toarray()
+
+    def overlap(self) -> np.ndarray | RankOnePlusSparse:
+        """D[j, k] = sqrt(G[k, j] G[j, k]), in the form of the entries.
+
+        For the structured G = 1 c^T + S this is D = s s^T + C with s =
+        sqrt(c): C is symmetric and non-zero only on the pairs joined by an
+        edge either way, where it corrects the background s_j s_k.
+        """
+        e = self.entries
+        if isinstance(e, np.ndarray):
+            r = np.sqrt(e)
+            return r * r.T
+        n, m = self.n, len(e.vals)
+        keys, inv = np.unique(
+            np.concatenate([e.rows * n + e.cols, e.cols * n + e.rows]), return_inverse=True
+        )
+        j, k = np.divmod(keys, n)
+        link_jk = np.bincount(inv[:m], e.vals, minlength=len(keys))
+        link_kj = np.bincount(inv[m:], e.vals, minlength=len(keys))
+        s = np.sqrt(e.v)
+        c = np.sqrt(e.v[j] + link_kj) * np.sqrt(e.v[k] + link_jk) - s[j] * s[k]
+        return RankOnePlusSparse(s, s, j, k, c)
 
 
 def build_patched_connectivity(g: DirectedGraph) -> np.ndarray:
@@ -64,7 +146,27 @@ def build_google(e: np.ndarray, alpha: float) -> GoogleMatrix:
     return GoogleMatrix(n, alpha, alpha * e + (1.0 - alpha) / n)
 
 
+def build_structured_google(g: DirectedGraph, alpha: float) -> GoogleMatrix:
+    """The Google matrix of ``g`` in structured form, in O(n + m) memory.
+
+    Every entry has the bits of the dense build's: alpha * (1 / out) +
+    (1 - alpha) / n on a link, the column's background value elsewhere.
+    """
+    n = g.n
+    if n < 1:
+        raise ParameterError("graph must have at least one node")
+    src, dst = np.array(g.edge_list(), dtype=np.intp).reshape(-1, 2).T
+    out = np.bincount(src, minlength=n)
+    hop = (1.0 - alpha) / n
+    background = np.where(out == 0, alpha * (1.0 / n) + hop, hop)
+    links = RankOnePlusSparse(np.ones(n), background, dst, src, alpha * (1.0 / out[src]))
+    return GoogleMatrix(n, alpha, links)
+
+
 def google_from_graph(g: DirectedGraph, alpha: float) -> GoogleMatrix:
+    """The Google matrix of ``g``, structured when ``g`` is large and sparse."""
+    if g.n >= STRUCTURED_MIN_NODES and g.num_edges <= STRUCTURED_MAX_DENSITY * g.n * g.n:
+        return build_structured_google(g, alpha)
     return build_google(build_patched_connectivity(g), alpha)
 
 

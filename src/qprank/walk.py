@@ -42,30 +42,38 @@ class WalkState:
 
 
 class SzegedyWalk:
-    """Reduced-subspace simulator: O(n) state, O(n**2) work per step."""
+    """Reduced-subspace simulator: O(n) state; a step costs one product with
+    D, O(n**2) for a dense G and O(n + m) for a structured one."""
 
     def __init__(self, gm: GoogleMatrix):
         self.n = gm.n
         self.g = gm.entries
-        r = np.sqrt(self.g)
-        self.d = r * r.T
+        self.d = gm.overlap()
 
     def initial_state(self) -> WalkState:
         """Uniform superposition of the per-node vectors; unit norm by construction."""
         return WalkState(np.full(self.n, 1.0 / np.sqrt(self.n)), np.zeros(self.n))
 
+    def _step(self, state: WalkState) -> tuple[WalkState, np.ndarray]:
+        """The step and the product D b it computed on the way."""
+        d_b = self.d @ state.b
+        return WalkState(-state.b, state.a + 2.0 * d_b), d_b
+
     def step(self, state: WalkState) -> WalkState:
         """One application of the walk unitary: (a, b) -> (-b, a + 2 D b)."""
-        return WalkState(-state.b, state.a + 2.0 * (self.d @ state.b))
+        return self._step(state)[0]
 
-    def measure(self, state: WalkState) -> np.ndarray:
+    def measure(self, state: WalkState, d_a: np.ndarray | None = None) -> np.ndarray:
         """Second-register outcome distribution of the current state.
 
-        Rounding can push individual entries a few ulp below zero; those are
-        clamped to 0 so downstream consumers see a valid distribution.
+        ``d_a`` is the product D a when the caller already has it. Rounding
+        can push individual entries a few ulp below zero; those are clamped
+        to 0 so downstream consumers see a valid distribution.
         """
         a, b = state.a, state.b
-        p = self.g @ (a * a) + 2.0 * b * (self.d @ a) + b * b
+        if d_a is None:
+            d_a = self.d @ a
+        p = self.g @ (a * a) + 2.0 * b * d_a + b * b
         return np.maximum(p, 0.0)
 
     def norm_sq(self, state: WalkState) -> float:
@@ -80,8 +88,10 @@ class SzegedyWalk:
         state = self.initial_state()
         yield self.measure(state)
         for _ in range(1, horizon):
-            state = self.step(self.step(state))
-            yield self.measure(state)
+            # the second step sets a = -b for the b it multiplied by D, so
+            # D a = -(D b) comes with it: three products per double-step
+            state, d_b = self._step(self._step(state)[0])
+            yield self.measure(state, -d_b)
 
     def trajectory(self, horizon: int) -> np.ndarray:
         """Instantaneous node distributions; row t is the measurement after t
@@ -124,7 +134,7 @@ class DenseWalk:
             raise ParameterError(f"dense simulator limited to n <= {DENSE_NODE_LIMIT}")
         n = gm.n
         self.n = n
-        r = np.sqrt(gm.entries)
+        r = np.sqrt(gm.toarray())
         # Column j holds |psi_j>: amplitude R[k, j] at pair index j*n + k.
         cols = np.zeros((n * n, n))
         for j in range(n):

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 from hypothesis import strategies as st
 
-from qprank import DirectedGraph
+from qprank import DirectedGraph, gen_erdos_renyi, gen_hierarchical_ternary, gen_scale_free
 
 # Locations searched for the real-world Pajek dataset used by the regression
 # tests; absent file -> those tests skip with a warning.
@@ -52,3 +52,21 @@ def cycle(n: int) -> DirectedGraph:
 def complete(n: int) -> DirectedGraph:
     """Complete digraph: every ordered pair of distinct nodes is an edge."""
     return DirectedGraph(n, frozenset((i, j) for i in range(n) for j in range(n) if i != j))
+
+
+def operator_graphs() -> dict[str, DirectedGraph]:
+    """Graphs on which the structured Google and overlap operators are checked
+    against the dense build: hubs and dangling nodes, reciprocal edges, a
+    hierarchy, self-loops, and no edges at all."""
+    return {
+        "sf": gen_scale_free(400, seed=2),
+        "er-reciprocal": gen_erdos_renyi(60, 0.2, seed=1),
+        "hier3": gen_hierarchical_ternary(4),
+        "self-loops": gen_scale_free(200, seed=3, allow_self_loops=True),
+        "edgeless": DirectedGraph(30, frozenset()),
+    }
+
+
+def rel_err(x: np.ndarray, ref: np.ndarray) -> float:
+    """Largest absolute difference relative to the reference's largest entry."""
+    return float(np.abs(x - ref).max() / np.abs(ref).max())

@@ -137,15 +137,29 @@ class TestExitCodes:
         (["stability", "--family", "sf", "--n", 8, "--grid", "coarse", "--points", 0], 2),
         (["stability", "--family", "sf", "--n", 8, "--grid", "coarse", "--points", -1], 2),
         (["ipr", "--family", "sf", "--sizes", "32,a"], 2),
+        (["ipr", "--family", "er", "--sizes", "16,16,32"], 2),
         (["rank", "--input", "NOT_UTF8"], 3),
         (["rank", "--family", "sf", "--config", "NOT_UTF8"], 3),
     ], ids=["rank-seed", "ipr-seed", "attack-seed", "points-0", "points-neg", "sizes-not-int",
-            "input-not-utf8", "config-not-utf8"])
+            "sizes-repeated", "input-not-utf8", "config-not-utf8"])
     def test_bad_input_exit_code(self, tmp_path, argv, code):
         not_utf8 = tmp_path / "latin1.net"
         not_utf8.write_bytes(b"*Vertices 1\n1 \"caf\xe9\"\n")
         argv = [not_utf8 if a == "NOT_UTF8" else a for a in argv]
         assert exit_code(argv + ["--T", 10, "--out", tmp_path]) == code
+
+    def test_out_naming_a_file(self, tmp_path, capsys):
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        assert run(["generate", "--family", "er", "--n", 5, "--out", afile]) == 2
+        assert capsys.readouterr().err.startswith("error [stage=parameters]")
+
+    def test_negative_trajectory_writes_nothing(self, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        assert run(["rank", "--family", "er", "--n", 5, "--T", 5, "--trajectory", -1,
+                    "--out", out]) == 2
+        assert list(out.iterdir()) == []
 
 
 class TestConfigFile:

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from qprank import (
     ConvergenceError,
     DirectedGraph,
+    GoogleMatrix,
     ParameterError,
     build_google,
     build_patched_connectivity,
@@ -15,8 +16,14 @@ from qprank import (
     gen_scale_free,
     google_from_graph,
 )
+from qprank.google import (
+    STRUCTURED_MAX_DENSITY,
+    STRUCTURED_MIN_NODES,
+    RankOnePlusSparse,
+    build_structured_google,
+)
 
-from conftest import complete, cycle, small_digraphs
+from conftest import complete, cycle, operator_graphs, rel_err, small_digraphs
 
 TWO_NODE = DirectedGraph(2, frozenset({(0, 1)}))
 # Hand-solved fixed point of the damped 2-node chain at alpha = 0.85:
@@ -141,3 +148,53 @@ class TestExport:
         text = format_dense_matrix(gm.entries)
         parsed = np.array([[float(v) for v in line.split()] for line in text.splitlines()])
         assert np.array_equal(parsed, gm.entries)
+
+
+class TestStructuredGoogle:
+    """The structured form against the dense build, which is the reference."""
+
+    @pytest.mark.parametrize("name", sorted(operator_graphs()))
+    def test_matches_dense_build(self, name):
+        g = operator_graphs()[name]
+        for alpha in (0.3, 0.85):
+            dense = build_google(build_patched_connectivity(g), alpha)
+            structured = build_structured_google(g, alpha)
+            assert np.array_equal(structured.toarray(), dense.entries)
+            x = np.random.default_rng(0).normal(size=g.n)
+            assert rel_err(structured.entries @ x, dense.entries @ x) < 1e-13
+            assert rel_err(classical_pagerank(structured), classical_pagerank(dense)) < 1e-12
+
+    def test_graph_classes_are_present(self):
+        graphs = operator_graphs()
+        reciprocal = graphs["er-reciprocal"].edges
+        assert any((t, s) in reciprocal for s, t in reciprocal)
+        assert any(s == t for s, t in graphs["self-loops"].edges)
+        assert (graphs["sf"].out_degrees() == 0).any()
+
+    def test_form_chosen_by_size(self):
+        below = google_from_graph(cycle(STRUCTURED_MIN_NODES - 1), 0.85)
+        at = google_from_graph(cycle(STRUCTURED_MIN_NODES), 0.85)
+        assert isinstance(below.entries, np.ndarray)
+        assert isinstance(at.entries, RankOnePlusSparse)
+
+    def test_form_chosen_by_density(self):
+        def circulant(n, k):  # k * n links: i -> i + 1, ..., i + k (mod n)
+            links = {(i, (i + d) % n) for i in range(n) for d in range(1, k + 1)}
+            return DirectedGraph(n, frozenset(links))
+
+        n = STRUCTURED_MIN_NODES
+        k = int(STRUCTURED_MAX_DENSITY * n)  # k * n links is the most still structured
+        assert isinstance(google_from_graph(circulant(n, k), 0.85).entries, RankOnePlusSparse)
+        assert isinstance(google_from_graph(circulant(n, k + 1), 0.85).entries, np.ndarray)
+        er = gen_erdos_renyi(2 * n, 0.125, seed=0)  # the er family's default density
+        assert isinstance(google_from_graph(er, 0.85).entries, np.ndarray)
+
+    def test_checks_apply_to_structured_form(self):
+        g = build_structured_google(cycle(4), 0.85).entries
+        low = 0.5 * g.v  # the other half moves onto the one link per column
+        for bad in (
+            RankOnePlusSparse(g.u, g.v, g.rows, g.cols, 2.0 * g.vals),
+            RankOnePlusSparse(g.u, low, g.rows, g.cols, g.vals + 4.0 * low[g.cols]),
+        ):
+            with pytest.raises(ParameterError):
+                GoogleMatrix(4, 0.85, bad)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,11 +9,14 @@ from qprank import (
     ParameterError,
     SzegedyWalk,
     WalkState,
+    build_google,
+    build_patched_connectivity,
     gen_scale_free,
     google_from_graph,
 )
+from qprank.google import build_structured_google
 
-from conftest import complete, cycle, random_graph
+from conftest import complete, cycle, operator_graphs, random_graph, rel_err
 
 
 def walk_for(g, alpha=0.85):
@@ -182,12 +187,14 @@ class TestDenseOracle:
 
 class TestTrajectory:
     def test_rows_match_manual_evolution(self):
-        w = walk_for(gen_scale_free(10, seed=3))
-        traj = w.trajectory(5)
-        s = w.initial_state()
-        for t in range(5):
-            assert np.array_equal(traj[t], w.measure(s))
-            s = w.step(w.step(s))
+        g = gen_scale_free(10, seed=3)
+        for gm in (google_from_graph(g, 0.85), build_structured_google(g, 0.85)):
+            w = SzegedyWalk(gm)
+            traj = w.trajectory(5)
+            s = w.initial_state()
+            for t in range(5):
+                assert np.array_equal(traj[t], w.measure(s))
+                s = w.step(w.step(s))
 
     def test_rows_give_average_and_half_horizon_gap(self):
         w = walk_for(gen_scale_free(12, seed=4))
@@ -197,3 +204,31 @@ class TestTrajectory:
             assert np.abs(traj.sum(axis=0) / horizon - avg).max() < 1e-14
             half_avg = traj[: horizon // 2].mean(axis=0)
             assert abs(gap - np.abs(avg - half_avg).max()) < 1e-14
+
+
+class TestStructuredWalk:
+    """The walk on the structured Google matrix against the dense build."""
+
+    @pytest.mark.parametrize("name", sorted(operator_graphs()))
+    def test_matches_dense_walk(self, name):
+        g = operator_graphs()[name]
+        dense = build_google(build_patched_connectivity(g), 0.85)
+        r = np.sqrt(dense.entries)
+        walk = SzegedyWalk(build_structured_google(g, 0.85))
+        x = np.random.default_rng(1).normal(size=g.n)
+        assert rel_err(walk.d @ x, (r * r.T) @ x) < 1e-13
+        # On the edgeless graph D = J/n has eigenvalue 1, so the coefficients
+        # grow linearly in t and both forms' rounding as t**2: at T = 100 they
+        # are each ~1e-12 off the exact uniform average, hence T = 50 here.
+        assert rel_err(walk.average(50), SzegedyWalk(dense).average(50)) < 1e-12
+
+    def test_large_graph_needs_no_square_array(self):
+        g = gen_scale_free(4096, seed=0)
+        tracemalloc.start()
+        try:
+            SzegedyWalk(google_from_graph(g, 0.85)).average(20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one dense n x n float64 array is 128 MiB at this size
+        assert peak < g.n * g.n * 8 / 16
