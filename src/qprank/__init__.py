@@ -24,8 +24,6 @@ from .analysis import (
 from .errors import ConvergenceError, ParameterError, ParseError
 from .google import (
     GoogleMatrix,
-    build_google,
-    build_patched_connectivity,
     classical_pagerank,
     format_dense_matrix,
     google_from_graph,

@@ -614,6 +614,9 @@ def main(argv: list[str] | None = None) -> int:
     except ParameterError as exc:
         print(f"error [stage=parameters]: {exc}", file=sys.stderr)
         return EXIT_PARAMETER
+    except MemoryError as exc:  # e.g. a node count too large for the arrays
+        print(f"error [stage=parameters]: out of memory: {exc}", file=sys.stderr)
+        return EXIT_PARAMETER
 
 
 def entry() -> None:

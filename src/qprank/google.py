@@ -12,14 +12,15 @@ from .graphs import DirectedGraph
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 100_000
 
-# google_from_graph builds the structured form for large sparse graphs only:
-# from STRUCTURED_MIN_NODES nodes on, with at most STRUCTURED_MAX_DENSITY links
-# per ordered node pair. Its gain depends on sparseness: a stored entry of a
-# structured product costs about 15 times a matrix entry of a dense one, so on
-# denser graphs (er at its default p = 0.125, complete graphs) the dense arrays
-# are faster at every size. Below the size floor fixed per-product costs
-# leave dense faster, or within about 1.3x up to n = 256, and small graphs keep
-# their results bit for bit. The measured sweeps are in CHANGES.md.
+# google_from_graph keeps the structured form for large sparse graphs only, and
+# densifies it otherwise: from STRUCTURED_MIN_NODES nodes on, with at most
+# STRUCTURED_MAX_DENSITY links per ordered node pair. Its gain depends on
+# sparseness: a stored entry of a structured product costs about 15 times a
+# matrix entry of a dense one, so on denser graphs (er at its default
+# p = 0.125, complete graphs) the dense arrays are faster at every size. Below
+# the size floor fixed per-product costs leave dense faster, or within about
+# 1.3x up to n = 256, and small graphs keep their results bit for bit. The
+# measured sweeps are in CHANGES.md.
 STRUCTURED_MIN_NODES = 320
 STRUCTURED_MAX_DENSITY = 1 / 64
 
@@ -122,52 +123,30 @@ class GoogleMatrix:
         return RankOnePlusSparse(s, s, j, k, c)
 
 
-def build_patched_connectivity(g: DirectedGraph) -> np.ndarray:
-    """Column-stochastic link matrix of ``g``.
-
-    Column j is uniform over j's out-neighbors; nodes with no outgoing link
-    get a uniform column over all nodes instead.
-    """
-    if g.n < 1:
-        raise ParameterError("graph must have at least one node")
-    e = np.zeros((g.n, g.n))
-    for s, t in g.edges:
-        e[t, s] = 1.0
-    out = e.sum(axis=0)
-    dangling = out == 0.0
-    e[:, dangling] = 1.0 / g.n
-    e[:, ~dangling] /= out[~dangling]
-    return e
-
-
-def build_google(e: np.ndarray, alpha: float) -> GoogleMatrix:
-    """Mix the link matrix with uniform hopping: alpha * E + (1 - alpha) / n."""
-    n = e.shape[0]
-    return GoogleMatrix(n, alpha, alpha * e + (1.0 - alpha) / n)
-
-
 def build_structured_google(g: DirectedGraph, alpha: float) -> GoogleMatrix:
     """The Google matrix of ``g`` in structured form, in O(n + m) memory.
 
-    Every entry has the bits of the dense build's: alpha * (1 / out) +
-    (1 - alpha) / n on a link, the column's background value elsewhere.
+    Column j holds alpha / out_j + (1 - alpha) / n on each of j's links and
+    the column's background value elsewhere: (1 - alpha) / n, plus alpha / n
+    when j has no outgoing link (the dangling patch).
     """
     n = g.n
     if n < 1:
         raise ParameterError("graph must have at least one node")
-    src, dst = np.array(g.edge_list(), dtype=np.intp).reshape(-1, 2).T
-    out = np.bincount(src, minlength=n)
+    out = g.out_degrees()
     hop = (1.0 - alpha) / n
     background = np.where(out == 0, alpha * (1.0 / n) + hop, hop)
-    links = RankOnePlusSparse(np.ones(n), background, dst, src, alpha * (1.0 / out[src]))
+    links = RankOnePlusSparse(np.ones(n), background, g.dst, g.src, alpha * (1.0 / out[g.src]))
     return GoogleMatrix(n, alpha, links)
 
 
 def google_from_graph(g: DirectedGraph, alpha: float) -> GoogleMatrix:
-    """The Google matrix of ``g``, structured when ``g`` is large and sparse."""
+    """The Google matrix of ``g``: structured when ``g`` is large and sparse,
+    else the dense array of the same entries."""
+    gm = build_structured_google(g, alpha)
     if g.n >= STRUCTURED_MIN_NODES and g.num_edges <= STRUCTURED_MAX_DENSITY * g.n * g.n:
-        return build_structured_google(g, alpha)
-    return build_google(build_patched_connectivity(g), alpha)
+        return gm
+    return GoogleMatrix(g.n, alpha, gm.toarray())
 
 
 def classical_pagerank(
@@ -194,5 +173,12 @@ def classical_pagerank(
 
 
 def format_dense_matrix(m: np.ndarray) -> str:
-    """Plain-text dump: one row per line, space-separated, 17 significant digits."""
-    return "\n".join(" ".join(format(v, ".17g") for v in row) for row in m) + "\n"
+    """Plain-text dump: one row per line, space-separated, 17 significant digits.
+
+    Each distinct value (by bit pattern) is formatted once: a Google matrix
+    has at most n + m of them among its n**2 entries.
+    """
+    m = np.ascontiguousarray(m, dtype=np.float64)
+    bits, index = np.unique(m.view(np.int64), return_inverse=True)
+    text = np.array([format(v, ".17g") for v in bits.view(np.float64).tolist()], dtype=object)
+    return "\n".join(" ".join(text[row]) for row in index.reshape(m.shape)) + "\n"

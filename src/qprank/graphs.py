@@ -8,7 +8,7 @@ integers; ensemble drivers derive per-run seeds as ``base_seed + index``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,48 +17,64 @@ from .errors import ParameterError, ParseError
 FAMILIES = ("sf", "er", "hier3", "hier2")
 
 
-@dataclass(frozen=True)
 class DirectedGraph:
     """Immutable directed graph on the dense node set 0..n-1.
 
-    Edges are a set of ordered (source, target) pairs; there are no multi
-    edges. Self-loops are rejected unless ``allow_self_loops`` is set at
-    construction (file loaders set it, since real datasets contain them).
+    The edges are ordered (source, target) pairs without repeats, kept as the
+    read-only int arrays ``src`` and ``dst`` sorted by (source, target), the
+    canonical serialization order. ``edges`` may be any iterable of pairs or
+    an (m, 2) int array; repeated pairs collapse. Self-loops are rejected
+    unless ``allow_self_loops`` is set (file loaders set it, since real
+    datasets contain them).
     """
 
-    n: int
-    edges: frozenset
-    allow_self_loops: bool = field(default=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "edges", frozenset(self.edges))
-        if self.n < 0:
+    def __init__(self, n: int, edges, allow_self_loops: bool = False):
+        if n < 0:
             raise ParameterError("node count must be >= 0")
-        for s, t in self.edges:
-            if not (0 <= s < self.n and 0 <= t < self.n):
-                raise ParameterError(f"edge ({s}, {t}) out of range for n={self.n}")
-            if s == t and not self.allow_self_loops:
-                raise ParameterError(f"self-loop at node {s} not allowed here")
+        pairs = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges), dtype=np.int64)
+        pairs = pairs.reshape(0, 2) if pairs.size == 0 else pairs
+        if pairs.shape[1:] != (2,):
+            raise ParameterError("edges must be (source, target) pairs")
+        if pairs.size and (pairs.min() < 0 or pairs.max() >= n):
+            s, t = pairs[((pairs < 0) | (pairs >= n)).any(axis=1)][0]
+            raise ParameterError(f"edge ({s}, {t}) out of range for n={n}")
+        loops = pairs[:, 0] == pairs[:, 1]
+        if loops.any() and not allow_self_loops:
+            raise ParameterError(f"self-loop at node {pairs[loops][0, 0]} not allowed here")
+        src, dst = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))].T
+        first = np.ones(len(src), dtype=bool)  # sorting puts repeats next to each other
+        first[1:] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])
+        src, dst = src[first], dst[first]
+        src.flags.writeable = dst.flags.writeable = False
+        self.__dict__.update(n=n, src=src, dst=dst, allow_self_loops=allow_self_loops)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"DirectedGraph is immutable; cannot set {name!r}")
+
+    def __eq__(self, other):  # by value, which leaves graphs unhashable
+        return isinstance(other, DirectedGraph) and (self.n, self.edge_list()) == (other.n, other.edge_list())
+
+    def __repr__(self):
+        return f"DirectedGraph({self.n}, {self.edge_list()}, allow_self_loops={self.allow_self_loops})"
+
+    @property
+    def edges(self) -> frozenset:
+        """The (source, target) pairs as a set, built on each access."""
+        return frozenset(self.edge_list())
 
     @property
     def num_edges(self) -> int:
-        return len(self.edges)
+        return len(self.src)
 
     def edge_list(self) -> list[tuple[int, int]]:
         """Edges sorted by (source, target); the canonical serialization order."""
-        return sorted(self.edges)
+        return list(zip(self.src.tolist(), self.dst.tolist()))
 
     def in_degrees(self) -> np.ndarray:
-        deg = np.zeros(self.n, dtype=np.int64)
-        for _, t in self.edges:
-            deg[t] += 1
-        return deg
+        return np.bincount(self.dst, minlength=self.n)
 
     def out_degrees(self) -> np.ndarray:
-        deg = np.zeros(self.n, dtype=np.int64)
-        for s, _ in self.edges:
-            deg[s] += 1
-        return deg
+        return np.bincount(self.src, minlength=self.n)
 
 
 @dataclass(frozen=True)
@@ -162,9 +178,7 @@ def gen_scale_free(
     in_deg = np.zeros(n, dtype=np.float64)
     out_deg = np.zeros(n, dtype=np.float64)
     multi_edges = [(0, 1), (1, 2), (2, 0)]
-    for s, t in multi_edges:
-        out_deg[s] += 1
-        in_deg[t] += 1
+    in_deg[:3] = out_deg[:3] = 1.0  # one link in and one out on the seed cycle
     num_nodes = 3
     num_edges = 3
 
@@ -186,8 +200,8 @@ def gen_scale_free(
         in_deg[w] += 1
         num_edges += 1
 
-    edges = {(s, t) for s, t in multi_edges if s != t or allow_self_loops}
-    return DirectedGraph(n, frozenset(edges), allow_self_loops)
+    pairs = np.array(multi_edges)
+    return DirectedGraph(n, pairs[(pairs[:, 0] != pairs[:, 1]) | allow_self_loops], allow_self_loops)
 
 
 def gen_erdos_renyi(n: int, p: float, seed: int = 0) -> DirectedGraph:
@@ -200,8 +214,7 @@ def gen_erdos_renyi(n: int, p: float, seed: int = 0) -> DirectedGraph:
     draws = rng.random((n, n))
     mask = draws < p
     np.fill_diagonal(mask, False)
-    edges = {(int(s), int(t)) for s, t in zip(*np.nonzero(mask))}
-    return DirectedGraph(n, frozenset(edges))
+    return DirectedGraph(n, np.argwhere(mask))
 
 
 def gen_hierarchical_ternary(n_gen: int) -> DirectedGraph:
@@ -215,18 +228,14 @@ def gen_hierarchical_ternary(n_gen: int) -> DirectedGraph:
     """
     if n_gen not in (1, 2, 3, 4):
         raise ParameterError("ternary hierarchy supports generations 1..4")
-    edges = {(0, 1), (1, 2), (2, 0)}
+    edges = np.array([(0, 1), (1, 2), (2, 0)])
     size = 3
     for _ in range(n_gen - 1):
-        copies = set(edges)
-        copies |= {(s + size, t + size) for s, t in edges}
-        copies |= {(s + 2 * size, t + 2 * size) for s, t in edges}
-        copies |= {(0, size), (size, 2 * size), (2 * size, 0)}
-        copies |= {(size + k, 0) for k in range(1, size)}
-        copies |= {(2 * size + k, 0) for k in range(1, size)}
-        edges = copies
+        leaves = np.setdiff1d(np.arange(size, 3 * size), [size, 2 * size])  # non-roots of B and C
+        roots = [(0, size), (size, 2 * size), (2 * size, 0)]
+        edges = np.concatenate([edges, edges + size, edges + 2 * size, roots, np.outer(leaves, [1, 0])])
         size *= 3
-    return DirectedGraph(size, frozenset(edges))
+    return DirectedGraph(size, edges)
 
 
 def gen_hierarchical_outerplanar(n_gen: int) -> DirectedGraph:
@@ -240,15 +249,12 @@ def gen_hierarchical_outerplanar(n_gen: int) -> DirectedGraph:
     """
     if not 1 <= n_gen <= 6:
         raise ParameterError("outerplanar hierarchy supports generations 1..6")
-    edges = {(0, 1)}
+    edges = np.array([(0, 1)])
     size = 2
     for _ in range(n_gen):
-        doubled = set(edges)
-        doubled |= {(s + size, t + size) for s, t in edges}
-        doubled |= {(size, size - 1), (2 * size - 1, 0)}
-        edges = doubled
+        edges = np.concatenate([edges, edges + size, [(size, size - 1), (2 * size - 1, 0)]])
         size *= 2
-    return DirectedGraph(size, frozenset(edges))
+    return DirectedGraph(size, edges)
 
 
 def remove_node(g: DirectedGraph, v: int) -> tuple[DirectedGraph, dict[int, int]]:
@@ -259,9 +265,9 @@ def remove_node(g: DirectedGraph, v: int) -> tuple[DirectedGraph, dict[int, int]
     """
     if not 0 <= v < g.n:
         raise ParameterError(f"node {v} out of range for n={g.n}")
-    remap = {old: (old if old < v else old - 1) for old in range(g.n) if old != v}
-    edges = {(remap[s], remap[t]) for s, t in g.edges if s != v and t != v}
-    return DirectedGraph(g.n - 1, frozenset(edges), g.allow_self_loops), remap
+    pairs = np.column_stack([g.src, g.dst])[(g.src != v) & (g.dst != v)]
+    remap = {old: old - (old > v) for old in range(g.n) if old != v}
+    return DirectedGraph(g.n - 1, pairs - (pairs > v), g.allow_self_loops), remap
 
 
 def degree_distribution(g: DirectedGraph) -> tuple[np.ndarray, np.ndarray]:
@@ -334,7 +340,7 @@ def load_pajek(text: str) -> DirectedGraph:
         raise ParseError(f"content before any section: {line!r}", lineno)
     if n is None:
         raise ParseError("missing *Vertices header")
-    return DirectedGraph(n, frozenset(edges), allow_self_loops=True)
+    return DirectedGraph(n, edges, allow_self_loops=True)
 
 
 def write_pajek(g: DirectedGraph) -> str:
@@ -380,7 +386,7 @@ def load_edge_list(text: str) -> DirectedGraph:
     n = n_header if n_header is not None else max_id + 1
     if max_id >= n:
         raise ParseError(f"endpoint {max_id} exceeds declared node count {n}")
-    return DirectedGraph(n, frozenset(edges), allow_self_loops=True)
+    return DirectedGraph(n, edges, allow_self_loops=True)
 
 
 def write_edge_list(g: DirectedGraph) -> str:

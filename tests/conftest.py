@@ -4,7 +4,13 @@ from pathlib import Path
 import numpy as np
 from hypothesis import strategies as st
 
-from qprank import DirectedGraph, gen_erdos_renyi, gen_hierarchical_ternary, gen_scale_free
+from qprank import (
+    DirectedGraph,
+    GoogleMatrix,
+    gen_erdos_renyi,
+    gen_hierarchical_ternary,
+    gen_scale_free,
+)
 
 # Locations searched for the real-world Pajek dataset used by the regression
 # tests; absent file -> those tests skip with a warning.
@@ -52,6 +58,25 @@ def cycle(n: int) -> DirectedGraph:
 def complete(n: int) -> DirectedGraph:
     """Complete digraph: every ordered pair of distinct nodes is an edge."""
     return DirectedGraph(n, frozenset((i, j) for i in range(n) for j in range(n) if i != j))
+
+
+def patched_connectivity(g: DirectedGraph) -> np.ndarray:
+    """Column-stochastic link matrix, built entry by entry: column j is
+    uniform over j's out-neighbors, or over all nodes when j has none."""
+    e = np.zeros((g.n, g.n))
+    for s, t in g.edges:
+        e[t, s] = 1.0
+    out = e.sum(axis=0)
+    dangling = out == 0.0
+    e[:, dangling] = 1.0 / g.n
+    e[:, ~dangling] /= out[~dangling]
+    return e
+
+
+def dense_google(g: DirectedGraph, alpha: float) -> GoogleMatrix:
+    """Independent dense Google matrix alpha * E + (1 - alpha) / n: the oracle
+    that the production build must match bit for bit."""
+    return GoogleMatrix(g.n, alpha, alpha * patched_connectivity(g) + (1.0 - alpha) / g.n)
 
 
 def operator_graphs() -> dict[str, DirectedGraph]:

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from qprank import __version__, load_edge_list, load_pajek
+from qprank import __version__, cli, load_edge_list, load_pajek
 from qprank.cli import build_parser, main
 
 from conftest import epa_path
@@ -153,6 +153,20 @@ class TestExitCodes:
         afile.write_text("")
         assert run(["generate", "--family", "er", "--n", 5, "--out", afile]) == 2
         assert capsys.readouterr().err.startswith("error [stage=parameters]")
+
+    def test_out_of_memory_exits_2(self, tmp_path, capsys, monkeypatch):
+        # an edge list naming node 99999999999 asks for arrays of 1e11 entries;
+        # the failed allocation is simulated, not attempted
+        def too_large(g, alpha):
+            raise MemoryError(f"Unable to allocate 745. GiB for an array with shape ({g.n},)")
+
+        monkeypatch.setattr(cli, "google_from_graph", too_large)
+        big = tmp_path / "big.edges"
+        big.write_text("0 99999999999\n")
+        assert run(["rank", "--input", big, "--out", tmp_path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error [stage=parameters]: out of memory")
+        assert "shape (100000000000,)" in err
 
     def test_negative_trajectory_writes_nothing(self, tmp_path):
         out = tmp_path / "out"

@@ -1,14 +1,13 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qprank import (
     ConvergenceError,
     DirectedGraph,
     GoogleMatrix,
     ParameterError,
-    build_google,
-    build_patched_connectivity,
     classical_pagerank,
     format_dense_matrix,
     gen_erdos_renyi,
@@ -23,7 +22,15 @@ from qprank.google import (
     build_structured_google,
 )
 
-from conftest import complete, cycle, operator_graphs, rel_err, small_digraphs
+from conftest import (
+    complete,
+    cycle,
+    dense_google,
+    operator_graphs,
+    patched_connectivity,
+    rel_err,
+    small_digraphs,
+)
 
 TWO_NODE = DirectedGraph(2, frozenset({(0, 1)}))
 # Hand-solved fixed point of the damped 2-node chain at alpha = 0.85:
@@ -32,26 +39,28 @@ TWO_NODE_PR = np.array([1.0, 1.85]) / 2.85
 
 
 class TestPatchedConnectivity:
+    """The link matrix of the tests' dense oracle, against hand values."""
+
     def test_dangling_column_patched_to_uniform(self):
-        e = build_patched_connectivity(TWO_NODE)
+        e = patched_connectivity(TWO_NODE)
         assert np.allclose(e[:, 0], [0.0, 1.0])
         assert np.allclose(e[:, 1], [0.5, 0.5])
 
     def test_cycle_is_permutation_matrix(self):
-        e = build_patched_connectivity(cycle(3))
+        e = patched_connectivity(cycle(3))
         perm = np.zeros((3, 3))
         for i in range(3):
             perm[(i + 1) % 3, i] = 1.0
         assert np.array_equal(e, perm)
 
     def test_edgeless_graph_all_uniform(self):
-        e = build_patched_connectivity(DirectedGraph(2, frozenset()))
+        e = patched_connectivity(DirectedGraph(2, frozenset()))
         assert np.allclose(e, 0.5)
 
     @settings(max_examples=40, deadline=None)
     @given(small_digraphs())
     def test_columns_stochastic(self, g):
-        e = build_patched_connectivity(g)
+        e = patched_connectivity(g)
         assert np.abs(e.sum(axis=0) - 1.0).max() < 1e-12
 
 
@@ -71,10 +80,10 @@ class TestBuildGoogle:
             assert np.abs(gm.entries.sum(axis=0) - 1.0).max() < 1e-12
 
     def test_alpha_range_enforced(self):
-        e = build_patched_connectivity(cycle(3))
         for alpha in (0.0, 1.0, -0.5, 2.0):
-            with pytest.raises(ParameterError):
-                build_google(e, alpha)
+            for g in (cycle(3), cycle(STRUCTURED_MIN_NODES)):
+                with pytest.raises(ParameterError):
+                    google_from_graph(g, alpha)
 
     def test_hopping_floor(self):
         gm = google_from_graph(gen_scale_free(50, seed=1), 0.85)
@@ -82,9 +91,11 @@ class TestBuildGoogle:
 
     def test_no_zero_columns_after_patch(self):
         g = gen_scale_free(64, seed=4)
-        e = build_patched_connectivity(g)
-        assert (e.sum(axis=0) > 0).all()
-        assert (e.max(axis=0) > 0).all()
+        dangling = g.out_degrees() == 0
+        assert dangling.any()
+        entries = google_from_graph(g, 0.85).entries
+        assert np.abs(entries[:, dangling] - 1 / 64).max() < 1e-16
+        assert (entries.max(axis=0) > 0).all()
 
 
 class TestClassicalPagerank:
@@ -157,12 +168,18 @@ class TestStructuredGoogle:
     def test_matches_dense_build(self, name):
         g = operator_graphs()[name]
         for alpha in (0.3, 0.85):
-            dense = build_google(build_patched_connectivity(g), alpha)
+            dense = dense_google(g, alpha)
             structured = build_structured_google(g, alpha)
             assert np.array_equal(structured.toarray(), dense.entries)
+            assert np.array_equal(google_from_graph(g, alpha).toarray(), dense.entries)
             x = np.random.default_rng(0).normal(size=g.n)
             assert rel_err(structured.entries @ x, dense.entries @ x) < 1e-13
             assert rel_err(classical_pagerank(structured), classical_pagerank(dense)) < 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_digraphs(), st.sampled_from([0.01, 0.3, 0.85, 0.98]))
+    def test_dense_form_bitwise_equal_to_oracle(self, g, alpha):
+        assert np.array_equal(google_from_graph(g, alpha).entries, dense_google(g, alpha).entries)
 
     def test_graph_classes_are_present(self):
         graphs = operator_graphs()

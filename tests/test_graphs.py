@@ -1,6 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qprank import (
     DirectedGraph,
@@ -40,6 +43,31 @@ class TestDirectedGraph:
         g = DirectedGraph(3, frozenset({(0, 1), (0, 2), (1, 2)}))
         assert list(g.out_degrees()) == [2, 1, 0]
         assert list(g.in_degrees()) == [0, 1, 2]
+
+    @settings(max_examples=50, deadline=None)
+    @given(small_digraphs(), st.data())
+    def test_repeated_unsorted_pairs_match_the_set(self, g, data):
+        pairs = sorted(g.edges)
+        shuffled = data.draw(st.permutations(pairs + pairs[: len(pairs) // 2]))
+        for edges in (shuffled, np.array(shuffled, dtype=np.int64).reshape(-1, 2)):
+            h = DirectedGraph(g.n, edges)
+            assert h.edge_list() == pairs and h.edges == frozenset(pairs)
+            assert np.array_equal(h.src, [s for s, _ in pairs])
+            assert np.array_equal(h.dst, [t for _, t in pairs])
+            assert h == g
+
+    def test_array_input_checked_like_pairs(self):
+        for n, pairs in ((3, [[0, 1], [3, 0]]), (3, [[0, -1]]), (2, [[1, 1]]), (3, [[0, 1, 2]])):
+            with pytest.raises(ParameterError):
+                DirectedGraph(n, np.array(pairs))
+        assert DirectedGraph(2, np.array([[1, 1]]), allow_self_loops=True).num_edges == 1
+
+    def test_storage_is_read_only(self):
+        g = cycle(3)
+        with pytest.raises(ValueError):
+            g.src[0] = 1
+        with pytest.raises(AttributeError):
+            g.n = 4
 
 
 class TestScaleFree:
@@ -293,3 +321,56 @@ class TestEdgeList:
     def test_malformed(self):
         with pytest.raises(ParseError):
             load_edge_list("0 1 2\n")
+
+
+# SHA-256 of write_edge_list(graph), recorded with the frozenset-based graph
+# storage that the sorted edge arrays replaced: every seed keeps its graph.
+GENERATOR_DIGESTS = [
+    (dict(family="sf", n=16, seed=0), "73f0849edb2d672fc4fe3f98172e6e63c7019f364f65d83b76dab5239fdbdf63"),
+    (dict(family="sf", n=16, seed=1), "2c92ffe4ce33a5107cee55831250d52b8181d9feffa5d0df7faa441db59062fb"),
+    (dict(family="sf", n=16, seed=2), "c482c73ac32b7f36f4cb569fbb7177d2846b0193101f5046badfdc3c95ecffbf"),
+    (dict(family="sf", n=256, seed=0), "06452c011636c18a460b78e71945738c2dedd71d2964a91c05c4adede67296e5"),
+    (dict(family="sf", n=256, seed=1), "c70cb3d3428e7248f0e7405d690e72895efa3934e518d657d69a01457d533614"),
+    (dict(family="sf", n=256, seed=2), "54f65b325683698a5208bee24128ef4a15a8fd5cfbcdd71ede2d8f5acee7c794"),
+    (dict(family="sf", n=2048, seed=0), "c761bab4c7c8588121a5eb6e014bae1d578c18832a7ef9a1d5c090d45be7f92c"),
+    (dict(family="sf", n=2048, seed=1), "a8f966da724a0581cc1cd9f14f136dd273242f4bcb805b2b9edf203559e01267"),
+    (dict(family="sf", n=2048, seed=2), "d4725f9921235c2f408af20820c8dabfd2bee3e488a6a0df523f87bb1977c7c4"),
+    (dict(family="sf", n=256, seed=0, allow_self_loops=True),
+     "f54b6f3e089df70d2e7051850d9b00e441f4678a050ed6379099397b58edcb44"),
+    (dict(family="er", n=64, seed=0), "9d915c2c903ac657ea1a9dddb50ade14fa537ab0560e5d712f39b9519321fa39"),
+    (dict(family="er", n=64, seed=1), "3d2238b7f01893895f4d1fc5670948e6b506d90e3184dc4dffbc8f6d5d10f490"),
+    (dict(family="er", n=64, seed=2), "5a9dece17b6511ad2c8f28ea39aa2ebf72fac81812d94dad783c7f3cf7d66d13"),
+    (dict(family="hier3", n_gen=1), "16e0f1b14febf59e51734cf667cbc43952cfa01b2ddfc3b01ce2c2af29b4bc96"),
+    (dict(family="hier3", n_gen=2), "4beca8dce9c8f2edc23e74be94bd35da37d15a11466252b805328024d61eef6c"),
+    (dict(family="hier3", n_gen=3), "d54e3029eb40178b61373b9cecb67d5bb8489d199b60497d88a4ea006288d37f"),
+    (dict(family="hier3", n_gen=4), "a9354a507ad557f5db7b1f55246f099d10c9426bce9594df5a5af469b7dd1586"),
+    (dict(family="hier2", n_gen=1), "b3fdb46676827d67d47b7276008739add89d08f76f24b4be332b9fb96bc55d04"),
+    (dict(family="hier2", n_gen=2), "ed0f377592cb664bfe8771209385735179894c13eaee833e4177e98ce5626d9c"),
+    (dict(family="hier2", n_gen=3), "24740e40463833dbe9b194077eea71b95bbbb6e933227c9cc13cb4633cf7fb79"),
+    (dict(family="hier2", n_gen=4), "84ec223edc602165bd9ac4d9aa9e15caebd71efa12fbf51c30812d4f10e0bd3b"),
+    (dict(family="hier2", n_gen=5), "c2360d3d3ce3de480c3b3b78877c049440caec1ce0c222e6c499cdda4e801185"),
+    (dict(family="hier2", n_gen=6), "a9a1a33ec2266a4a1579955dd9d4c73fa9d3e25bfe5517fca41e6830fdb7f4e2"),
+]
+# Files with self-loops, repeated arcs and undirected edges.
+PAJEK_WITH_LOOPS = '*Vertices 5\n1 "a"\n*Arcs\n1 1\n1 2\n3 2\n2 3\n5 5\n*Edges\n4 1\n2 2\n1 2\n'
+EDGE_LIST_WITH_LOOPS = "# nodes 7\n3 3\n0 1\n1 0\n6 2\n2 2\n0 1\n5 4\n"
+
+
+def _digest(g):
+    return hashlib.sha256(write_edge_list(g).encode()).hexdigest()
+
+
+class TestGeneratorFingerprints:
+    @pytest.mark.parametrize(
+        "spec, digest", GENERATOR_DIGESTS, ids=["-".join(map(str, s.values())) for s, _ in GENERATOR_DIGESTS]
+    )
+    def test_generated_graph_unchanged(self, spec, digest):
+        assert _digest(generate(GeneratorSpec(**spec))) == digest
+
+    def test_loaded_graphs_unchanged(self):
+        assert _digest(load_pajek(PAJEK_WITH_LOOPS)) == (
+            "f446c7948ee7b3fa675cd3abc2e4e25eae404ab50886419e3b8cc38df60f023d"
+        )
+        assert _digest(load_edge_list(EDGE_LIST_WITH_LOOPS)) == (
+            "3fd3f5cbaf3f158a2c1db6af82ba3659a304a6311d634ce2c1a6e36ddab0f179"
+        )

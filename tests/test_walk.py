@@ -9,14 +9,12 @@ from qprank import (
     ParameterError,
     SzegedyWalk,
     WalkState,
-    build_google,
-    build_patched_connectivity,
     gen_scale_free,
     google_from_graph,
 )
 from qprank.google import build_structured_google
 
-from conftest import complete, cycle, operator_graphs, random_graph, rel_err
+from conftest import complete, cycle, dense_google, operator_graphs, random_graph, rel_err
 
 
 def walk_for(g, alpha=0.85):
@@ -212,7 +210,7 @@ class TestStructuredWalk:
     @pytest.mark.parametrize("name", sorted(operator_graphs()))
     def test_matches_dense_walk(self, name):
         g = operator_graphs()[name]
-        dense = build_google(build_patched_connectivity(g), 0.85)
+        dense = dense_google(g, 0.85)
         r = np.sqrt(dense.entries)
         walk = SzegedyWalk(build_structured_google(g, 0.85))
         x = np.random.default_rng(1).normal(size=g.n)
