@@ -24,9 +24,34 @@ LOCALIZED_MAX_ABS_SLOPE = 0.25
 DELOCALIZED_MAX_SLOPE = -0.6
 
 
+# Importances whose relative gap is at most TIE_RTOL are equal for every
+# ranking below, so that rankings do not depend on rounding. On sf n = 16 and
+# 32 (seeds 0-99; classical, and quantum from both walk engines) adjacent
+# sorted importances differ either by at most 1.3e-14, relative (rounding;
+# mostly exact ties of equivalent nodes), or by 3.3e-5 or more; 1e-10 sits
+# in the middle of that gap.
+TIE_RTOL = 1e-10
+
+
+def tie_classes(p: np.ndarray) -> np.ndarray:
+    """Tie class of each node: 0 for the most important, counting up.
+
+    Importances are sorted descending and a new class starts wherever a value
+    falls more than TIE_RTOL, relative, below the one before it.
+    """
+    p = np.asarray(p, dtype=np.float64)
+    order = np.argsort(-p, kind="stable")
+    v = p[order]
+    starts = np.zeros(len(p), dtype=bool)
+    starts[1:] = v[:-1] - v[1:] > TIE_RTOL * np.abs(v[:-1])
+    classes = np.empty(len(p), dtype=np.int64)
+    classes[order] = np.cumsum(starts)
+    return classes
+
+
 def ranking_order(p: np.ndarray) -> list[int]:
-    """Nodes sorted by importance descending; ties break by ascending node id."""
-    return np.lexsort((np.arange(len(p)), -np.asarray(p))).tolist()
+    """Nodes by tie class, most important first; each class by ascending id."""
+    return np.lexsort((np.arange(len(p)), tie_classes(p))).tolist()
 
 
 def rank_list(p: np.ndarray) -> list[tuple[int, float]]:
@@ -35,9 +60,14 @@ def rank_list(p: np.ndarray) -> list[tuple[int, float]]:
 
 
 def node_ranks(p: np.ndarray) -> np.ndarray:
-    """1-based rank of each node under ranking_order."""
+    """1-based rank of each node by exact importance, descending; only equal
+    values break by ascending node id.
+
+    Unlike ranking_order this ignores TIE_RTOL: ``rank`` writes these ranks
+    beside the 17-digit importances, and the two columns must agree.
+    """
     ranks = np.empty(len(p), dtype=np.int64)
-    ranks[ranking_order(p)] = np.arange(1, len(p) + 1)
+    ranks[np.lexsort((np.arange(len(p)), -np.asarray(p)))] = np.arange(1, len(p) + 1)
     return ranks
 
 
@@ -202,9 +232,9 @@ def power_law_fit(
 ) -> PowerLawFit:
     """Fit importance ~ c * index**(-beta) over rank indices [i_min, i_max].
 
-    By default the fit ends just before the block of entries tied with the
-    minimum importance (the degenerate tail of near-identical values); when
-    every entry is tied, the full list is used.
+    By default the fit ends just before the last tie class (the degenerate
+    tail of values equal within TIE_RTOL); when every entry is tied, the full
+    list is used.
     """
     values = np.array([imp for _, imp in ranks], dtype=np.float64)
     n = len(values)
@@ -213,9 +243,9 @@ def power_law_fit(
     if i_min < 1:
         raise ParameterError("i_min must be >= 1")
     if i_max is None:
-        tied = np.isclose(values, values[-1], rtol=1e-9, atol=0.0)
-        first_tied = int(np.argmax(tied))
-        i_max = first_tied if first_tied >= 1 else n
+        classes = tie_classes(values)
+        before_tail = n - int(np.count_nonzero(classes == classes.max()))
+        i_max = before_tail if before_tail >= 1 else n
     if i_max > n or i_max < i_min:
         raise ParameterError(f"bad fit range [{i_min}, {i_max}] for {n} entries")
     window = values[i_min - 1 : i_max]
@@ -417,14 +447,11 @@ def powerlaw_metrics(
     return out
 
 
-def degeneracy_resolution(p: np.ndarray, resolution: float = 1e-9) -> int:
-    """Distinct importance values in the low half of the ranking.
+def degeneracy_resolution(p: np.ndarray) -> int:
+    """Tie classes among the low half of the ranking.
 
-    Values are binned at the given absolute resolution; a larger count means
-    the ranking separates the unimportant nodes instead of lumping them.
+    A larger count means the ranking separates the unimportant nodes instead
+    of lumping them.
     """
-    ranks = rank_list(p)
-    bottom = [imp for _, imp in ranks[len(ranks) - len(ranks) // 2 :]]
-    if not bottom:
-        return 0
-    return len(np.unique(np.round(np.array(bottom) / resolution).astype(np.int64)))
+    classes = np.sort(tie_classes(p))  # class of each rank position
+    return len(np.unique(classes[len(classes) - len(classes) // 2 :]))

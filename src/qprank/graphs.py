@@ -287,6 +287,11 @@ def degree_distribution(g: DirectedGraph) -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
+# The longest float64 array numpy can address; a file naming more nodes is a
+# parse error on its line (fewer, but too many for memory, is exit 2).
+MAX_NODES = int(np.iinfo(np.intp).max) // 8
+
+
 def load_pajek(text: str) -> DirectedGraph:
     """Parse Pajek .net content into a directed graph.
 
@@ -313,6 +318,8 @@ def load_pajek(text: str) -> DirectedGraph:
                     raise ParseError(f"bad vertex count {parts[1]!r}", lineno) from None
                 if n < 0:
                     raise ParseError(f"negative vertex count {n}", lineno)
+                if n > MAX_NODES:
+                    raise ParseError(f"vertex count {n} exceeds {MAX_NODES}", lineno)
                 section = "vertices"
             elif keyword in ("*arcs", "*edges"):
                 if n is None:
@@ -371,6 +378,8 @@ def load_edge_list(text: str) -> DirectedGraph:
             parts = line[1:].split()
             if len(parts) == 2 and parts[0] == "nodes" and parts[1].isdigit():
                 n_header = int(parts[1])
+                if n_header > MAX_NODES:
+                    raise ParseError(f"node count {n_header} exceeds {MAX_NODES}", lineno)
             continue
         parts = line.split()
         if len(parts) != 2:
@@ -381,6 +390,8 @@ def load_edge_list(text: str) -> DirectedGraph:
             raise ParseError(f"non-integer endpoint in {line!r}", lineno) from None
         if s < 0 or t < 0:
             raise ParseError(f"negative endpoint in {line!r}", lineno)
+        if max(s, t) >= MAX_NODES:  # the node count, one more, must fit too
+            raise ParseError(f"endpoint exceeds {MAX_NODES - 1} in {line!r}", lineno)
         edges.add((s, t))
         max_id = max(max_id, s, t)
     n = n_header if n_header is not None else max_id + 1

@@ -15,7 +15,34 @@ of the state gives the node distribution
 
     p_i = (G (a*a))_i + 2 b_i (D a)_i + b_i**2.
 
-``SzegedyWalk`` is the production simulator built on that recursion;
+``SzegedyWalk`` is the production simulator built on that recursion and
+runs its Cesaro average with one of two engines:
+
+* **closed form** (dense G with n <= CLOSED_FORM_MAX_NODES): D = V diag(lam)
+  V^T is diagonalized once. In mode k, with theta_k = arccos lam_k and w =
+  V^T a_0, the coefficients after t double-steps are
+  a_k(t) = -w_k sin((2t - 1) theta_k) / sin theta_k and
+  b_k(t) = w_k sin(2 t theta_k) / sin theta_k (Szegedy, FOCS 2004; for
+  Google matrices, Paparo & Martin-Delgado, Sci. Rep. 2, 444, 2012), so the
+  time average of every product of two modes is a Dirichlet kernel in
+  theta_k +- theta_l and
+
+      p_avg = G diag(V A V^T) + diag(V (2 C lam^T + B) V^T)
+
+  with A, B, C the averaged products a_k a_l, b_k b_l, b_k a_l. The cost is
+  O(n**3) whatever the horizon, in O(n**2) memory.
+* **iteration** (structured G, dense G above the constant, and dense G
+  with a mode within NEAR_UNIT_GAP of |lam| = 1, as at damping near 0): the
+  recursion stepped once per double-step, three products with D each.
+  ``trajectory`` always iterates.
+
+CLOSED_FORM_MAX_NODES is measured. Per ranking at T = 1000 (constructor,
+average and half-horizon gap; sf and er graphs, three seeds each, one pinned
+CPU, one BLAS thread), two sweeps gave the closed form 32-72x at n = 16,
+18-31x at 32, 5-7x at 64, 2.0-3.7x at 128, 1.7-2.4x at 160, 1.1-1.9x at 192
+and 0.97-1.7x at 256. The constant is the largest swept size at which every
+ratio was at least 1.5x; CHANGES.md has both sweeps.
+
 ``DenseWalk`` realizes the same dynamics literally on the n**2 amplitude
 vector and serves as a cross-check for small n.
 """
@@ -31,6 +58,22 @@ from .google import GoogleMatrix
 
 DEFAULT_HORIZON = 1000
 DENSE_NODE_LIMIT = 64
+CLOSED_FORM_MAX_NODES = 160
+
+# |lam| this close to 1, in units of n * machine epsilon, is a unit mode. On
+# edgeless, complete and 2-cycle graphs up to n = 256 eigh puts the exact unit
+# eigenvalue at most 0.63 n eps off; other sf and er graphs up to n = 128 keep
+# |lam| at least 0.016 below 1.
+UNIT_MODE_ULPS = 4.0
+
+# A mode closer than this to |lam| = 1 without being a unit mode costs the
+# closed form about eps / (1 - |lam|) in cancellation, so such graphs iterate.
+# Against a long-double iteration at T = 1000 (sf n = 16, 64 and 128, alpha
+# from 1e-5 to 0.98, which sets the gap), the closed form was 2-80x less
+# accurate than the iteration and up to 3.5e-10 off where the gap was below
+# 1e-3, and at most 6e-14 off elsewhere. At alpha = 0.85 the gap of sf
+# graphs up to n = 128, hub-removed ones included, is at least 0.016.
+NEAR_UNIT_GAP = 1e-3
 
 
 @dataclass
@@ -41,14 +84,86 @@ class WalkState:
     b: np.ndarray
 
 
+def dirichlet_kernel(phi: np.ndarray, horizon: int) -> np.ndarray:
+    """mean over t = 0 .. horizon - 1 of exp(2 i t phi), elementwise.
+
+    The mean has period pi in phi, so phi is first reduced to r in
+    [-pi/2, pi/2]: an angle pair summing to pi then gives 1, where the raw
+    formula's phase would give (-1)**(horizon - 1). The value at r = 0 is 1.
+    """
+    r = phi - np.pi * np.round(phi / np.pi)
+    zero = r == 0.0
+    safe = np.where(zero, 1.0, r)
+    ratio = np.where(zero, 1.0, np.sin(horizon * safe) / (horizon * np.sin(safe)))
+    return np.exp(1j * (horizon - 1) * r) * ratio
+
+
+class CesaroModes:
+    """Closed-form Cesaro average of the walk on a dense G, from eigh(D).
+
+    Each mode's coefficients are written 2 Re[x_k exp(2 i t theta_k)], so the
+    time average of x_k(t) y_l(t) is 2 Re[x_k y_l K(theta_k + theta_l) +
+    x_k conj(y_l) K(theta_k - theta_l)] with K the Dirichlet kernel.
+
+    A unit mode (|lam| = 1, as on edgeless or reversible graphs) has a
+    vector sum_j V[j, k] |psi_j> that the swap S maps to lam times itself, so
+    the state depends on a_k + lam_k b_k only, and that stays at its initial
+    value w_k. The mode is folded to a_k = w_k, b_k = 0, theta_k = 0, rather
+    than carried with coefficients that grow linearly in t, which keeps the
+    average exact there.
+    """
+
+    def __init__(self, g: np.ndarray, d: np.ndarray):
+        n = len(d)
+        self.g = g
+        lam, self.v = np.linalg.eigh(d)
+        w = self.v.sum(axis=0) / np.sqrt(n)  # V^T a_0 for a_0 = 1 / sqrt(n)
+        gap = 1.0 - np.abs(lam)
+        unit = gap <= UNIT_MODE_ULPS * n * np.finfo(np.float64).eps
+        self.conditioned = bool(np.all(unit | (gap >= NEAR_UNIT_GAP)))
+        lam = np.where(unit, np.sign(lam), lam)
+        theta = np.where(unit, 0.0, np.arccos(lam))
+        sin = np.where(unit, 1.0, np.sqrt((1.0 - lam) * (1.0 + lam)))
+        xa = np.where(unit, w / 2, 0.5j * np.exp(-1j * theta) * w / sin)
+        xb = np.where(unit, 0.0, -0.5j * w / sin)
+        # weights of K(theta_k + theta_l) and K(theta_k - theta_l) in A (the
+        # part measured through G) and in 2 C lam^T + B (measured directly)
+        xb_lam = 2.0 * xb[:, None] * lam[None, :]
+        self.through_g = np.stack([np.outer(xa, xa), np.outer(xa, xa.conj())])
+        self.direct = np.stack([
+            xb_lam * xa[None, :] + np.outer(xb, xb),
+            xb_lam * xa.conj()[None, :] + np.outer(xb, xb.conj()),
+        ])
+        self.angles = np.stack([theta[:, None] + theta[None, :], theta[:, None] - theta[None, :]])
+
+    def average(self, horizon: int) -> np.ndarray:
+        """Node distribution averaged over double-steps 0 .. horizon - 1."""
+        k = dirichlet_kernel(self.angles, horizon)
+        a = 2.0 * (self.through_g * k).real.sum(axis=0)
+        m = 2.0 * (self.direct * k).real.sum(axis=0)
+        v = self.v
+        p = self.g @ ((v @ a) * v).sum(axis=1) + ((v @ m) * v).sum(axis=1)
+        return np.maximum(p, 0.0)
+
+
 class SzegedyWalk:
     """Reduced-subspace simulator: O(n) state; a step costs one product with
-    D, O(n**2) for a dense G and O(n + m) for a structured one."""
+    D, O(n**2) for a dense G and O(n + m) for a structured one.
+
+    ``modes`` holds the closed-form engine's spectrum when G is dense with at
+    most CLOSED_FORM_MAX_NODES nodes and no mode within NEAR_UNIT_GAP of
+    |lam| = 1 short of a unit mode; else it is None and averages iterate.
+    """
 
     def __init__(self, gm: GoogleMatrix):
         self.n = gm.n
         self.g = gm.entries
         self.d = gm.overlap()
+        self.modes = None
+        if isinstance(self.d, np.ndarray) and self.n <= CLOSED_FORM_MAX_NODES:
+            modes = CesaroModes(self.g, self.d)
+            if modes.conditioned:
+                self.modes = modes
 
     def initial_state(self) -> WalkState:
         """Uniform superposition of the per-node vectors; unit norm by construction."""
@@ -105,17 +220,23 @@ class SzegedyWalk:
         half-horizon average, a direct handle on how settled the Cesaro mean
         is (NaN when horizon == 1).
         """
+        if horizon < 1:
+            raise ParameterError("horizon must be >= 1")
         half = horizon // 2
-        acc = np.zeros(self.n)
-        half_snapshot = None
-        for t, p in enumerate(self._distributions(horizon), start=1):
-            acc += p
-            if t == half:
-                half_snapshot = acc.copy()
-        avg = acc / horizon
-        if half_snapshot is None:
+        if self.modes is not None:
+            avg = self.modes.average(horizon)
+            half_avg = self.modes.average(half) if half else None
+        else:
+            acc = np.zeros(self.n)
+            half_avg = None
+            for t, p in enumerate(self._distributions(horizon), start=1):
+                acc += p
+                if t == half:
+                    half_avg = acc / half
+            avg = acc / horizon
+        if half_avg is None:
             return avg, float("nan")
-        return avg, float(np.abs(avg - half_snapshot / half).max())
+        return avg, float(np.abs(avg - half_avg).max())
 
     def average(self, horizon: int = DEFAULT_HORIZON) -> np.ndarray:
         return self.average_with_convergence(horizon)[0]
@@ -125,8 +246,9 @@ class DenseWalk:
     """Literal simulator on the full n**2 amplitude vector.
 
     Builds the projector, the register swap, and the one-step unitary as
-    explicit dense matrices. Exponential in memory, hence the hard size
-    guard; intended as an independent reference for ``SzegedyWalk``.
+    explicit dense matrices. The unitary alone is n**2 x n**2, O(n**4)
+    memory, hence the hard size guard; intended as an independent reference
+    for ``SzegedyWalk``.
     """
 
     def __init__(self, gm: GoogleMatrix):

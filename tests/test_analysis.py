@@ -7,15 +7,19 @@ from qprank import (
     ConvergenceError,
     DirectedGraph,
     GeneratorSpec,
+    GoogleMatrix,
     gen_hierarchical_outerplanar,
     gen_hierarchical_ternary,
     IprSample,
     ParameterError,
+    SzegedyWalk,
     attack_experiment,
     classical_fidelity,
+    classical_pagerank,
     coarse_alpha_grid,
     degeneracy_resolution,
     ensemble_run,
+    gen_scale_free,
     importance_vector,
     ipr,
     ipr_scaling,
@@ -23,11 +27,22 @@ from qprank import (
     power_law_fit,
     qpr_distance,
     rank_list,
+    remove_node,
     stability_grid,
+    walk,
 )
-from qprank.analysis import attack_metrics, node_ranks, powerlaw_metrics
+from qprank.analysis import (
+    MODES,
+    TIE_RTOL,
+    attack_metrics,
+    node_ranks,
+    powerlaw_metrics,
+    ranking_order,
+    tie_classes,
+)
+from qprank.google import build_structured_google
 
-from conftest import cycle
+from conftest import complete, cycle
 
 
 def normalized_vectors(min_size=2, max_size=12):
@@ -45,6 +60,74 @@ class TestRankList:
     def test_node_ranks_inverse(self):
         p = np.array([0.1, 0.4, 0.3, 0.2])
         assert list(node_ranks(p)) == [4, 1, 2, 3]
+
+
+def relabelled(g, perm):
+    """g with node i renamed perm[i]."""
+    return DirectedGraph(g.n, perm[np.column_stack([g.src, g.dst])])
+
+
+def quantum_orders(g, horizon):
+    """Quantum ranking_order of g and of each hub-removed descendant down to
+    two nodes, the top node removed each time."""
+    orders = []
+    while g.n > 1:
+        order = ranking_order(importance_vector(g, "quantum", horizon=horizon))
+        orders.append(order)
+        g, _ = remove_node(g, order[0])
+    return orders
+
+
+class TestTieRule:
+    def test_classes_split_above_the_relative_tolerance(self):
+        p = np.array([0.5, 0.5 * (1 + 2 * TIE_RTOL), 1.0 - TIE_RTOL / 2, 1.0])
+        assert list(tie_classes(p)) == [2, 1, 0, 0]
+        assert ranking_order(p) == [2, 3, 1, 0]
+
+    def test_rounding_noise_ties_but_node_ranks_stay_exact(self):
+        p = np.array([0.3, np.nextafter(0.3, 1.0), 0.4])
+        assert ranking_order(p) == [2, 0, 1]
+        assert [i for i, _ in rank_list(p)] == [2, 0, 1]
+        # node_ranks follows the exact values that rank writes beside it
+        assert list(node_ranks(p)) == [3, 2, 1]
+
+    @pytest.mark.parametrize("g", [cycle(5), cycle(16), complete(4), complete(9),
+                                   gen_hierarchical_ternary(2), gen_hierarchical_ternary(3),
+                                   gen_hierarchical_ternary(4)],
+                             ids=["cycle5", "cycle16", "complete4", "complete9",
+                                  "hier3-2", "hier3-3", "hier3-4"])
+    def test_relabelling_permutes_the_ranking(self, g):
+        perm = np.random.default_rng(g.n).permutation(g.n)
+        moved = relabelled(g, perm)
+        for mode in MODES:
+            classes = tie_classes(importance_vector(g, mode))
+            # the same classes in the same order, each listed by its new ids
+            expected = perm[np.lexsort((perm, classes))].tolist()
+            assert ranking_order(importance_vector(moved, mode)) == expected
+
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_rankings_do_not_depend_on_the_walk_engine(self, n, monkeypatch):
+        # exact value order differs between the engines on about 37% of these
+        # graphs; the horizon is short to keep the iteration cheap
+        graphs = [gen_scale_free(n, seed=seed) for seed in range(50)]
+        closed_form = [quantum_orders(g, 50) for g in graphs]
+        monkeypatch.setattr(walk, "CLOSED_FORM_MAX_NODES", 0)
+        assert [quantum_orders(g, 50) for g in graphs] == closed_form
+
+    def test_rankings_do_not_depend_on_the_matrix_form(self):
+        # the exact-value ranks (node_ranks) of these builds differ at 17-20
+        # classical and up to 2 quantum nodes per graph
+        for seed in range(3):
+            structured = build_structured_google(gen_scale_free(400, seed=seed), 0.85)
+            dense = GoogleMatrix(400, 0.85, structured.toarray())
+            for rank in (classical_pagerank, lambda gm: SzegedyWalk(gm).average(1000)):
+                assert ranking_order(rank(structured)) == ranking_order(rank(dense))
+
+    def test_attack_runs_do_not_depend_on_the_walk_engine(self, monkeypatch):
+        graphs = [gen_scale_free(n, seed=seed) for n in (16, 32) for seed in range(3)]
+        closed_form = [attack_experiment(g, 5) for g in graphs]
+        monkeypatch.setattr(walk, "CLOSED_FORM_MAX_NODES", 0)
+        assert [attack_experiment(g, 5) for g in graphs] == closed_form
 
 
 class TestIpr:
@@ -174,6 +257,11 @@ class TestPowerLawFit:
         ranks = [(i, v) for i, v in enumerate(values)]
         fit = power_law_fit(ranks)
         assert fit.i_min == 1 and fit.i_max == 3
+
+    def test_default_range_ends_before_the_last_tie_class(self):
+        values = [0.4, 0.2, 0.1, 0.05 * (1 + 3e-10)] + [0.05 * (1 + k * 4e-11) for k in (2, 1, 0)]
+        fit = power_law_fit([(i, v) for i, v in enumerate(values)])
+        assert fit.i_max == 4
 
     def test_rescaling_changes_only_prefactor(self):
         ranks = [(i - 1, 0.2 * i ** (-0.7) * (1 + 0.01 * ((i * 7) % 3))) for i in range(1, 30)]
@@ -328,7 +416,13 @@ class TestHierarchyPreservation:
 class TestDegeneracyResolution:
     def test_counts_distinct_bottom_values(self):
         p = np.array([0.4, 0.3, 0.1, 0.1, 0.05, 0.05])
-        # bottom half: (0.1, 0.05, 0.05) -> 2 distinct at 1e-9
+        # bottom half: (0.1, 0.05, 0.05) -> 2 tie classes
+        assert degeneracy_resolution(p) == 2
+
+    def test_classes_are_relative(self):
+        # bottom half: 3e-10 twice up to rounding, then 1e-10 -> 2 classes,
+        # where absolute 1e-9 bins lumped all three into one
+        p = np.array([0.6, 0.4 - 1e-9, 1e-10, 3e-10, 3e-10 * (1 + 1e-13), 6e-10])
         assert degeneracy_resolution(p) == 2
 
     def test_fine_differences_resolved(self):

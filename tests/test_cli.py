@@ -168,6 +168,16 @@ class TestExitCodes:
         assert err.startswith("error [stage=parameters]: out of memory")
         assert "shape (100000000000,)" in err
 
+    @pytest.mark.parametrize("name, text", [
+        ("endpoint.edges", "0 99999999999999999999\n"),
+        ("count.net", "*Vertices 99999999999999999999\n*Arcs\n"),
+    ])
+    def test_number_beyond_any_array_is_a_parse_error(self, tmp_path, capsys, name, text):
+        path = tmp_path / name
+        path.write_text(text)
+        assert run(["rank", "--input", path, "--T", 10, "--out", tmp_path]) == 3
+        assert capsys.readouterr().err.startswith("error [stage=input]: line 1: ")
+
     def test_negative_trajectory_writes_nothing(self, tmp_path):
         out = tmp_path / "out"
         out.mkdir()

@@ -22,6 +22,7 @@ from qprank import (
     write_edge_list,
     write_pajek,
 )
+from qprank.graphs import MAX_NODES
 
 from conftest import complete, cycle, epa_path, small_digraphs
 
@@ -266,6 +267,11 @@ class TestPajek:
             load_pajek("*Vertices 2\n*Arcs\nfoo bar\n")
         assert err.value.line == 3
 
+    def test_count_beyond_any_array_reports_line(self):
+        with pytest.raises(ParseError) as err:
+            load_pajek(f"% big\n*Vertices {MAX_NODES + 1}\n*Arcs\n")
+        assert err.value.line == 2
+
     def test_roundtrip_identity(self):
         g = gen_scale_free(40, seed=2)
         again = load_pajek(write_pajek(g))
@@ -321,6 +327,12 @@ class TestEdgeList:
     def test_malformed(self):
         with pytest.raises(ParseError):
             load_edge_list("0 1 2\n")
+
+    @pytest.mark.parametrize("text", [f"0 1\n0 {MAX_NODES}\n", f"0 1\n# nodes {MAX_NODES + 1}\n"])
+    def test_number_beyond_any_array_reports_line(self, text):
+        with pytest.raises(ParseError) as err:
+            load_edge_list(text)
+        assert err.value.line == 2
 
 
 # SHA-256 of write_edge_list(graph), recorded with the frozenset-based graph

@@ -9,16 +9,30 @@ from qprank import (
     ParameterError,
     SzegedyWalk,
     WalkState,
+    gen_erdos_renyi,
+    gen_hierarchical_outerplanar,
+    gen_hierarchical_ternary,
     gen_scale_free,
     google_from_graph,
 )
 from qprank.google import build_structured_google
+from qprank.walk import CLOSED_FORM_MAX_NODES
 
 from conftest import complete, cycle, dense_google, operator_graphs, random_graph, rel_err
 
 
 def walk_for(g, alpha=0.85):
     return SzegedyWalk(google_from_graph(g, alpha))
+
+
+def iterated(gm):
+    """The walk with its closed-form engine switched off."""
+    w = SzegedyWalk(gm)
+    w.modes = None
+    return w
+
+
+HORIZONS = (1, 2, 3, 50, 1000)
 
 
 class TestInitialState:
@@ -230,3 +244,81 @@ class TestStructuredWalk:
             tracemalloc.stop()
         # one dense n x n float64 array is 128 MiB at this size
         assert peak < g.n * g.n * 8 / 16
+
+
+class TestClosedForm:
+    """The closed-form Cesaro engine against the iteration, DenseWalk and
+    exactly uniform answers."""
+
+    GRAPHS = {
+        "sf5": gen_scale_free(5, seed=1),
+        "sf16": gen_scale_free(16, seed=0),
+        "sf32-seed2": gen_scale_free(32, seed=2),
+        "sf64": gen_scale_free(64, seed=3),
+        "sf160": gen_scale_free(CLOSED_FORM_MAX_NODES, seed=4),
+        "er16": gen_erdos_renyi(16, 0.125, seed=1),
+        "er64": gen_erdos_renyi(64, 0.125, seed=2),
+        "hier3-2": gen_hierarchical_ternary(2),
+        "hier3-4": gen_hierarchical_ternary(4),
+        "hier2-3": gen_hierarchical_outerplanar(3),
+        "hier2-6": gen_hierarchical_outerplanar(6),
+    }
+
+    @pytest.mark.parametrize("name", sorted(GRAPHS))
+    def test_matches_iteration(self, name):
+        gm = google_from_graph(self.GRAPHS[name], 0.85)
+        closed, loop = SzegedyWalk(gm), iterated(gm)
+        assert closed.modes is not None
+        for horizon in HORIZONS:
+            avg, gap = closed.average_with_convergence(horizon)
+            ref, ref_gap = loop.average_with_convergence(horizon)
+            assert np.abs(avg - ref).max() < 1e-12
+            assert np.isnan(gap) if horizon == 1 else abs(gap - ref_gap) < 1e-12
+
+    def test_graph_with_angle_pairs_at_pi_is_covered(self):
+        # modes with lam = 0 (theta = pi/2) pair up to theta_k + theta_l = pi,
+        # where the kernel is 1, not (-1)**(T - 1)
+        w = walk_for(self.GRAPHS["sf32-seed2"])
+        assert (np.abs(w.modes.angles[0] - np.pi) < 1e-12).any()
+
+    @pytest.mark.parametrize("g", [DirectedGraph(n, []) for n in (1, 2, 5, 30)]
+                             + [cycle(n) for n in (2, 3, 7, 64)]
+                             + [complete(n) for n in (3, 8, 16)],
+                             ids=lambda g: f"n{g.n}-m{g.num_edges}")
+    def test_uniform_on_vertex_transitive_graphs(self, g):
+        # edgeless graphs have a unit mode (D = J/n), folded rather than stepped
+        for alpha in (0.5, 0.85):
+            w = walk_for(g, alpha)
+            assert w.modes is not None
+            for horizon in HORIZONS:
+                assert np.abs(w.average(horizon) - 1 / g.n).max() < 1e-14
+
+    def test_matches_dense_simulator(self):
+        rng = np.random.default_rng(41)
+        for n in (3, 6, 12, 24):
+            gm = google_from_graph(random_graph(rng, n), 0.85)
+            assert SzegedyWalk(gm).modes is not None
+            den = DenseWalk(gm)
+            state, acc = den.initial_state(), np.zeros(n)
+            for _ in range(50):
+                acc += den.measure(state)
+                state = den.step(den.step(state))
+            assert np.abs(SzegedyWalk(gm).average(50) - acc / 50).max() < 1e-12
+
+    def test_engine_chosen_at_the_constant(self):
+        n = CLOSED_FORM_MAX_NODES
+        assert SzegedyWalk(google_from_graph(cycle(n), 0.85)).modes is not None
+        assert SzegedyWalk(google_from_graph(cycle(n + 1), 0.85)).modes is None
+        assert SzegedyWalk(build_structured_google(cycle(8), 0.85)).modes is None
+
+    def test_modes_near_unit_iterate(self):
+        # at alpha = 0.001 the top mode sits 1.6e-6 below 1, where the closed
+        # form was 4x less accurate than the iteration
+        g = gen_scale_free(16, seed=0)
+        assert walk_for(g, 0.001).modes is None
+        assert walk_for(g, 0.05).modes is not None
+
+    def test_cost_does_not_grow_with_horizon(self):
+        # a loop over T, or a T x n array (128 GB here), would not finish
+        avg = walk_for(gen_scale_free(16, seed=5)).average(10**9)
+        assert abs(avg.sum() - 1.0) < 1e-12
