@@ -13,15 +13,15 @@ DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 100_000
 
 # google_from_graph keeps the structured form for large sparse graphs only, and
-# densifies it otherwise: from STRUCTURED_MIN_NODES nodes on, with at most
+# densifies it otherwise: above DENSE_MAX_NODES nodes, with at most
 # STRUCTURED_MAX_DENSITY links per ordered node pair. Its gain depends on
 # sparseness: a stored entry of a structured product costs about 15 times a
 # matrix entry of a dense one, so on denser graphs (er at its default
-# p = 0.125, complete graphs) the dense arrays are faster at every size. Below
-# the size floor fixed per-product costs leave dense faster, or within about
-# 1.3x up to n = 256, and small graphs keep their results bit for bit. The
-# measured sweeps are in CHANGES.md.
-STRUCTURED_MIN_NODES = 320
+# p = 0.125, complete graphs) the dense arrays are faster at every size. Up to
+# DENSE_MAX_NODES every graph is dense, where SzegedyWalk averages in closed
+# form; the size is the crossover of that closed form against the iterating
+# form that takes the graph above it, measured as in the walk.py docstring.
+DENSE_MAX_NODES = 240
 STRUCTURED_MAX_DENSITY = 1 / 64
 
 
@@ -144,7 +144,7 @@ def google_from_graph(g: DirectedGraph, alpha: float) -> GoogleMatrix:
     """The Google matrix of ``g``: structured when ``g`` is large and sparse,
     else the dense array of the same entries."""
     gm = build_structured_google(g, alpha)
-    if g.n >= STRUCTURED_MIN_NODES and g.num_edges <= STRUCTURED_MAX_DENSITY * g.n * g.n:
+    if g.n > DENSE_MAX_NODES and g.num_edges <= STRUCTURED_MAX_DENSITY * g.n * g.n:
         return gm
     return GoogleMatrix(g.n, alpha, gm.toarray())
 

@@ -16,6 +16,11 @@ from .errors import ParameterError, ParseError
 
 FAMILIES = ("sf", "er", "hier3", "hier2")
 
+# The longest float64 array numpy can address. A generator asked for more
+# entries than this raises ParameterError, and a file naming more nodes is a
+# parse error on its line; fewer, but too many for memory, is exit 2.
+MAX_NODES = int(np.iinfo(np.intp).max) // 8
+
 
 class DirectedGraph:
     """Immutable directed graph on the dense node set 0..n-1.
@@ -170,6 +175,8 @@ def gen_scale_free(
     """
     if n < 3:
         raise ParameterError("scale-free growth needs n >= 3 (3-node seed cycle)")
+    if n > MAX_NODES:
+        raise ParameterError(f"n={n} exceeds {MAX_NODES} nodes")
     _check_scale_free(alpha, beta, delta_in, delta_out)
     if n > 3 and beta >= 1.0:
         raise ParameterError("beta must be below 1 for the graph to grow")
@@ -208,6 +215,8 @@ def gen_erdos_renyi(n: int, p: float, seed: int = 0) -> DirectedGraph:
     """Each ordered pair (i, j), i != j, is an edge independently with probability p."""
     if n < 1:
         raise ParameterError("n must be >= 1")
+    if n * n > MAX_NODES:  # the n x n draws
+        raise ParameterError(f"n={n}: its n * n draws exceed {MAX_NODES} numbers")
     if not 0.0 <= p <= 1.0:
         raise ParameterError(f"edge probability p={p} outside [0, 1]")
     rng = np.random.default_rng(seed)
@@ -287,11 +296,6 @@ def degree_distribution(g: DirectedGraph) -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
-# The longest float64 array numpy can address; a file naming more nodes is a
-# parse error on its line (fewer, but too many for memory, is exit 2).
-MAX_NODES = int(np.iinfo(np.intp).max) // 8
-
-
 def load_pajek(text: str) -> DirectedGraph:
     """Parse Pajek .net content into a directed graph.
 
@@ -309,6 +313,8 @@ def load_pajek(text: str) -> DirectedGraph:
         if line.startswith("*"):
             keyword = line.split()[0].lower()
             if keyword == "*vertices":
+                if n is not None:
+                    raise ParseError("repeated *Vertices header", lineno)
                 parts = line.split()
                 if len(parts) < 2:
                     raise ParseError("*Vertices header missing a count", lineno)

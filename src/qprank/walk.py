@@ -18,7 +18,7 @@ of the state gives the node distribution
 ``SzegedyWalk`` is the production simulator built on that recursion and
 runs its Cesaro average with one of two engines:
 
-* **closed form** (dense G with n <= CLOSED_FORM_MAX_NODES): D = V diag(lam)
+* **closed form** (dense G with n <= google.DENSE_MAX_NODES): D = V diag(lam)
   V^T is diagonalized once. In mode k, with theta_k = arccos lam_k and w =
   V^T a_0, the coefficients after t double-steps are
   a_k(t) = -w_k sin((2t - 1) theta_k) / sin theta_k and
@@ -31,17 +31,20 @@ runs its Cesaro average with one of two engines:
 
   with A, B, C the averaged products a_k a_l, b_k b_l, b_k a_l. The cost is
   O(n**3) whatever the horizon, in O(n**2) memory.
-* **iteration** (structured G, dense G above the constant, and dense G
-  with a mode within NEAR_UNIT_GAP of |lam| = 1, as at damping near 0): the
-  recursion stepped once per double-step, three products with D each.
-  ``trajectory`` always iterates.
+* **iteration** (every G above DENSE_MAX_NODES, structured when sparse, and
+  dense G with a mode within NEAR_UNIT_GAP of |lam| = 1, as at damping near
+  0): the recursion stepped once per double-step, three products with D
+  each. ``trajectory`` always iterates.
 
-CLOSED_FORM_MAX_NODES is measured. Per ranking at T = 1000 (constructor,
-average and half-horizon gap; sf and er graphs, three seeds each, one pinned
-CPU, one BLAS thread), two sweeps gave the closed form 32-72x at n = 16,
-18-31x at 32, 5-7x at 64, 2.0-3.7x at 128, 1.7-2.4x at 160, 1.1-1.9x at 192
-and 0.97-1.7x at 256. The constant is the largest swept size at which every
-ratio was at least 1.5x; CHANGES.md has both sweeps.
+google.DENSE_MAX_NODES, the one size constant of both the form and the
+engine, is measured. Per ranking at T = 1000 (build, classical PageRank and
+the quantum average with its constructor; sf and er at p = 0.125, three
+seeds each, one pinned CPU, one BLAS thread), two sweeps gave the closed form
+0.37-0.65 of the time of the iterating form that takes the graph above the
+constant (structured for sf, dense for er) at n = 160, 0.67-0.99 at 224,
+0.71-0.94 at 240 and 0.89-1.32 at 256. The constant is the largest swept
+size at which the closed form was at least as fast on every graph;
+CHANGES.md has both sweeps.
 
 ``DenseWalk`` realizes the same dynamics literally on the n**2 amplitude
 vector and serves as a cross-check for small n.
@@ -54,16 +57,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .google import GoogleMatrix
+from .google import DENSE_MAX_NODES, GoogleMatrix
 
 DEFAULT_HORIZON = 1000
 DENSE_NODE_LIMIT = 64
-CLOSED_FORM_MAX_NODES = 160
 
 # |lam| this close to 1, in units of n * machine epsilon, is a unit mode. On
 # edgeless, complete and 2-cycle graphs up to n = 256 eigh puts the exact unit
-# eigenvalue at most 0.63 n eps off; other sf and er graphs up to n = 128 keep
-# |lam| at least 0.016 below 1.
+# eigenvalue at most 0.63 n eps off; other sf and er graphs up to n =
+# DENSE_MAX_NODES keep |lam| at least 0.016 below 1.
 UNIT_MODE_ULPS = 4.0
 
 # A mode closer than this to |lam| = 1 without being a unit mode costs the
@@ -72,7 +74,9 @@ UNIT_MODE_ULPS = 4.0
 # from 1e-5 to 0.98, which sets the gap), the closed form was 2-80x less
 # accurate than the iteration and up to 3.5e-10 off where the gap was below
 # 1e-3, and at most 6e-14 off elsewhere. At alpha = 0.85 the gap of sf
-# graphs up to n = 128, hub-removed ones included, is at least 0.016.
+# graphs up to n = 128, hub-removed ones included, is at least 0.016, and
+# that of sf and er graphs of 160 to DENSE_MAX_NODES nodes at least 0.42
+# (0.12 after up to five hub removals).
 NEAR_UNIT_GAP = 1e-3
 
 
@@ -151,7 +155,7 @@ class SzegedyWalk:
     D, O(n**2) for a dense G and O(n + m) for a structured one.
 
     ``modes`` holds the closed-form engine's spectrum when G is dense with at
-    most CLOSED_FORM_MAX_NODES nodes and no mode within NEAR_UNIT_GAP of
+    most DENSE_MAX_NODES nodes and no mode within NEAR_UNIT_GAP of
     |lam| = 1 short of a unit mode; else it is None and averages iterate.
     """
 
@@ -160,7 +164,7 @@ class SzegedyWalk:
         self.g = gm.entries
         self.d = gm.overlap()
         self.modes = None
-        if isinstance(self.d, np.ndarray) and self.n <= CLOSED_FORM_MAX_NODES:
+        if isinstance(self.d, np.ndarray) and self.n <= DENSE_MAX_NODES:
             modes = CesaroModes(self.g, self.d)
             if modes.conditioned:
                 self.modes = modes

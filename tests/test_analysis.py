@@ -29,7 +29,6 @@ from qprank import (
     rank_list,
     remove_node,
     stability_grid,
-    walk,
 )
 from qprank.analysis import (
     MODES,
@@ -78,6 +77,17 @@ def quantum_orders(g, horizon):
     return orders
 
 
+def without_closed_form(monkeypatch):
+    """Make every SzegedyWalk iterate, as test_walk.iterated does for one."""
+    init = SzegedyWalk.__init__
+
+    def iterating_init(self, gm):
+        init(self, gm)
+        self.modes = None
+
+    monkeypatch.setattr(SzegedyWalk, "__init__", iterating_init)
+
+
 class TestTieRule:
     def test_classes_split_above_the_relative_tolerance(self):
         p = np.array([0.5, 0.5 * (1 + 2 * TIE_RTOL), 1.0 - TIE_RTOL / 2, 1.0])
@@ -111,22 +121,22 @@ class TestTieRule:
         # graphs; the horizon is short to keep the iteration cheap
         graphs = [gen_scale_free(n, seed=seed) for seed in range(50)]
         closed_form = [quantum_orders(g, 50) for g in graphs]
-        monkeypatch.setattr(walk, "CLOSED_FORM_MAX_NODES", 0)
+        without_closed_form(monkeypatch)
         assert [quantum_orders(g, 50) for g in graphs] == closed_form
 
     def test_rankings_do_not_depend_on_the_matrix_form(self):
         # the exact-value ranks (node_ranks) of these builds differ at 17-20
-        # classical and up to 2 quantum nodes per graph
-        for seed in range(3):
-            structured = build_structured_google(gen_scale_free(400, seed=seed), 0.85)
-            dense = GoogleMatrix(400, 0.85, structured.toarray())
+        # classical and up to 2 quantum nodes per n = 400 graph
+        for n, seed in [(400, 0), (400, 1), (400, 2), (256, 0)]:
+            structured = build_structured_google(gen_scale_free(n, seed=seed), 0.85)
+            dense = GoogleMatrix(n, 0.85, structured.toarray())
             for rank in (classical_pagerank, lambda gm: SzegedyWalk(gm).average(1000)):
                 assert ranking_order(rank(structured)) == ranking_order(rank(dense))
 
     def test_attack_runs_do_not_depend_on_the_walk_engine(self, monkeypatch):
         graphs = [gen_scale_free(n, seed=seed) for n in (16, 32) for seed in range(3)]
         closed_form = [attack_experiment(g, 5) for g in graphs]
-        monkeypatch.setattr(walk, "CLOSED_FORM_MAX_NODES", 0)
+        without_closed_form(monkeypatch)
         assert [attack_experiment(g, 5) for g in graphs] == closed_form
 
 

@@ -1,7 +1,10 @@
 import csv
+import importlib
 import json
 import re
 import shlex
+import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -178,6 +181,26 @@ class TestExitCodes:
         assert run(["rank", "--input", path, "--T", 10, "--out", tmp_path]) == 3
         assert capsys.readouterr().err.startswith("error [stage=input]: line 1: ")
 
+    @pytest.mark.parametrize("family, n", [
+        ("er", 2**62), ("sf", 2**62), ("sf", 10**20), ("er", 2**31),
+    ])
+    def test_generated_count_beyond_any_array(self, tmp_path, capsys, family, n):
+        # rejected before any array is asked for: no "out of memory"
+        tracemalloc.start()
+        try:
+            assert run(["rank", "--family", family, "--n", n, "--T", 10, "--out", tmp_path]) == 2
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert capsys.readouterr().err.startswith(f"error [stage=parameters]: n={n}")
+
+    def test_repeated_vertices_header_is_a_parse_error(self, tmp_path, capsys):
+        net = tmp_path / "twice.net"
+        net.write_text("*Vertices 3\n*Arcs\n1 3\n*Vertices 2\n")
+        assert run(["rank", "--input", net, "--T", 10, "--out", tmp_path]) == 3
+        assert capsys.readouterr().err.startswith("error [stage=input]: line 4: ")
+
     def test_negative_trajectory_writes_nothing(self, tmp_path):
         out = tmp_path / "out"
         out.mkdir()
@@ -325,9 +348,37 @@ class TestAttackCommand:
             assert serial[name] == parallel[name]
 
 
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+# `module.NAME` followed by "(value)" or "= value"
+DOCUMENTED_CONSTANT = re.compile(r"`(\w+)\.([A-Z][A-Z0-9_]*)`\s*(?:\(([^)]+)\)|=\s*([^\s,;)]+))")
+
+
+def stale_constants(text: str) -> list[str]:
+    """Each documented constant that qprank lacks or holds at another value."""
+    stale = []
+    for match in DOCUMENTED_CONSTANT.finditer(text):
+        module, name, value = match[1], match[2], match[3] or match[4]
+        actual = getattr(importlib.import_module(f"qprank.{module}"), name, None)
+        if actual is None or float(Fraction(value)) != actual:
+            stale.append(match[0])
+    return stale
+
+
 class TestReadme:
+    def test_documented_constants_match_the_code(self):
+        text = README.read_text()
+        assert len(DOCUMENTED_CONSTANT.findall(text)) >= 4
+        assert stale_constants(text) == []
+
+    def test_stale_constants_are_found(self):
+        stale = ["`google.DENSE_MAX_NODES` (160)", "`analysis.TIE_RTOL` =\n1e-9",
+                 "`walk.NO_SUCH_NAME` = 160"]
+        assert stale_constants(" and ".join(stale)) == stale
+        assert stale_constants("`google.STRUCTURED_MAX_DENSITY` (1/64)") == []
+
     def test_documented_invocations_parse(self):
-        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        readme = README.read_text()
         blocks = re.findall(r"^ *```[^\n]*\n(.*?)^ *```", readme, flags=re.M | re.S)
         lines = [line.strip() for block in blocks for line in block.splitlines()
                  if line.strip().startswith("qprank ")]

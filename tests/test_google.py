@@ -16,8 +16,8 @@ from qprank import (
     google_from_graph,
 )
 from qprank.google import (
+    DENSE_MAX_NODES,
     STRUCTURED_MAX_DENSITY,
-    STRUCTURED_MIN_NODES,
     RankOnePlusSparse,
     build_structured_google,
 )
@@ -81,7 +81,7 @@ class TestBuildGoogle:
 
     def test_alpha_range_enforced(self):
         for alpha in (0.0, 1.0, -0.5, 2.0):
-            for g in (cycle(3), cycle(STRUCTURED_MIN_NODES)):
+            for g in (cycle(3), cycle(DENSE_MAX_NODES + 1)):
                 with pytest.raises(ParameterError):
                     google_from_graph(g, alpha)
 
@@ -188,18 +188,12 @@ class TestStructuredGoogle:
         assert any(s == t for s, t in graphs["self-loops"].edges)
         assert (graphs["sf"].out_degrees() == 0).any()
 
-    def test_form_chosen_by_size(self):
-        below = google_from_graph(cycle(STRUCTURED_MIN_NODES - 1), 0.85)
-        at = google_from_graph(cycle(STRUCTURED_MIN_NODES), 0.85)
-        assert isinstance(below.entries, np.ndarray)
-        assert isinstance(at.entries, RankOnePlusSparse)
-
     def test_form_chosen_by_density(self):
         def circulant(n, k):  # k * n links: i -> i + 1, ..., i + k (mod n)
             links = {(i, (i + d) % n) for i in range(n) for d in range(1, k + 1)}
             return DirectedGraph(n, frozenset(links))
 
-        n = STRUCTURED_MIN_NODES
+        n = DENSE_MAX_NODES + 1
         k = int(STRUCTURED_MAX_DENSITY * n)  # k * n links is the most still structured
         assert isinstance(google_from_graph(circulant(n, k), 0.85).entries, RankOnePlusSparse)
         assert isinstance(google_from_graph(circulant(n, k + 1), 0.85).entries, np.ndarray)

@@ -1,4 +1,5 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -72,6 +73,10 @@ class TestDirectedGraph:
 
 
 class TestScaleFree:
+    def test_count_beyond_any_array_rejected(self):
+        with pytest.raises(ParameterError):
+            gen_scale_free(MAX_NODES + 1)
+
     def test_minimum_size_has_seed_cycle_edges(self):
         g = gen_scale_free(3, seed=123)
         assert g.n == 3
@@ -115,6 +120,10 @@ class TestScaleFree:
 
 
 class TestErdosRenyi:
+    def test_draws_beyond_any_array_rejected(self):
+        with pytest.raises(ParameterError):
+            gen_erdos_renyi(math.isqrt(MAX_NODES) + 1, 0.5)
+
     def test_p_zero_is_edgeless(self):
         assert gen_erdos_renyi(8, 0.0, seed=1).num_edges == 0
 
@@ -271,6 +280,14 @@ class TestPajek:
         with pytest.raises(ParseError) as err:
             load_pajek(f"% big\n*Vertices {MAX_NODES + 1}\n*Arcs\n")
         assert err.value.line == 2
+
+    @pytest.mark.parametrize("count", [2, 3, 4])
+    def test_repeated_vertices_header_reports_line(self, count):
+        # a smaller count would leave arcs out of range, a larger one would
+        # silently grow the graph
+        with pytest.raises(ParseError) as err:
+            load_pajek(f"*Vertices 3\n*Arcs\n1 3\n*Vertices {count}\n")
+        assert err.value.line == 4
 
     def test_roundtrip_identity(self):
         g = gen_scale_free(40, seed=2)

@@ -15,8 +15,7 @@ from qprank import (
     gen_scale_free,
     google_from_graph,
 )
-from qprank.google import build_structured_google
-from qprank.walk import CLOSED_FORM_MAX_NODES
+from qprank.google import DENSE_MAX_NODES, RankOnePlusSparse, build_structured_google
 
 from conftest import complete, cycle, dense_google, operator_graphs, random_graph, rel_err
 
@@ -255,9 +254,10 @@ class TestClosedForm:
         "sf16": gen_scale_free(16, seed=0),
         "sf32-seed2": gen_scale_free(32, seed=2),
         "sf64": gen_scale_free(64, seed=3),
-        "sf160": gen_scale_free(CLOSED_FORM_MAX_NODES, seed=4),
+        f"sf{DENSE_MAX_NODES}": gen_scale_free(DENSE_MAX_NODES, seed=4),
         "er16": gen_erdos_renyi(16, 0.125, seed=1),
         "er64": gen_erdos_renyi(64, 0.125, seed=2),
+        f"er{DENSE_MAX_NODES}": gen_erdos_renyi(DENSE_MAX_NODES, 0.125, seed=3),
         "hier3-2": gen_hierarchical_ternary(2),
         "hier3-4": gen_hierarchical_ternary(4),
         "hier2-3": gen_hierarchical_outerplanar(3),
@@ -305,10 +305,20 @@ class TestClosedForm:
                 state = den.step(den.step(state))
             assert np.abs(SzegedyWalk(gm).average(50) - acc / 50).max() < 1e-12
 
-    def test_engine_chosen_at_the_constant(self):
-        n = CLOSED_FORM_MAX_NODES
-        assert SzegedyWalk(google_from_graph(cycle(n), 0.85)).modes is not None
-        assert SzegedyWalk(google_from_graph(cycle(n + 1), 0.85)).modes is None
+    @pytest.mark.parametrize("make, n, form, closed", [
+        (cycle, DENSE_MAX_NODES, np.ndarray, True),
+        (cycle, DENSE_MAX_NODES + 1, RankOnePlusSparse, False),
+        (complete, DENSE_MAX_NODES, np.ndarray, True),
+        (complete, DENSE_MAX_NODES + 1, np.ndarray, False),
+    ], ids=["cycle-at", "cycle-above", "complete-at", "complete-above"])
+    def test_form_and_engine_chosen_at_the_constant(self, make, n, form, closed):
+        # up to the constant: dense and closed form; above it: iteration, on
+        # the structured form when sparse (a cycle) and dense otherwise
+        w = walk_for(make(n))
+        assert isinstance(w.g, form) and isinstance(w.d, form)
+        assert (w.modes is not None) == closed
+
+    def test_structured_form_iterates(self):
         assert SzegedyWalk(build_structured_google(cycle(8), 0.85)).modes is None
 
     def test_modes_near_unit_iterate(self):
