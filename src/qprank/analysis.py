@@ -178,13 +178,13 @@ def coarse_alpha_grid(points: int = 20) -> np.ndarray:
 
 
 def pairwise_stability(vectors: list[np.ndarray], alphas) -> StabilityGrid:
-    k = len(vectors)
-    fid = np.empty((k, k))
-    dist = np.empty((k, k))
-    for i in range(k):
-        for j in range(i, k):
-            fid[i, j] = fid[j, i] = classical_fidelity(vectors[i], vectors[j])
-            dist[i, j] = dist[j, i] = qpr_distance(vectors[i], vectors[j])
+    """classical_fidelity and qpr_distance of every pair of vectors, a row at a time."""
+    stacked = np.asarray(vectors, dtype=np.float64)
+    fid = np.empty((len(stacked), len(stacked)))
+    dist = np.empty_like(fid)
+    for i, v in enumerate(stacked):
+        fid[i] = np.sqrt(stacked * v).sum(axis=1)
+        dist[i] = np.abs(stacked - v).max(axis=1)
     return StabilityGrid(np.asarray(alphas, dtype=np.float64), fid, dist)
 
 

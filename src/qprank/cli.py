@@ -2,7 +2,7 @@
 
 Subcommands cover graph generation, combined classical/quantum ranking, and
 the experiment suite (ipr, stability, powerlaw, attack). Every run writes
-CSV/JSON reports plus gnuplot-ready two-column data files into the output
+CSV/JSON reports plus gnuplot-ready `.dat` tables into the output
 directory, alongside an echo of the exact run configuration, so identical
 invocations produce byte-identical outputs.
 
@@ -13,7 +13,6 @@ non-convergence.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import functools
 import json
@@ -38,7 +37,8 @@ OUT_ENV_VAR = "QPRANK_OUT"
 
 
 def _fmt(x) -> str:
-    return format(float(x), ".17g")
+    """One table cell: text as it is, a number with 17 significant digits."""
+    return x if isinstance(x, str) else format(float(x), ".17g")
 
 
 def _make_parent(path: Path) -> None:
@@ -53,18 +53,17 @@ def _write_text(path: Path, text: str) -> None:
     path.write_text(text)
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+def _write_table(path: Path, header, rows, sep: str = ",") -> None:
+    """Write the header, then each row as ``rows`` yields it, cells joined by ``sep``.
+
+    Every cell, the header's too, goes through ``_fmt``. A ``.dat`` header
+    starts with a "#" cell, so that gnuplot skips it.
+    """
     _make_parent(path)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
-def _write_dat(path: Path, comment: str, rows: list[list[float]]) -> None:
-    lines = [f"# {comment}"]
-    lines.extend(" ".join(_fmt(v) for v in row) for row in rows)
-    _write_text(path, "\n".join(lines) + "\n")
+    with open(path, "w") as fh:
+        fh.write(sep.join(map(_fmt, header)) + "\n")
+        for row in rows:
+            fh.write(sep.join(map(_fmt, row)) + "\n")
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -160,12 +159,12 @@ def cmd_generate(args) -> int:
     _write_text(outdir / f"{label}.edges", graphs.write_edge_list(g))
     _write_text(outdir / f"{label}.net", graphs.write_pajek(g))
     in_hist, out_hist = graphs.degree_distribution(g)
-    kmax = max(len(in_hist), len(out_hist))
-    rows = [
-        [k, int(in_hist[k]) if k < len(in_hist) else 0, int(out_hist[k]) if k < len(out_hist) else 0]
-        for k in range(kmax)
-    ]
-    _write_csv(outdir / f"{label}_degrees.csv", ["degree", "in_count", "out_count"], rows)
+    _write_table(
+        outdir / f"{label}_degrees.csv",
+        ("degree", "in_count", "out_count"),
+        ((k, in_hist[k] if k < len(in_hist) else 0, out_hist[k] if k < len(out_hist) else 0)
+         for k in range(max(len(in_hist), len(out_hist)))),
+    )
     _echo_config(outdir, label, args)
     print(f"wrote {label}.edges / .net / _degrees.csv to {outdir} ({g.n} nodes, {g.num_edges} edges)")
     return EXIT_OK
@@ -184,19 +183,16 @@ def cmd_rank(args) -> int:
 
     outdir = Path(args.out)
     prefix = _prefix("rank", label, n=g.n, a=args.alpha, T=args.T)
-    rows = [
-        [i, _fmt(classical[i]), _fmt(quantum[i]), int(cl_ranks[i]), int(q_ranks[i])]
-        for i in range(g.n)
-    ]
-    _write_csv(
+    _write_table(
         outdir / f"{prefix}.csv",
-        ["node", "classical_importance", "quantum_importance", "classical_rank", "quantum_rank"],
-        rows,
+        ("node", "classical_importance", "quantum_importance", "classical_rank", "quantum_rank"),
+        zip(range(g.n), classical, quantum, cl_ranks, q_ranks),
     )
-    _write_dat(
+    _write_table(
         outdir / f"{prefix}_bars.dat",
-        "node classical_importance quantum_importance",
-        [[i, classical[i], quantum[i]] for i in range(g.n)],
+        ("#", "node", "classical_importance", "quantum_importance"),
+        zip(range(g.n), classical, quantum),
+        sep=" ",
     )
     summary = {
         "nodes": g.n,
@@ -212,12 +208,11 @@ def cmd_rank(args) -> int:
     _write_json(outdir / f"{prefix}_summary.json", summary)
     if args.trajectory:
         traj = qwalk.trajectory(args.trajectory)
-        rows = [
-            [t, node, _fmt(traj[t, node])]
-            for t in range(args.trajectory)
-            for node in range(g.n)
-        ]
-        _write_csv(outdir / f"{prefix}_trajectory.csv", ["t", "node", "instantaneous_qpr"], rows)
+        _write_table(
+            outdir / f"{prefix}_trajectory.csv",
+            ("t", "node", "instantaneous_qpr"),
+            ((t, node, traj[t, node]) for t in range(args.trajectory) for node in range(g.n)),
+        )
     if args.dump_matrix:
         _write_text(outdir / f"{prefix}_google.txt", format_dense_matrix(gm.toarray()))
     _echo_config(outdir, prefix, args)
@@ -251,9 +246,9 @@ def cmd_ipr(args) -> int:
     outdir = Path(args.out)
     prefix = _prefix("ipr", args.family, a=args.alpha, r=args.r, T=args.T, seed=args.seed)
     summary: dict = {"sizes": sizes, "alpha": args.alpha, "r": args.r}
-    csv_rows = {n: [n] for n in sizes}
-    header = ["n"]
-    for mode in _modes(args.mode):
+    modes = _modes(args.mode)
+    xis = []
+    for mode in modes:
         vectors = parallel_map(
             importance_item,
             [(g, mode, args.alpha, args.T, args.tol, args.max_iter) for g in graphs_by_size],
@@ -266,16 +261,15 @@ def cmd_ipr(args) -> int:
             "intercept": fit.intercept,
             "classification": fit.label,
         }
-        header.append(f"xi_{mode}")
-        for n, s in zip(sizes, samples):
-            csv_rows[n].append(_fmt(s.xi))
-        _write_dat(
+        xis.append([s.xi for s in samples])
+        _write_table(
             outdir / f"{prefix}_{mode}.dat",
-            "log_n log_xi",
-            [[np.log(s.n), np.log(s.xi)] for s in samples],
+            ("#", "log_n", "log_xi"),
+            ((np.log(s.n), np.log(s.xi)) for s in samples),
+            sep=" ",
         )
         print(f"{mode}: slope {fit.slope:.4f} -> {fit.label}")
-    _write_csv(outdir / f"{prefix}.csv", header, [csv_rows[n] for n in sizes])
+    _write_table(outdir / f"{prefix}.csv", ("n", *(f"xi_{m}" for m in modes)), zip(sizes, *xis))
     _write_json(outdir / f"{prefix}_summary.json", summary)
     _echo_config(outdir, prefix, args)
     return EXIT_OK
@@ -300,42 +294,33 @@ def cmd_stability(args) -> int:
     alphas = _alpha_grid(args)
     prefix = _prefix("stability", label, n=g.n, T=args.T, seed=args.seed)
     prefix += f"_{args.grid}_{args.mode}"
+    if args.grid == "sweep":  # the reference first, so that a bad --alpha fails fast
+        ref_vec = analysis.importance_vector(
+            g, args.mode, alpha=args.alpha, horizon=args.T, tol=args.tol, max_iter=args.max_iter
+        )
     items = [(g, args.mode, float(a), args.T, args.tol, args.max_iter) for a in alphas]
     vectors = parallel_map(importance_item, items, args.jobs)
 
     if args.grid == "sweep":
-        ref_vec = analysis.importance_vector(
-            g, args.mode, alpha=args.alpha, horizon=args.T, tol=args.tol, max_iter=args.max_iter
-        )
         rows = [
-            [a, analysis.classical_fidelity(v, ref_vec), analysis.qpr_distance(v, ref_vec)]
+            (a, analysis.classical_fidelity(v, ref_vec), analysis.qpr_distance(v, ref_vec))
             for a, v in zip(alphas, vectors)
         ]
-        _write_csv(
-            outdir / f"{prefix}.csv",
-            ["alpha", "fidelity_vs_ref", "distance_vs_ref"],
-            [[_fmt(x) for x in row] for row in rows],
-        )
-        _write_dat(outdir / f"{prefix}.dat", f"alpha fidelity_vs_{args.alpha:g} distance", rows)
+        _write_table(outdir / f"{prefix}.csv",
+                     ("alpha", "fidelity_vs_ref", "distance_vs_ref"), rows)
+        _write_table(outdir / f"{prefix}.dat",
+                     ("#", "alpha", f"fidelity_vs_{args.alpha:g}", "distance"), rows, sep=" ")
         summary = {"alpha_ref": args.alpha, "n": g.n, "mode": args.mode}
     else:
         grid = analysis.pairwise_stability(vectors, alphas)
-        alpha_header = [_fmt(a) for a in alphas]
-        _write_csv(
-            outdir / f"{prefix}_fidelity.csv",
-            ["alpha"] + alpha_header,
-            [[alpha_header[i]] + [_fmt(v) for v in grid.fidelity[i]] for i in range(len(alphas))],
-        )
-        _write_csv(
-            outdir / f"{prefix}_distance.csv",
-            ["alpha"] + alpha_header,
-            [[alpha_header[i]] + [_fmt(v) for v in grid.distance[i]] for i in range(len(alphas))],
-        )
-        _write_dat(
+        for name, table in (("fidelity", grid.fidelity), ("distance", grid.distance)):
+            _write_table(outdir / f"{prefix}_{name}.csv", ("alpha", *alphas),
+                         ((a, *row) for a, row in zip(alphas, table)))
+        _write_table(
             outdir / f"{prefix}_fidelity.dat",
-            "alpha alpha_prime fidelity",
-            [[alphas[i], alphas[j], grid.fidelity[i, j]]
-             for i in range(len(alphas)) for j in range(len(alphas))],
+            ("#", "alpha", "alpha_prime", "fidelity"),
+            ((a, b, f) for a, row in zip(alphas, grid.fidelity) for b, f in zip(alphas, row)),
+            sep=" ",
         )
         summary = {
             "n": g.n,
@@ -374,9 +359,11 @@ def _run_ensemble(args, command: str, experiment) -> tuple[analysis.EnsembleRepo
 
 
 def cmd_powerlaw(args) -> int:
+    if args.ensemble < 1:
+        raise ParameterError(f"--ensemble {args.ensemble} must be >= 1")
     outdir = Path(args.out)
     modes = _modes(args.mode)
-    if args.input or args.ensemble <= 1:
+    if args.input or args.ensemble == 1:
         g, label = _graph_from_args(args)
         prefix = _prefix("powerlaw", label, n=g.n, a=args.alpha, T=args.T)
         summary: dict = {"n": g.n, "alpha": args.alpha}
@@ -393,10 +380,11 @@ def cmd_powerlaw(args) -> int:
                 "i_max": fit.i_max,
                 "rms_residual": fit.residual,
             }
-            _write_dat(
+            _write_table(
                 outdir / f"{prefix}_{mode}.dat",
-                "log_rank_index log_importance",
-                [[np.log(i), np.log(imp)] for i, (_, imp) in enumerate(ranks, start=1) if imp > 0],
+                ("#", "log_rank_index", "log_importance"),
+                ((np.log(i), np.log(imp)) for i, (_, imp) in enumerate(ranks, start=1) if imp > 0),
+                sep=" ",
             )
             print(f"{mode}: beta {fit.beta:.4f}  c {fit.c:.4g}  residual {fit.residual:.4f}")
         _write_json(outdir / f"{prefix}_summary.json", summary)
@@ -414,10 +402,10 @@ def cmd_powerlaw(args) -> int:
         max_iter=args.max_iter,
     )
     report, prefix = _run_ensemble(args, "powerlaw", experiment)
-    _write_csv(
+    _write_table(
         outdir / f"{prefix}.csv",
-        ["metric", "mean", "stddev"],
-        [[key, _fmt(report.means[key]), _fmt(report.stds[key])] for key in report.means],
+        ("metric", "mean", "stddev"),
+        ((key, report.means[key], report.stds[key]) for key in report.means),
     )
     for mode in modes:
         print(f"{mode}: mean beta {report.means[f'beta_{mode}']:.4f} "
@@ -440,22 +428,20 @@ def cmd_attack(args) -> int:
     )
     report, prefix = _run_ensemble(args, "attack", experiment)
     outdir = Path(args.out)
-    header = ["removals"]
+    removals = range(1, args.removals + 1)
+    _write_table(
+        outdir / f"{prefix}.csv",
+        ("removals", *(f"kendall_{mode}_{stat}" for mode in modes for stat in ("mean", "std"))),
+        ((r, *(stats[f"kendall_{mode}_{r}"] for mode in modes
+               for stats in (report.means, report.stds))) for r in removals),
+    )
     for mode in modes:
-        header += [f"kendall_{mode}_mean", f"kendall_{mode}_std"]
-    rows = []
-    for r in range(1, args.removals + 1):
-        row = [r]
-        for mode in modes:
-            row += [_fmt(report.means[f"kendall_{mode}_{r}"]), _fmt(report.stds[f"kendall_{mode}_{r}"])]
-        rows.append(row)
-    _write_csv(outdir / f"{prefix}.csv", header, rows)
-    for mode in modes:
-        _write_dat(
+        _write_table(
             outdir / f"{prefix}_{mode}.dat",
-            "removals kendall_mean kendall_std",
-            [[r, report.means[f"kendall_{mode}_{r}"], report.stds[f"kendall_{mode}_{r}"]]
-             for r in range(1, args.removals + 1)],
+            ("#", "removals", "kendall_mean", "kendall_std"),
+            ((r, report.means[f"kendall_{mode}_{r}"], report.stds[f"kendall_{mode}_{r}"])
+             for r in removals),
+            sep=" ",
         )
     print(f"wrote {prefix}.csv to {outdir} ({report.failures} failed runs)")
     return EXIT_OK

@@ -383,6 +383,8 @@ def load_edge_list(text: str) -> DirectedGraph:
         if line.startswith("#"):
             parts = line[1:].split()
             if len(parts) == 2 and parts[0] == "nodes" and parts[1].isdigit():
+                if n_header is not None:
+                    raise ParseError("repeated # nodes header", lineno)
                 n_header = int(parts[1])
                 if n_header > MAX_NODES:
                     raise ParseError(f"node count {n_header} exceeds {MAX_NODES}", lineno)

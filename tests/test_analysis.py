@@ -35,6 +35,7 @@ from qprank.analysis import (
     TIE_RTOL,
     attack_metrics,
     node_ranks,
+    pairwise_stability,
     powerlaw_metrics,
     ranking_order,
     tie_classes,
@@ -241,6 +242,16 @@ class TestStabilityGrid:
     def test_alpha_validation(self):
         with pytest.raises(ParameterError):
             stability_grid(cycle(3), [0.5, 1.2], mode="classical")
+
+    @pytest.mark.parametrize("n", [1, 7, 129, 1000])
+    def test_grid_is_the_pairwise_functions_bit_for_bit(self, n):
+        rng = np.random.default_rng(n)
+        vectors = list(rng.dirichlet(np.ones(n), size=6))
+        grid = pairwise_stability(vectors, np.linspace(0.1, 0.9, 6))
+        for i, p in enumerate(vectors):
+            for j, q in enumerate(vectors):
+                assert grid.fidelity[i, j] == classical_fidelity(p, q)
+                assert grid.distance[i, j] == qpr_distance(p, q)
 
     def test_coarse_grid_span(self):
         grid = coarse_alpha_grid()

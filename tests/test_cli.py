@@ -62,6 +62,11 @@ class TestGenerate:
         assert run(["generate", "--family", "sf", "--n", 40, "--seed", 3, "--out", a]) == 0
         assert tree_bytes(a) == left
 
+    def test_degree_csv_bytes(self, tmp_path):
+        assert run(["generate", "--family", "hier3", "--gen", 1, "--out", tmp_path]) == 0
+        csv_bytes = (tmp_path / "generate_hier3_n3_seed0_degrees.csv").read_bytes()
+        assert csv_bytes == b"degree,in_count,out_count\n0,0,0\n1,3,3\n"
+
     def test_degree_csv_sums_to_n(self, tmp_path):
         run(["generate", "--family", "er", "--n", 20, "--p", 0.2, "--seed", 1, "--out", tmp_path])
         rows = read_rows(tmp_path / "generate_er_n20_seed1_degrees.csv")
@@ -78,6 +83,22 @@ class TestRank:
         for row in rows:
             assert float(row["classical_importance"]) == pytest.approx(1 / 3, abs=1e-9)
             assert float(row["quantum_importance"]) == pytest.approx(1 / 3, abs=1e-9)
+
+    def test_three_cycle_bytes(self, tmp_path):
+        # the quantum column's last bits differ by platform, so it is not pinned
+        edges = tmp_path / "c3.edges"
+        edges.write_text("0 1\n1 2\n2 0\n")
+        assert run(["rank", "--input", edges, "--T", 100, "--out", tmp_path]) == 0
+        prefix = tmp_path / "rank_c3_n3_a0.85_T100"
+        lines = Path(f"{prefix}.csv").read_text().splitlines()
+        assert lines[0] == "node,classical_importance,quantum_importance,classical_rank,quantum_rank"
+        for i, line in enumerate(lines[1:]):
+            assert line.startswith(f"{i},0.33333333333333331,")
+            assert line.split(",")[3] == str(i + 1)
+        assert len(lines) == 4
+        bars = Path(f"{prefix}_bars.dat").read_text()
+        assert bars.startswith("# node classical_importance quantum_importance\n"
+                               "0 0.33333333333333331 ")
 
     def test_two_node_classical_value(self, tmp_path):
         net = tmp_path / "pair.net"
@@ -141,10 +162,13 @@ class TestExitCodes:
         (["stability", "--family", "sf", "--n", 8, "--grid", "coarse", "--points", -1], 2),
         (["ipr", "--family", "sf", "--sizes", "32,a"], 2),
         (["ipr", "--family", "er", "--sizes", "16,16,32"], 2),
+        (["powerlaw", "--family", "sf", "--n", 8, "--ensemble", 0], 2),
+        (["powerlaw", "--family", "sf", "--n", 8, "--ensemble", -3], 2),
         (["rank", "--input", "NOT_UTF8"], 3),
         (["rank", "--family", "sf", "--config", "NOT_UTF8"], 3),
     ], ids=["rank-seed", "ipr-seed", "attack-seed", "points-0", "points-neg", "sizes-not-int",
-            "sizes-repeated", "input-not-utf8", "config-not-utf8"])
+            "sizes-repeated", "powerlaw-ensemble-0", "powerlaw-ensemble-neg",
+            "input-not-utf8", "config-not-utf8"])
     def test_bad_input_exit_code(self, tmp_path, argv, code):
         not_utf8 = tmp_path / "latin1.net"
         not_utf8.write_bytes(b"*Vertices 1\n1 \"caf\xe9\"\n")
@@ -195,11 +219,15 @@ class TestExitCodes:
         assert peak < 2**20
         assert capsys.readouterr().err.startswith(f"error [stage=parameters]: n={n}")
 
-    def test_repeated_vertices_header_is_a_parse_error(self, tmp_path, capsys):
-        net = tmp_path / "twice.net"
-        net.write_text("*Vertices 3\n*Arcs\n1 3\n*Vertices 2\n")
-        assert run(["rank", "--input", net, "--T", 10, "--out", tmp_path]) == 3
-        assert capsys.readouterr().err.startswith("error [stage=input]: line 4: ")
+    @pytest.mark.parametrize("name, text, line", [
+        ("twice.net", "*Vertices 3\n*Arcs\n1 3\n*Vertices 2\n", 4),
+        ("twice.edges", "# nodes 5\n0 1\n# nodes 3\n", 3),
+    ], ids=["pajek", "edge-list"])
+    def test_repeated_vertices_header_is_a_parse_error(self, tmp_path, capsys, name, text, line):
+        path = tmp_path / name
+        path.write_text(text)
+        assert run(["rank", "--input", path, "--T", 10, "--out", tmp_path]) == 3
+        assert capsys.readouterr().err.startswith(f"error [stage=input]: line {line}: ")
 
     def test_negative_trajectory_writes_nothing(self, tmp_path):
         out = tmp_path / "out"
@@ -299,6 +327,28 @@ class TestStabilityCommand:
         ref_row = min(rows, key=lambda r: abs(float(r["alpha"]) - 0.3))
         assert float(ref_row["fidelity_vs_ref"]) == pytest.approx(1.0, abs=1e-12)
         assert float(ref_row["distance_vs_ref"]) == pytest.approx(0.0, abs=1e-12)
+
+    def test_sweep_bad_reference_fails_before_the_grid(self, tmp_path, monkeypatch):
+        calls = []
+        ranked = cli.importance_item
+        monkeypatch.setattr(cli, "importance_item", lambda item: calls.append(item) or ranked(item))
+        assert run(["stability", "--family", "sf", "--n", 10, "--grid", "sweep", "--alpha", 1.5,
+                    "--T", 30, "--out", tmp_path]) == 2
+        assert calls == []
+
+    def test_fine_grid_output_is_streamed(self, tmp_path):
+        # the 98 x 98 tables are written row by row, not built in memory first;
+        # an untraced first run takes the one-time allocations of a fresh process
+        argv = ["stability", "--family", "sf", "--n", 256, "--grid", "fine",
+                "--mode", "classical", "--out", tmp_path]
+        assert run(argv) == 0
+        tracemalloc.start()
+        try:
+            assert run(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
 
 class TestPowerlawCommand:

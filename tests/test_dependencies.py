@@ -1,5 +1,6 @@
 """numpy is the only run-time dependency: the package imports nothing else
-outside the standard library and itself."""
+outside the standard library and itself. The CLI writes files through one
+text writer and one table writer."""
 
 import ast
 import sys
@@ -23,3 +24,22 @@ def test_imports_are_stdlib_numpy_or_relative():
             stray += [f"{path.name}:{node.lineno} {name}" for name in names
                       if name.split(".")[0] not in ALLOWED]
     assert not stray, f"imports outside the standard library and numpy: {stray}"
+
+
+def test_cli_writes_files_only_through_its_writers():
+    cli = next(path for path in SOURCES if path.name == "cli.py")
+    writers = ("_write_text", "_write_table")
+    stray = []
+
+    def visit(node, inside):
+        inside = inside or isinstance(node, ast.FunctionDef) and node.name in writers
+        if not inside and (isinstance(node, ast.Name) and node.id in ("open", "csv")
+                           or isinstance(node, ast.Attribute) and node.attr == "write_text"
+                           or isinstance(node, ast.alias) and node.name == "csv"
+                           or isinstance(node, ast.ImportFrom) and node.module == "csv"):
+            stray.append(f"{node.lineno} {ast.unparse(node)}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    visit(ast.parse(cli.read_text(), filename=str(cli)), False)
+    assert not stray, f"cli.py writes outside _write_text and _write_table: {stray}"
