@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConvergenceError, ParameterError
-from .google import DEFAULT_MAX_ITER, DEFAULT_TOL, classical_pagerank, google_from_graph
+from .google import DEFAULT_ALPHA, DEFAULT_MAX_ITER, DEFAULT_TOL, classical_pagerank, google_from_graph
 from .graphs import DirectedGraph, GeneratorSpec, generate, remove_node
 from .walk import DEFAULT_HORIZON, SzegedyWalk
 
@@ -74,7 +74,7 @@ def node_ranks(p: np.ndarray) -> np.ndarray:
 def importance_vector(
     g: DirectedGraph,
     mode: str,
-    alpha: float = 0.85,
+    alpha: float = DEFAULT_ALPHA,
     horizon: int = DEFAULT_HORIZON,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
@@ -306,7 +306,7 @@ def attack_experiment(
     g: DirectedGraph,
     n_max: int,
     mode: str = "quantum",
-    alpha: float = 0.85,
+    alpha: float = DEFAULT_ALPHA,
     horizon: int = DEFAULT_HORIZON,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
@@ -410,7 +410,7 @@ def attack_metrics(
     g: DirectedGraph,
     removals: int,
     modes: tuple[str, ...] = ("quantum", "classical"),
-    alpha: float = 0.85,
+    alpha: float = DEFAULT_ALPHA,
     horizon: int = DEFAULT_HORIZON,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
@@ -429,7 +429,7 @@ def attack_metrics(
 def powerlaw_metrics(
     g: DirectedGraph,
     modes: tuple[str, ...] = ("quantum", "classical"),
-    alpha: float = 0.85,
+    alpha: float = DEFAULT_ALPHA,
     horizon: int = DEFAULT_HORIZON,
     i_min: int = 1,
     i_max: int | None = None,

@@ -25,8 +25,8 @@ import numpy as np
 
 from . import __version__, analysis, graphs, walk
 from .errors import ConvergenceError, ParameterError, ParseError
-from .google import (DEFAULT_MAX_ITER, DEFAULT_TOL, classical_pagerank, format_dense_matrix,
-                     google_from_graph)
+from .google import (DEFAULT_ALPHA, DEFAULT_MAX_ITER, DEFAULT_TOL, classical_pagerank,
+                     format_dense_matrix, google_from_graph)
 
 EXIT_OK = 0
 EXIT_PARAMETER = 2
@@ -151,7 +151,7 @@ def _prefix(cmd: str, label: str, **parts) -> str:
 # ---------------------------------------------------------------------------
 
 
-def cmd_generate(args) -> int:
+def cmd_generate(args) -> tuple[str, None]:
     spec = _spec_from_args(args)
     g = graphs.generate(spec)
     outdir = Path(args.out)
@@ -165,12 +165,11 @@ def cmd_generate(args) -> int:
         ((k, in_hist[k] if k < len(in_hist) else 0, out_hist[k] if k < len(out_hist) else 0)
          for k in range(max(len(in_hist), len(out_hist)))),
     )
-    _echo_config(outdir, label, args)
     print(f"wrote {label}.edges / .net / _degrees.csv to {outdir} ({g.n} nodes, {g.num_edges} edges)")
-    return EXIT_OK
+    return label, None
 
 
-def cmd_rank(args) -> int:
+def cmd_rank(args) -> tuple[str, dict]:
     if args.trajectory < 0:
         raise ParameterError(f"--trajectory {args.trajectory} must be >= 0")
     g, label = _graph_from_args(args)
@@ -182,7 +181,8 @@ def cmd_rank(args) -> int:
     q_ranks = analysis.node_ranks(quantum)
 
     outdir = Path(args.out)
-    prefix = _prefix("rank", label, n=g.n, a=args.alpha, T=args.T)
+    prefix = _prefix("rank", label, n=g.n, a=args.alpha, T=args.T,
+                     seed=None if args.input else args.seed)
     _write_table(
         outdir / f"{prefix}.csv",
         ("node", "classical_importance", "quantum_importance", "classical_rank", "quantum_rank"),
@@ -205,7 +205,6 @@ def cmd_rank(args) -> int:
         "top_share_classical": float(classical.max()),
         "top_share_quantum": float(quantum.max()),
     }
-    _write_json(outdir / f"{prefix}_summary.json", summary)
     if args.trajectory:
         traj = qwalk.trajectory(args.trajectory)
         _write_table(
@@ -215,21 +214,15 @@ def cmd_rank(args) -> int:
         )
     if args.dump_matrix:
         _write_text(outdir / f"{prefix}_google.txt", format_dense_matrix(gm.toarray()))
-    _echo_config(outdir, prefix, args)
     print(f"wrote {prefix}.csv to {outdir}")
-    return EXIT_OK
+    return prefix, summary
 
 
 def _modes(mode: str) -> tuple[str, ...]:
-    if mode == "both":
-        return ("quantum", "classical")
-    # a config-file value is not checked against the flag's choices
-    if mode not in analysis.MODES:
-        raise ParameterError(f"unknown mode {mode!r}, expected quantum, classical or both")
-    return (mode,)
+    return analysis.MODES if mode == "both" else (mode,)
 
 
-def cmd_ipr(args) -> int:
+def cmd_ipr(args) -> tuple[str, dict]:
     try:
         sizes = [int(tok) for tok in args.sizes.split(",") if tok]
     except ValueError:
@@ -270,38 +263,29 @@ def cmd_ipr(args) -> int:
         )
         print(f"{mode}: slope {fit.slope:.4f} -> {fit.label}")
     _write_table(outdir / f"{prefix}.csv", ("n", *(f"xi_{m}" for m in modes)), zip(sizes, *xis))
-    _write_json(outdir / f"{prefix}_summary.json", summary)
-    _echo_config(outdir, prefix, args)
-    return EXIT_OK
+    return prefix, summary
 
 
 def _spec_with_n(args, n: int, seed: int) -> graphs.GeneratorSpec:
     return dataclasses.replace(_spec_from_args(args, seed=seed), n=n)
 
 
-def _alpha_grid(args) -> np.ndarray:
-    if args.grid == "coarse":
-        return analysis.coarse_alpha_grid(args.points)
-    if args.grid in ("fine", "sweep"):
-        return analysis.coarse_alpha_grid(98)
-    # a config-file value is not checked against the flag's choices
-    raise ParameterError(f"unknown grid {args.grid!r}, expected coarse, fine or sweep")
-
-
-def cmd_stability(args) -> int:
+def cmd_stability(args) -> tuple[str, dict]:
     g, label = _graph_from_args(args)
     outdir = Path(args.out)
-    alphas = _alpha_grid(args)
-    prefix = _prefix("stability", label, n=g.n, T=args.T, seed=args.seed)
+    alphas = analysis.coarse_alpha_grid(args.points if args.grid == "coarse" else 98)
+    sweep = args.grid == "sweep"
+    prefix = _prefix("stability", label, n=g.n, a=args.alpha if sweep else None, T=args.T,
+                     seed=args.seed)
     prefix += f"_{args.grid}_{args.mode}"
-    if args.grid == "sweep":  # the reference first, so that a bad --alpha fails fast
+    if sweep:  # the reference first, so that a bad --alpha fails fast
         ref_vec = analysis.importance_vector(
             g, args.mode, alpha=args.alpha, horizon=args.T, tol=args.tol, max_iter=args.max_iter
         )
     items = [(g, args.mode, float(a), args.T, args.tol, args.max_iter) for a in alphas]
     vectors = parallel_map(importance_item, items, args.jobs)
 
-    if args.grid == "sweep":
+    if sweep:
         rows = [
             (a, analysis.classical_fidelity(v, ref_vec), analysis.qpr_distance(v, ref_vec))
             for a, v in zip(alphas, vectors)
@@ -329,43 +313,36 @@ def cmd_stability(args) -> int:
             "max_distance": float(grid.distance.max()),
         }
         print(f"min fidelity {summary['min_fidelity']:.4f}  max distance {summary['max_distance']:.4f}")
-    _write_json(outdir / f"{prefix}_summary.json", summary)
-    _echo_config(outdir, prefix, args)
-    return EXIT_OK
+    return prefix, summary
 
 
-def _run_ensemble(args, command: str, experiment) -> tuple[analysis.EnsembleReport, str]:
-    """Run ``experiment`` over the seeded ensemble the flags describe, write its
-    summary JSON and config echo, and return the report and the file prefix."""
+def _run_ensemble(args, command: str, experiment) -> tuple[analysis.EnsembleReport, str, dict]:
+    """Run ``experiment`` over the seeded ensemble the flags describe; return
+    the report, the file prefix and the run summary."""
     report = analysis.ensemble_run(
         _spec_from_args(args), args.ensemble, experiment,
         map_fn=functools.partial(parallel_map, jobs=args.jobs),
     )
-    outdir = Path(args.out)
     prefix = _prefix(command, args.family, n=args.n, a=args.alpha, T=args.T, seed=args.seed)
-    prefix += f"_ens{args.ensemble}"
-    _write_json(
-        outdir / f"{prefix}_summary.json",
-        {
-            "ensemble": report.count,
-            "failures": report.failures,
-            "failure_messages": list(report.failure_messages),
-            "means": report.means,
-            "stddevs": report.stds,
-        },
-    )
-    _echo_config(outdir, prefix, args)
-    return report, prefix
+    summary = {
+        "ensemble": report.count,
+        "failures": report.failures,
+        "failure_messages": list(report.failure_messages),
+        "means": report.means,
+        "stddevs": report.stds,
+    }
+    return report, f"{prefix}_ens{args.ensemble}", summary
 
 
-def cmd_powerlaw(args) -> int:
+def cmd_powerlaw(args) -> tuple[str, dict]:
     if args.ensemble < 1:
         raise ParameterError(f"--ensemble {args.ensemble} must be >= 1")
     outdir = Path(args.out)
     modes = _modes(args.mode)
     if args.input or args.ensemble == 1:
         g, label = _graph_from_args(args)
-        prefix = _prefix("powerlaw", label, n=g.n, a=args.alpha, T=args.T)
+        prefix = _prefix("powerlaw", label, n=g.n, a=args.alpha, T=args.T,
+                         seed=None if args.input else args.seed)
         summary: dict = {"n": g.n, "alpha": args.alpha}
         for mode in modes:
             p = analysis.importance_vector(
@@ -387,9 +364,7 @@ def cmd_powerlaw(args) -> int:
                 sep=" ",
             )
             print(f"{mode}: beta {fit.beta:.4f}  c {fit.c:.4g}  residual {fit.residual:.4f}")
-        _write_json(outdir / f"{prefix}_summary.json", summary)
-        _echo_config(outdir, prefix, args)
-        return EXIT_OK
+        return prefix, summary
 
     experiment = functools.partial(
         analysis.powerlaw_metrics,
@@ -401,7 +376,7 @@ def cmd_powerlaw(args) -> int:
         tol=args.tol,
         max_iter=args.max_iter,
     )
-    report, prefix = _run_ensemble(args, "powerlaw", experiment)
+    report, prefix, summary = _run_ensemble(args, "powerlaw", experiment)
     _write_table(
         outdir / f"{prefix}.csv",
         ("metric", "mean", "stddev"),
@@ -410,12 +385,10 @@ def cmd_powerlaw(args) -> int:
     for mode in modes:
         print(f"{mode}: mean beta {report.means[f'beta_{mode}']:.4f} "
               f"(std {report.stds[f'beta_{mode}']:.4f})")
-    return EXIT_OK
+    return prefix, summary
 
 
-def cmd_attack(args) -> int:
-    if args.input:
-        raise ParameterError("attack runs on generated ensembles; use --family")
+def cmd_attack(args) -> tuple[str, dict]:
     modes = _modes(args.mode)
     experiment = functools.partial(
         analysis.attack_metrics,
@@ -426,7 +399,7 @@ def cmd_attack(args) -> int:
         tol=args.tol,
         max_iter=args.max_iter,
     )
-    report, prefix = _run_ensemble(args, "attack", experiment)
+    report, prefix, summary = _run_ensemble(args, "attack", experiment)
     outdir = Path(args.out)
     removals = range(1, args.removals + 1)
     _write_table(
@@ -444,7 +417,7 @@ def cmd_attack(args) -> int:
             sep=" ",
         )
     print(f"wrote {prefix}.csv to {outdir} ({report.failures} failed runs)")
-    return EXIT_OK
+    return prefix, summary
 
 
 # ---------------------------------------------------------------------------
@@ -459,7 +432,7 @@ def _add_common(sp: argparse.ArgumentParser, *, ranking: bool = True) -> None:
     sp.add_argument("--jobs", type=int, default=1, help="worker processes for independent runs")
     sp.add_argument("--config", default=None, help="key=value defaults file; flags override")
     if ranking:
-        sp.add_argument("--alpha", type=float, default=0.85,
+        sp.add_argument("--alpha", type=float, default=DEFAULT_ALPHA,
                         help="damping parameter (stability --grid sweep: the reference)")
         sp.add_argument("--T", type=int, default=walk.DEFAULT_HORIZON,
                         help="quantum averaging horizon (double-steps)")
@@ -535,7 +508,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     sp.set_defaults(func=cmd_powerlaw)
 
     sp = sub.add_parser("attack", help="iterated hub removal over a seeded ensemble")
-    _add_generator(sp, with_input=True)
+    _add_generator(sp)
     _add_common(sp)
     sp.add_argument("--mode", choices=("quantum", "classical", "both"), default="both")
     sp.add_argument("--removals", type=int, default=5, help="nodes to remove, one per round")
@@ -566,10 +539,13 @@ def _apply_config(sp: argparse.ArgumentParser, parsed: dict, values: dict[str, s
     """Make config-file entries the subcommand's defaults.
 
     Flags given on the command line still win on the re-parse, which also
-    type-converts the string values. Keys the chosen subcommand does not
-    define are skipped, so one config file can serve several subcommands.
-    Boolean flags take 1/true/yes as set.
+    type-converts the string values. A value outside its flag's choices is a
+    parameter error here, since argparse checks choices on the command line
+    only. Keys the chosen subcommand does not define are skipped, so one
+    config file can serve several subcommands. Boolean flags take 1/true/yes
+    as set.
     """
+    choices = {action.dest: action.choices for action in sp._actions}
     defaults = {}
     for key, value in values.items():
         dest = key.replace("-", "_")
@@ -577,12 +553,17 @@ def _apply_config(sp: argparse.ArgumentParser, parsed: dict, values: dict[str, s
             continue
         if isinstance(parsed[dest], bool):
             defaults[dest] = value.lower() in ("1", "true", "yes")
+        elif choices.get(dest) is not None and value not in choices[dest]:
+            raise ParameterError(f"config {key}={value!r} is not one of {', '.join(choices[dest])}")
         else:
             defaults[dest] = value
     sp.set_defaults(**defaults)
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand: parse and check the flags, run it, then record the
+    run as ``<prefix>_summary.json``, when it has a summary, and
+    ``<prefix>_run_config.json``."""
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, subparsers = build_parser()
     try:
@@ -590,7 +571,12 @@ def main(argv: list[str] | None = None) -> int:
         if args.config is not None:
             _apply_config(subparsers[args.command], vars(args), _read_config_file(args.config))
             args = parser.parse_args(argv)
-        return args.func(args)
+        prefix, summary = args.func(args)
+        outdir = Path(args.out)
+        if summary is not None:
+            _write_json(outdir / f"{prefix}_summary.json", summary)
+        _echo_config(outdir, prefix, args)
+        return EXIT_OK
     except ParseError as exc:
         print(f"error [stage=input]: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -9,6 +9,7 @@ import numpy as np
 from .errors import ConvergenceError, ParameterError
 from .graphs import DirectedGraph
 
+DEFAULT_ALPHA = 0.85
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 100_000
 

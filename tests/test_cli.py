@@ -7,12 +7,13 @@ import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from qprank import __version__, cli, load_edge_list, load_pajek
+from qprank import __version__, analysis, cli, graphs, load_edge_list, load_pajek
 from qprank.cli import build_parser, main
 
-from conftest import epa_path
+from conftest import dense_google, epa_path
 
 
 def run(args) -> int:
@@ -111,22 +112,46 @@ class TestRank:
     def test_summary_and_config_echo(self, tmp_path):
         assert run(["rank", "--family", "sf", "--n", 16, "--seed", 2, "--T", 50,
                     "--out", tmp_path]) == 0
-        summary = json.loads((tmp_path / "rank_sf_n16_a0.85_T50_summary.json").read_text())
+        summary = json.loads((tmp_path / "rank_sf_n16_a0.85_T50_seed2_summary.json").read_text())
         assert {"degeneracy_resolution_classical", "degeneracy_resolution_quantum"} <= set(summary)
-        config = json.loads((tmp_path / "rank_sf_n16_a0.85_T50_run_config.json").read_text())
+        config = json.loads((tmp_path / "rank_sf_n16_a0.85_T50_seed2_run_config.json").read_text())
         assert config["version"] == __version__
         assert config["params"]["seed"] == 2
 
     def test_trajectory_dump(self, tmp_path):
         assert run(["rank", "--family", "sf", "--n", 8, "--seed", 1, "--T", 20,
                     "--trajectory", 6, "--out", tmp_path]) == 0
-        rows = read_rows(tmp_path / "rank_sf_n8_a0.85_T20_trajectory.csv")
+        rows = read_rows(tmp_path / "rank_sf_n8_a0.85_T20_seed1_trajectory.csv")
         assert len(rows) == 6 * 8
         by_t = {}
         for r in rows:
             by_t.setdefault(int(r["t"]), 0.0)
             by_t[int(r["t"])] += float(r["instantaneous_qpr"])
         assert all(abs(total - 1.0) < 1e-9 for total in by_t.values())
+
+    def test_dump_matrix_round_trips(self, tmp_path):
+        edges = tmp_path / "c3.edges"
+        edges.write_text("0 1\n1 2\n1 0\n")
+        assert run(["rank", "--input", edges, "--T", 10, "--dump-matrix", "--out", tmp_path]) == 0
+        text = (tmp_path / "rank_c3_n3_a0.85_T10_google.txt").read_text()
+        dumped = np.array([[float(x) for x in line.split()] for line in text.splitlines()])
+        # 17 significant digits carry every bit of a float64
+        assert np.array_equal(dumped, dense_google(load_edge_list(edges.read_text()), 0.85).entries)
+
+
+@pytest.mark.parametrize("argv, flag, values", [
+    (["rank", "--family", "sf", "--n", 32], "--seed", (3, 4)),
+    (["powerlaw", "--family", "sf", "--n", 32, "--ensemble", 1], "--seed", (3, 4)),
+    (["stability", "--family", "sf", "--n", 16, "--grid", "sweep"], "--alpha", (0.5, 0.3)),
+], ids=["rank-seed", "powerlaw-seed", "sweep-reference"])
+def test_runs_differing_in_one_value_keep_their_files(tmp_path, argv, flag, values):
+    counts = []
+    for value in values:
+        assert run(argv + [flag, value, "--T", 20, "--out", tmp_path]) == 0
+        counts.append(len(list(tmp_path.iterdir())))
+    assert counts[1] == 2 * counts[0]
+    configs = tmp_path.glob("*_run_config.json")
+    assert {json.loads(path.read_text())["params"][flag[2:]] for path in configs} == set(values)
 
 
 class TestExitCodes:
@@ -148,11 +173,11 @@ class TestExitCodes:
     def test_missing_graph_source(self, tmp_path):
         assert run(["rank", "--out", tmp_path]) == 2
 
-    def test_attack_rejects_file_input(self, tmp_path):
+    def test_attack_rejects_file_input(self, tmp_path):  # attack has no --input
         net = tmp_path / "g.net"
         net.write_text("*Vertices 2\n*Arcs\n1 2\n")
-        assert run(["attack", "--input", net, "--removals", 1, "--ensemble", 2,
-                    "--out", tmp_path]) == 2
+        assert exit_code(["attack", "--input", net, "--removals", 1, "--ensemble", 2,
+                          "--out", tmp_path]) == 2
 
     @pytest.mark.parametrize("argv, code", [
         (["rank", "--family", "sf", "--seed", -1], 2),
@@ -166,13 +191,18 @@ class TestExitCodes:
         (["powerlaw", "--family", "sf", "--n", 8, "--ensemble", -3], 2),
         (["rank", "--input", "NOT_UTF8"], 3),
         (["rank", "--family", "sf", "--config", "NOT_UTF8"], 3),
+        (["ipr", "--family", "hier3", "--sizes", "9,27"], 2),
+        (["rank", "--input", "NO_NODES"], 2),
+        (["attack", "--family", "sf", "--n", 8, "--ensemble", 2, "--max-iter", 1], 2),
     ], ids=["rank-seed", "ipr-seed", "attack-seed", "points-0", "points-neg", "sizes-not-int",
             "sizes-repeated", "powerlaw-ensemble-0", "powerlaw-ensemble-neg",
-            "input-not-utf8", "config-not-utf8"])
+            "input-not-utf8", "config-not-utf8", "ipr-hier3", "empty-graph", "every-seed-fails"])
     def test_bad_input_exit_code(self, tmp_path, argv, code):
-        not_utf8 = tmp_path / "latin1.net"
-        not_utf8.write_bytes(b"*Vertices 1\n1 \"caf\xe9\"\n")
-        argv = [not_utf8 if a == "NOT_UTF8" else a for a in argv]
+        files = {"NOT_UTF8": ("latin1.net", b"*Vertices 1\n1 \"caf\xe9\"\n"),
+                 "NO_NODES": ("empty.edges", b"# nodes 0\n")}
+        for name, data in files.values():
+            (tmp_path / name).write_bytes(data)
+        argv = [tmp_path / files[a][0] if a in files else a for a in argv]
         assert exit_code(argv + ["--T", 10, "--out", tmp_path]) == code
 
     def test_out_naming_a_file(self, tmp_path, capsys):
@@ -222,12 +252,30 @@ class TestExitCodes:
     @pytest.mark.parametrize("name, text, line", [
         ("twice.net", "*Vertices 3\n*Arcs\n1 3\n*Vertices 2\n", 4),
         ("twice.edges", "# nodes 5\n0 1\n# nodes 3\n", 3),
-    ], ids=["pajek", "edge-list"])
-    def test_repeated_vertices_header_is_a_parse_error(self, tmp_path, capsys, name, text, line):
+        ("no-count.net", "*Vertices\n", 1),
+        ("bad-count.net", "*Vertices x\n", 1),
+        ("negative-count.net", "*Vertices -1\n", 1),
+        ("section.net", "*Vertices 2\n*Network x\n", 2),
+        ("one-endpoint.net", "*Vertices 2\n*Arcs\n1\n", 3),
+        ("no-section.net", "% a comment only\n", None),
+        ("not-integer.edges", "0 1\n1 a\n", 2),
+        ("negative.edges", "0 -1\n", 1),
+        ("beyond-count.edges", "# nodes 2\n0 2\n", None),
+        ("no-equals.cfg", "T=10\nalpha 0.5\n", 2),
+    ], ids=["repeated-vertices", "repeated-nodes", "vertices-no-count", "vertices-bad-count",
+            "vertices-negative-count", "unsupported-section", "one-endpoint", "no-section",
+            "non-integer-endpoint", "negative-endpoint", "endpoint-beyond-count",
+            "config-without-equals"])
+    def test_malformed_file_is_a_parse_error(self, tmp_path, capsys, name, text, line):
         path = tmp_path / name
         path.write_text(text)
-        assert run(["rank", "--input", path, "--T", 10, "--out", tmp_path]) == 3
-        assert capsys.readouterr().err.startswith(f"error [stage=input]: line {line}: ")
+        flag = "--config" if name.endswith(".cfg") else "--input"
+        assert run(["rank", flag, path, "--T", 10, "--out", tmp_path]) == 3
+        err = capsys.readouterr().err
+        if line is None:
+            assert err.startswith("error [stage=input]: ") and "line" not in err
+        else:
+            assert err.startswith(f"error [stage=input]: line {line}: ")
 
     def test_negative_trajectory_writes_nothing(self, tmp_path):
         out = tmp_path / "out"
@@ -243,11 +291,11 @@ class TestConfigFile:
         cfg.write_text("# shared settings\nalpha=0.5\nT=40\nseed=9\n")
         out1 = tmp_path / "o1"
         assert run(["rank", "--family", "sf", "--n", 10, "--config", cfg, "--out", out1]) == 0
-        assert (out1 / "rank_sf_n10_a0.5_T40.csv").exists()
+        assert (out1 / "rank_sf_n10_a0.5_T40_seed9.csv").exists()
         out2 = tmp_path / "o2"
         assert run(["rank", "--family", "sf", "--n", 10, "--config", cfg,
                     "--alpha", 0.85, "--out", out2]) == 0
-        assert (out2 / "rank_sf_n10_a0.85_T40.csv").exists()
+        assert (out2 / "rank_sf_n10_a0.85_T40_seed9.csv").exists()
 
     def test_unknown_keys_ignored(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -259,7 +307,7 @@ class TestConfigFile:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("n=20\nT=30\n")
         assert run(["rank", "--family", "sf", f"--config={cfg}", "--out", tmp_path]) == 0
-        assert (tmp_path / "rank_sf_n20_a0.85_T30.csv").exists()
+        assert (tmp_path / "rank_sf_n20_a0.85_T30_seed0.csv").exists()
 
     def test_trailing_config_flag_exits_2(self, tmp_path):
         assert exit_code(["rank", "--family", "sf", "--out", tmp_path, "--config"]) == 2
@@ -276,12 +324,26 @@ class TestConfigFile:
         ("rank", "alpha=abc"),
         ("stability", "grid=bogus"),
         ("attack", "mode=bogus"),
+        ("ipr", "mode=bogus"),
+        ("stability", "mode=both"),
     ])
-    def test_bad_value_exits_2(self, tmp_path, command, entry):
+    def test_bad_value_exits_2(self, tmp_path, capsys, monkeypatch, command, entry):
+        # rejected as the flags are read, before any graph is built
+        generated = []
+        build = graphs.generate
+
+        def counted(spec):
+            generated.append(spec)
+            return build(spec)
+
+        monkeypatch.setattr(graphs, "generate", counted)
+        monkeypatch.setattr(analysis, "generate", counted)  # the ensembles' own reference
         cfg = tmp_path / "run.cfg"
         cfg.write_text(entry + "\n")
         assert exit_code([command, "--family", "sf", "--n", 8, "--T", 20, "--config", cfg,
                           "--out", tmp_path]) == 2
+        assert entry.split("=")[0] in capsys.readouterr().err
+        assert generated == []
 
 
 class TestIprCommand:
@@ -312,7 +374,7 @@ class TestStabilityCommand:
     def test_sweep_mode(self, tmp_path):
         assert run(["stability", "--family", "sf", "--n", 10, "--grid", "sweep",
                     "--T", 30, "--seed", 1, "--out", tmp_path]) == 0
-        rows = read_rows(tmp_path / "stability_sf_n10_T30_seed1_sweep_quantum.csv")
+        rows = read_rows(tmp_path / "stability_sf_n10_a0.85_T30_seed1_sweep_quantum.csv")
         assert len(rows) == 98
         ref_row = min(rows, key=lambda r: abs(float(r["alpha"]) - 0.85))
         assert float(ref_row["fidelity_vs_ref"]) == pytest.approx(1.0, abs=1e-12)
@@ -320,7 +382,7 @@ class TestStabilityCommand:
     def test_sweep_reference_is_alpha(self, tmp_path):
         assert run(["stability", "--family", "sf", "--n", 10, "--grid", "sweep", "--alpha", 0.3,
                     "--T", 30, "--seed", 1, "--out", tmp_path]) == 0
-        prefix = "stability_sf_n10_T30_seed1_sweep_quantum"
+        prefix = "stability_sf_n10_a0.3_T30_seed1_sweep_quantum"
         header = (tmp_path / f"{prefix}.dat").read_text().splitlines()[0]
         assert header == "# alpha fidelity_vs_0.3 distance"
         rows = read_rows(tmp_path / f"{prefix}.csv")
@@ -355,7 +417,7 @@ class TestPowerlawCommand:
     def test_single_instance_modes(self, tmp_path):
         assert run(["powerlaw", "--family", "sf", "--n", 32, "--ensemble", 1,
                     "--T", 60, "--seed", 5, "--mode", "both", "--out", tmp_path]) == 0
-        summary = json.loads((tmp_path / "powerlaw_sf_n32_a0.85_T60_summary.json").read_text())
+        summary = json.loads((tmp_path / "powerlaw_sf_n32_a0.85_T60_seed5_summary.json").read_text())
         assert summary["quantum"]["beta"] > 0
         assert summary["classical"]["beta"] > 0
 

@@ -338,7 +338,7 @@ class TestEdgeList:
         assert again.n == 5 and again.edges == g.edges
 
     def test_comments_ignored(self):
-        g = load_edge_list("# free comment\n0 1\n# another\n1 0\n")
+        g = load_edge_list("# free comment\n0 1\n\n# another\n1 0\n")
         assert g.n == 2 and g.num_edges == 2
 
     def test_malformed(self):
