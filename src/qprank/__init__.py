@@ -19,7 +19,6 @@ from .analysis import (
     power_law_fit,
     qpr_distance,
     rank_list,
-    stability_grid,
 )
 from .errors import ConvergenceError, ParameterError, ParseError
 from .google import (

@@ -188,25 +188,6 @@ def pairwise_stability(vectors: list[np.ndarray], alphas) -> StabilityGrid:
     return StabilityGrid(np.asarray(alphas, dtype=np.float64), fid, dist)
 
 
-def stability_grid(
-    g: DirectedGraph,
-    alphas,
-    horizon: int = DEFAULT_HORIZON,
-    mode: str = "quantum",
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> StabilityGrid:
-    """Rank ``g`` at every damping value and compare all pairs."""
-    for a in alphas:
-        if not 0.0 < a < 1.0:
-            raise ParameterError(f"damping alpha={a} outside (0, 1)")
-    vectors = [
-        importance_vector(g, mode, alpha=a, horizon=horizon, tol=tol, max_iter=max_iter)
-        for a in alphas
-    ]
-    return pairwise_stability(vectors, alphas)
-
-
 # ---------------------------------------------------------------------------
 # Power-law structure of sorted rankings
 # ---------------------------------------------------------------------------

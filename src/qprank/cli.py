@@ -170,8 +170,6 @@ def cmd_generate(args) -> tuple[str, None]:
 
 
 def cmd_rank(args) -> tuple[str, dict]:
-    if args.trajectory < 0:
-        raise ParameterError(f"--trajectory {args.trajectory} must be >= 0")
     g, label = _graph_from_args(args)
     gm = google_from_graph(g, args.alpha)
     classical = classical_pagerank(gm, tol=args.tol, max_iter=args.max_iter)
@@ -275,28 +273,22 @@ def cmd_stability(args) -> tuple[str, dict]:
     outdir = Path(args.out)
     alphas = analysis.coarse_alpha_grid(args.points if args.grid == "coarse" else 98)
     sweep = args.grid == "sweep"
+    if sweep:  # the reference --alpha is ranked first, as row 0 of the grid
+        alphas = np.concatenate(([args.alpha], alphas))
     prefix = _prefix("stability", label, n=g.n, a=args.alpha if sweep else None, T=args.T,
                      seed=args.seed)
     prefix += f"_{args.grid}_{args.mode}"
-    if sweep:  # the reference first, so that a bad --alpha fails fast
-        ref_vec = analysis.importance_vector(
-            g, args.mode, alpha=args.alpha, horizon=args.T, tol=args.tol, max_iter=args.max_iter
-        )
     items = [(g, args.mode, float(a), args.T, args.tol, args.max_iter) for a in alphas]
-    vectors = parallel_map(importance_item, items, args.jobs)
+    grid = analysis.pairwise_stability(parallel_map(importance_item, items, args.jobs), alphas)
 
     if sweep:
-        rows = [
-            (a, analysis.classical_fidelity(v, ref_vec), analysis.qpr_distance(v, ref_vec))
-            for a, v in zip(alphas, vectors)
-        ]
+        rows = list(zip(alphas[1:], grid.fidelity[0, 1:], grid.distance[0, 1:]))
         _write_table(outdir / f"{prefix}.csv",
                      ("alpha", "fidelity_vs_ref", "distance_vs_ref"), rows)
         _write_table(outdir / f"{prefix}.dat",
                      ("#", "alpha", f"fidelity_vs_{args.alpha:g}", "distance"), rows, sep=" ")
         summary = {"alpha_ref": args.alpha, "n": g.n, "mode": args.mode}
     else:
-        grid = analysis.pairwise_stability(vectors, alphas)
         for name, table in (("fidelity", grid.fidelity), ("distance", grid.distance)):
             _write_table(outdir / f"{prefix}_{name}.csv", ("alpha", *alphas),
                          ((a, *row) for a, row in zip(alphas, table)))
@@ -535,6 +527,26 @@ def _read_config_file(path: str) -> dict[str, str]:
     return values
 
 
+BOOLEAN_WORDS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+# The range of each numeric flag that a subcommand may define, as (rule, test).
+NUMERIC_FLAG_RULES = {
+    "alpha": ("in (0, 1)", lambda v: 0.0 < v < 1.0),
+    "T": (">= 1", lambda v: v >= 1),
+    "tol": (">= 0", lambda v: v >= 0.0),
+    "max_iter": (">= 1", lambda v: v >= 1),
+    "jobs": (">= 1", lambda v: v >= 1),
+    "trajectory": (">= 0", lambda v: v >= 0),
+}
+
+
+def _check_numeric_flags(args: argparse.Namespace) -> None:
+    for dest, (rule, holds) in NUMERIC_FLAG_RULES.items():
+        value = getattr(args, dest, None)
+        if value is not None and not holds(value):
+            raise ParameterError(f"--{dest.replace('_', '-')} {value} must be {rule}")
+
+
 def _apply_config(sp: argparse.ArgumentParser, parsed: dict, values: dict[str, str]) -> None:
     """Make config-file entries the subcommand's defaults.
 
@@ -542,8 +554,8 @@ def _apply_config(sp: argparse.ArgumentParser, parsed: dict, values: dict[str, s
     type-converts the string values. A value outside its flag's choices is a
     parameter error here, since argparse checks choices on the command line
     only. Keys the chosen subcommand does not define are skipped, so one
-    config file can serve several subcommands. Boolean flags take 1/true/yes
-    as set.
+    config file can serve several subcommands. Boolean flags take a word of
+    BOOLEAN_WORDS, in any case.
     """
     choices = {action.dest: action.choices for action in sp._actions}
     defaults = {}
@@ -552,7 +564,10 @@ def _apply_config(sp: argparse.ArgumentParser, parsed: dict, values: dict[str, s
         if dest in ("command", "config", "func") or dest not in parsed:
             continue
         if isinstance(parsed[dest], bool):
-            defaults[dest] = value.lower() in ("1", "true", "yes")
+            if value.lower() not in BOOLEAN_WORDS:
+                raise ParameterError(f"config {key}={value!r} is not one of "
+                                     f"{', '.join(BOOLEAN_WORDS)}")
+            defaults[dest] = BOOLEAN_WORDS[value.lower()]
         elif choices.get(dest) is not None and value not in choices[dest]:
             raise ParameterError(f"config {key}={value!r} is not one of {', '.join(choices[dest])}")
         else:
@@ -571,6 +586,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.config is not None:
             _apply_config(subparsers[args.command], vars(args), _read_config_file(args.config))
             args = parser.parse_args(argv)
+        _check_numeric_flags(args)
         prefix, summary = args.func(args)
         outdir = Path(args.out)
         if summary is not None:

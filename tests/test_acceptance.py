@@ -6,6 +6,8 @@ warning when the file is absent (see conftest.epa_path).
 """
 
 
+import json
+
 import numpy as np
 import pytest
 
@@ -28,9 +30,8 @@ from qprank import (
     load_pajek,
     power_law_fit,
     rank_list,
-    stability_grid,
 )
-from qprank.analysis import attack_metrics, coarse_alpha_grid, powerlaw_metrics
+from qprank.analysis import attack_metrics, powerlaw_metrics
 from qprank.cli import main as cli_main
 
 from conftest import complete, cycle, epa_path, random_graph
@@ -160,17 +161,30 @@ def test_criterion_06_localization_phases():
     note(6, f"phase classification counts {counts}")
 
 
-def test_criterion_07_stability_bounds():
-    g = gen_scale_free(128, seed=7)
-    grid = stability_grid(g, coarse_alpha_grid(), horizon=1000, mode="quantum")
-    min_fid = float(grid.fidelity.min())
-    max_dist = float(grid.distance.max())
+# Criterion 7's two runs, exactly as the README's "Paper experiments" lists them;
+# the defaults give T = 1000 and the 20-point coarse grid.
+STABILITY_QUANTUM_ARGV = ("stability", "--family", "sf", "--n", "128", "--grid", "coarse",
+                          "--mode", "quantum", "--seed", "7")
+STABILITY_CLASSICAL_ARGV = ("stability", "--family", "sf", "--n", "256", "--grid", "coarse",
+                            "--mode", "classical", "--seed", "24")
+
+
+def test_criterion_07_stability_bounds(tmp_path):
+    def run(argv):
+        out = tmp_path / argv[argv.index("--mode") + 1]
+        assert cli_main([*argv, "--out", str(out)]) == 0
+        (config,) = out.glob("*_run_config.json")
+        params = json.loads(config.read_text())["params"]
+        assert (params["T"], params["points"]) == (1000, 20)
+        (summary,) = out.glob("*_summary.json")
+        return json.loads(summary.read_text())
+
+    quantum = run(STABILITY_QUANTUM_ARGV)
+    min_fid, max_dist = quantum["min_fidelity"], quantum["max_distance"]
     assert min_fid >= 0.85, f"min quantum fidelity {min_fid:.4f}"
     assert max_dist <= 0.25, f"max quantum distance {max_dist:.4f}"
 
-    g_cl = gen_scale_free(256, seed=24)
-    grid_cl = stability_grid(g_cl, coarse_alpha_grid(), mode="classical")
-    min_cl = float(grid_cl.fidelity.min())
+    min_cl = run(STABILITY_CLASSICAL_ARGV)["min_fidelity"]
     assert min_cl < 0.6, f"classical minimum fidelity {min_cl:.4f} never dropped below 0.6"
     note(7, f"quantum plateau: min fidelity {min_fid:.3f}, max distance {max_dist:.3f}; "
             f"classical dips to {min_cl:.3f}")
@@ -241,6 +255,8 @@ def test_criterion_11_cli_determinism(tmp_path):
         run(["ipr", "--family", "er", "--sizes", "8,16", "--T", 40, "--seed", 4,
              "--mode", "both", "--jobs", jobs, "--out", out])
         run(["stability", "--family", "sf", "--n", 10, "--grid", "coarse", "--points", 4,
+             "--T", 40, "--seed", 4, "--jobs", jobs, "--out", out])
+        run(["stability", "--family", "sf", "--n", 10, "--grid", "sweep", "--alpha", 0.6,
              "--T", 40, "--seed", 4, "--jobs", jobs, "--out", out])
         run(["powerlaw", "--family", "sf", "--n", 16, "--ensemble", 4, "--T", 40,
              "--seed", 4, "--jobs", jobs, "--out", out])

@@ -28,7 +28,6 @@ from qprank import (
     qpr_distance,
     rank_list,
     remove_node,
-    stability_grid,
 )
 from qprank.analysis import (
     MODES,
@@ -229,19 +228,25 @@ class TestFidelityAndDistance:
         assert qpr_distance(p, s) <= qpr_distance(p, q) + qpr_distance(q, s) + 1e-14
 
 
+def ranked_grid(g, alphas, mode, **kwargs):
+    """The stability grid as ``stability`` builds it: one ranking per damping value."""
+    vectors = [importance_vector(g, mode, alpha=a, **kwargs) for a in alphas]
+    return pairwise_stability(vectors, alphas)
+
+
 class TestStabilityGrid:
     def test_diagonals(self):
-        grid = stability_grid(cycle(4), [0.2, 0.5, 0.8], horizon=50, mode="quantum")
+        grid = ranked_grid(cycle(4), [0.2, 0.5, 0.8], "quantum", horizon=50)
         assert np.abs(np.diag(grid.fidelity) - 1.0).max() < 1e-12
         assert np.abs(np.diag(grid.distance)).max() == 0.0
 
     def test_cycle_fidelity_is_one_everywhere(self):
-        grid = stability_grid(cycle(3), [0.1, 0.5, 0.9], horizon=50, mode="classical")
+        grid = ranked_grid(cycle(3), [0.1, 0.5, 0.9], "classical", horizon=50)
         assert np.abs(grid.fidelity - 1.0).max() < 1e-10
 
     def test_alpha_validation(self):
         with pytest.raises(ParameterError):
-            stability_grid(cycle(3), [0.5, 1.2], mode="classical")
+            ranked_grid(cycle(3), [0.5, 1.2], "classical")
 
     @pytest.mark.parametrize("n", [1, 7, 129, 1000])
     def test_grid_is_the_pairwise_functions_bit_for_bit(self, n):

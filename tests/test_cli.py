@@ -14,6 +14,7 @@ from qprank import __version__, analysis, cli, graphs, load_edge_list, load_paje
 from qprank.cli import build_parser, main
 
 from conftest import dense_google, epa_path
+from test_acceptance import STABILITY_CLASSICAL_ARGV, STABILITY_QUANTUM_ARGV
 
 
 def run(args) -> int:
@@ -284,6 +285,33 @@ class TestExitCodes:
                     "--out", out]) == 2
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["rank", "--tol", -1], "--tol"),
+        (["rank", "--tol", "nan"], "--tol"),
+        (["rank", "--max-iter", 0], "--max-iter"),
+        (["attack", "--ensemble", 2, "--jobs", -3], "--jobs"),
+        (["rank", "--T", 0], "--T"),
+        (["ipr", "--sizes", "8,16", "--T", -5], "--T"),
+        (["rank", "--alpha", 0], "--alpha"),
+        (["stability", "--grid", "sweep", "--alpha", 1.5], "--alpha"),
+        (["powerlaw", "--ensemble", 1, "--alpha", 1], "--alpha"),
+        (["rank", "--trajectory", -1], "--trajectory"),
+        (["rank", "--config", "CONFIG"], "--max-iter"),
+    ], ids=["tol-negative", "tol-nan", "max-iter-0", "jobs-negative", "T-0", "ipr-T-negative",
+            "alpha-0", "sweep-alpha", "powerlaw-alpha-1", "trajectory-negative", "config-max-iter"])
+    def test_numeric_flag_out_of_range_exits_2(self, tmp_path, capsys, monkeypatch, argv, flag):
+        # rejected as the flags are read, before any graph is built
+        generated = []
+        build = graphs.generate
+        monkeypatch.setattr(graphs, "generate", lambda spec: generated.append(spec) or build(spec))
+        monkeypatch.setattr(analysis, "generate", graphs.generate)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("max_iter=0\n")
+        argv = [cfg if a == "CONFIG" else a for a in argv]
+        assert run([argv[0], "--family", "sf", "--n", 8, *argv[1:], "--out", tmp_path]) == 2
+        assert capsys.readouterr().err.startswith(f"error [stage=parameters]: {flag} ")
+        assert generated == []
+
 
 class TestConfigFile:
     def test_config_supplies_defaults_and_flags_override(self, tmp_path):
@@ -320,12 +348,25 @@ class TestConfigFile:
         config = json.loads((tmp_path / "generate_sf_n10_seed0_run_config.json").read_text())
         assert config["params"]["self_loops"] is True
 
+    @pytest.mark.parametrize("word, value", [
+        ("YES", True), ("True", True), ("1", True), ("no", False), ("FALSE", False), ("0", False),
+    ])
+    def test_boolean_words_in_any_case(self, tmp_path, word, value):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"self_loops={word}\n")
+        assert run(["generate", "--family", "sf", "--n", 10, "--config", cfg,
+                    "--out", tmp_path]) == 0
+        config = json.loads((tmp_path / "generate_sf_n10_seed0_run_config.json").read_text())
+        assert config["params"]["self_loops"] is value
+
     @pytest.mark.parametrize("command, entry", [
         ("rank", "alpha=abc"),
         ("stability", "grid=bogus"),
         ("attack", "mode=bogus"),
         ("ipr", "mode=bogus"),
         ("stability", "mode=both"),
+        ("rank", "self_loops=maybe"),
+        ("rank", "dump_matrix=on"),
     ])
     def test_bad_value_exits_2(self, tmp_path, capsys, monkeypatch, command, entry):
         # rejected as the flags are read, before any graph is built
@@ -389,6 +430,32 @@ class TestStabilityCommand:
         ref_row = min(rows, key=lambda r: abs(float(r["alpha"]) - 0.3))
         assert float(ref_row["fidelity_vs_ref"]) == pytest.approx(1.0, abs=1e-12)
         assert float(ref_row["distance_vs_ref"]) == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("mode", ["quantum", "classical"])
+    def test_sweep_rows_are_the_scalar_metrics_bit_for_bit(self, tmp_path, mode):
+        assert run(["stability", "--family", "sf", "--n", 12, "--grid", "sweep", "--alpha", 0.6,
+                    "--mode", mode, "--T", 30, "--seed", 2, "--out", tmp_path]) == 0
+        rows = read_rows(tmp_path / f"stability_sf_n12_a0.6_T30_seed2_sweep_{mode}.csv")
+        g = graphs.generate(graphs.GeneratorSpec(family="sf", n=12, seed=2))
+        ref = analysis.importance_vector(g, mode, alpha=0.6, horizon=30)
+        for row in rows:
+            v = analysis.importance_vector(g, mode, alpha=float(row["alpha"]), horizon=30)
+            assert float(row["fidelity_vs_ref"]) == analysis.classical_fidelity(v, ref)
+            assert float(row["distance_vs_ref"]) == analysis.qpr_distance(v, ref)
+
+    @pytest.mark.parametrize("grid, ranked", [
+        ("coarse", analysis.coarse_alpha_grid(5)),
+        ("fine", analysis.coarse_alpha_grid(98)),
+        ("sweep", [0.3, *analysis.coarse_alpha_grid(98)]),
+    ], ids=["coarse", "fine", "sweep"])
+    def test_one_ranking_per_damping_value(self, tmp_path, monkeypatch, grid, ranked):
+        # a sweep ranks its reference --alpha first, in the same map as the grid
+        calls = []
+        rank_one = cli.importance_item
+        monkeypatch.setattr(cli, "importance_item", lambda item: calls.append(item) or rank_one(item))
+        assert run(["stability", "--family", "sf", "--n", 8, "--grid", grid, "--points", 5,
+                    "--alpha", 0.3, "--T", 10, "--out", tmp_path]) == 0
+        assert [item[2] for item in calls] == list(ranked)
 
     def test_sweep_bad_reference_fails_before_the_grid(self, tmp_path, monkeypatch):
         calls = []
@@ -488,6 +555,13 @@ class TestReadme:
                  "`walk.NO_SUCH_NAME` = 160"]
         assert stale_constants(" and ".join(stale)) == stale
         assert stale_constants("`google.STRUCTURED_MAX_DENSITY` (1/64)") == []
+
+    def test_paper_experiments_list_criterion_7(self):
+        # the acceptance gate runs these two lines; the README must show the same ones
+        block = README.read_text().split("## Paper experiments", 1)[1].split("```")[1]
+        lines = [line.strip() for line in block.splitlines()]
+        for argv in (STABILITY_QUANTUM_ARGV, STABILITY_CLASSICAL_ARGV):
+            assert shlex.join(("qprank", *argv)) in lines
 
     def test_documented_invocations_parse(self):
         readme = README.read_text()
