@@ -537,6 +537,9 @@ NUMERIC_FLAG_RULES = {
     "max_iter": (">= 1", lambda v: v >= 1),
     "jobs": (">= 1", lambda v: v >= 1),
     "trajectory": (">= 0", lambda v: v >= 0),
+    "r": (">= 1", lambda v: v >= 1),
+    "points": (">= 1", lambda v: v >= 1),
+    "removals": (">= 1", lambda v: v >= 1),
 }
 
 

@@ -21,8 +21,9 @@ DEFAULT_MAX_ITER = 100_000
 # p = 0.125, complete graphs) the dense arrays are faster at every size. Up to
 # DENSE_MAX_NODES every graph is dense, where SzegedyWalk averages in closed
 # form; the size is the crossover of that closed form against the iterating
-# form that takes the graph above it, measured as in the walk.py docstring.
-DENSE_MAX_NODES = 240
+# form that takes the graph above it, measured as in the walk.py docstring
+# (re-measured once the iteration went to two products per double-step).
+DENSE_MAX_NODES = 128
 STRUCTURED_MAX_DENSITY = 1 / 64
 
 
@@ -49,6 +50,10 @@ class RankOnePlusSparse:
         return self.u * (self.v @ x) + np.bincount(
             self.rows, self.vals * x[self.cols], minlength=len(self.u)
         )
+
+    def __rmul__(self, c: float) -> RankOnePlusSparse:
+        """The matrix times the scalar ``c``, still in structured form."""
+        return RankOnePlusSparse(c * self.u, self.v, self.rows, self.cols, c * self.vals)
 
     def column_sums(self) -> np.ndarray:
         return self.u.sum() * self.v + np.bincount(self.cols, self.vals, minlength=len(self.v))

@@ -33,18 +33,29 @@ runs its Cesaro average with one of two engines:
   O(n**3) whatever the horizon, in O(n**2) memory.
 * **iteration** (every G above DENSE_MAX_NODES, structured when sparse, and
   dense G with a mode within NEAR_UNIT_GAP of |lam| = 1, as at damping near
-  0): the recursion stepped once per double-step, three products with D
-  each. ``trajectory`` always iterates.
+  0): the coefficients follow the three-term recurrence
+  b_{k+1} = 2 D b_k - b_{k-1}, with a_k = -b_{k-1}, a_0 = 1/sqrt(n) and
+  b_0 = 0. Since 2 D b_{2t-1} = b_{2t} + b_{2t-2}, the measurement after t
+  double-steps is
+
+      p_t = G (b_{2t-1}**2) - b_{2t} * b_{2t-2},
+
+  so a double-step costs two products with 2 D and six elementwise
+  operations, and G, being linear, is applied to the summed squares once
+  per block of G_BLOCK double-steps rather than once per row.
+  ``trajectory`` iterates the step and the measurement above, row by row.
 
 google.DENSE_MAX_NODES, the one size constant of both the form and the
 engine, is measured. Per ranking at T = 1000 (build, classical PageRank and
 the quantum average with its constructor; sf and er at p = 0.125, three
-seeds each, one pinned CPU, one BLAS thread), two sweeps gave the closed form
-0.37-0.65 of the time of the iterating form that takes the graph above the
-constant (structured for sf, dense for er) at n = 160, 0.67-0.99 at 224,
-0.71-0.94 at 240 and 0.89-1.32 at 256. The constant is the largest swept
-size at which the closed form was at least as fast on every graph;
-CHANGES.md has both sweeps.
+seeds each, one pinned CPU, one BLAS thread), two sweeps over n = 128-256
+gave the closed form's time over that of the iterating form that takes the
+graph above the constant (structured for sf, dense for er) as 0.58-0.61 on
+sf and 0.72-0.81 on er at n = 128. At 144 sf gave 0.67-0.71 but er
+0.93-1.12; sf crossed 1 at 192 (1.05-1.14), and at 240-256 the ratios were
+1.64-1.94 on sf and 1.37-1.91 on er. The constant is the largest swept size
+at which the closed form was at least as fast on every graph; CHANGES.md has
+both sweeps.
 
 ``DenseWalk`` realizes the same dynamics literally on the n**2 amplitude
 vector and serves as a cross-check for small n.
@@ -75,9 +86,23 @@ UNIT_MODE_ULPS = 4.0
 # accurate than the iteration and up to 3.5e-10 off where the gap was below
 # 1e-3, and at most 6e-14 off elsewhere. At alpha = 0.85 the gap of sf
 # graphs up to n = 128, hub-removed ones included, is at least 0.016, and
-# that of sf and er graphs of 160 to DENSE_MAX_NODES nodes at least 0.42
-# (0.12 after up to five hub removals).
+# that of er graphs (p = 0.125, seeds 0-4) of 16 to DENSE_MAX_NODES nodes at
+# least 0.28 (0.069 after up to five hub removals).
 NEAR_UNIT_GAP = 1e-3
+
+# Where a mode sits near |lam| = 1 the coefficients grow linearly in t, and
+# a row of the iterating average is a difference of two terms of order
+# t**2. Summed over the whole horizon before G is applied, they leave a
+# rounding of order T**3 in the sum; applied once per G_BLOCK double-steps,
+# G keeps each block's sum small. Against a long-double iteration at
+# T = 1000, the relative error with G applied at the half horizon and the end
+# only, once per block, and once per row as in ``trajectory`` was
+# 0.8-1.0e-9, 0.8-1.5e-10 and 0.3-1.2e-10 on sf n = 16 (seeds 0-3) at
+# alpha = 1e-4; 3.0-8.8e-13, 0.3-1.8e-13 and 0.2-1.9e-13 at alpha = 0.01;
+# and 1.5-1.9e-12, 2.0-2.9e-13 and 1.6-2.6e-13 on er n = 300 (seeds 0-1) at
+# alpha = 0.01. A block costs one product with G beside its 2 G_BLOCK
+# products with 2 D.
+G_BLOCK = 32
 
 
 @dataclass
@@ -156,7 +181,9 @@ class SzegedyWalk:
 
     ``modes`` holds the closed-form engine's spectrum when G is dense with at
     most DENSE_MAX_NODES nodes and no mode within NEAR_UNIT_GAP of
-    |lam| = 1 short of a unit mode; else it is None and averages iterate.
+    |lam| = 1 short of a unit mode; else it is None and averages iterate the
+    three-term recurrence of the module docstring. ``step``, ``measure`` and
+    ``norm_sq`` act on one ``WalkState`` and define what that recurrence sums.
     """
 
     def __init__(self, gm: GoogleMatrix):
@@ -200,22 +227,47 @@ class SzegedyWalk:
         a, b = state.a, state.b
         return float(a @ a + b @ b + 2.0 * (a @ (self.d @ b)))
 
-    def _distributions(self, horizon: int):
-        """Yield the node distribution after 0, 1, ..., horizon - 1 double-steps."""
-        if horizon < 1:
-            raise ParameterError("horizon must be >= 1")
-        state = self.initial_state()
-        yield self.measure(state)
-        for _ in range(1, horizon):
-            # the second step sets a = -b for the b it multiplied by D, so
-            # D a = -(D b) comes with it: three products per double-step
-            state, d_b = self._step(self._step(state)[0])
-            yield self.measure(state, -d_b)
-
     def trajectory(self, horizon: int) -> np.ndarray:
         """Instantaneous node distributions; row t is the measurement after t
         double-steps of the unitary (row 0 is the initial state)."""
-        return np.array(list(self._distributions(horizon)))
+        if horizon < 1:
+            raise ParameterError("horizon must be >= 1")
+        state = self.initial_state()
+        rows = [self.measure(state)]
+        for _ in range(1, horizon):
+            # the second step sets a = -b for the b it multiplied by D, so
+            # D a = -(D b) comes with it
+            state, d_b = self._step(self._step(state)[0])
+            rows.append(self.measure(state, -d_b))
+        return np.array(rows)
+
+    def _iterated_averages(self, horizon: int) -> tuple[np.ndarray, np.ndarray | None]:
+        """The averages over ``horizon`` and ``horizon // 2`` double-steps
+        (None when that is 0), stepped through b_{k+1} = 2 D b_k - b_{k-1}.
+
+        Row t is G (b_{2t-1}**2) - b_{2t} b_{2t-2}, so the loop sums the two
+        terms over a block of at most G_BLOCK rows and applies G once per
+        block.
+        """
+        d2 = 2.0 * self.d  # exact: the same bits as 2 (D x)
+        half = horizon // 2
+        prev = np.full(self.n, -1.0 / np.sqrt(self.n))  # b_{-1} = -a_0
+        cur = np.zeros(self.n)  # b_0
+        squares, cross, total = prev * prev, np.zeros(self.n), np.zeros(self.n)
+        half_avg = None
+        for t in range(1, horizon):
+            if t % G_BLOCK == 0 or t == half:
+                total += self.g @ squares - cross
+                squares, cross = np.zeros(self.n), np.zeros(self.n)
+                if t == half:
+                    half_avg = np.maximum(total / half, 0.0)
+            prev = d2 @ cur - prev  # b_{2t-1}
+            nxt = d2 @ prev - cur  # b_{2t}
+            squares += prev * prev
+            cross += nxt * cur
+            cur = nxt
+        total += self.g @ squares - cross
+        return np.maximum(total / horizon, 0.0), half_avg
 
     def average_with_convergence(self, horizon: int = DEFAULT_HORIZON) -> tuple[np.ndarray, float]:
         """Time-averaged node distribution over ``horizon`` double-steps.
@@ -231,13 +283,7 @@ class SzegedyWalk:
             avg = self.modes.average(horizon)
             half_avg = self.modes.average(half) if half else None
         else:
-            acc = np.zeros(self.n)
-            half_avg = None
-            for t, p in enumerate(self._distributions(horizon), start=1):
-                acc += p
-                if t == half:
-                    half_avg = acc / half
-            avg = acc / horizon
+            avg, half_avg = self._iterated_averages(horizon)
         if half_avg is None:
             return avg, float("nan")
         return avg, float(np.abs(avg - half_avg).max())

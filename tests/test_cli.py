@@ -297,8 +297,12 @@ class TestExitCodes:
         (["powerlaw", "--ensemble", 1, "--alpha", 1], "--alpha"),
         (["rank", "--trajectory", -1], "--trajectory"),
         (["rank", "--config", "CONFIG"], "--max-iter"),
+        (["ipr", "--sizes", "8,16", "--r", 0], "--r"),
+        (["stability", "--points", 0], "--points"),
+        (["attack", "--ensemble", 2, "--removals", 0, "--T", 10], "--removals"),
     ], ids=["tol-negative", "tol-nan", "max-iter-0", "jobs-negative", "T-0", "ipr-T-negative",
-            "alpha-0", "sweep-alpha", "powerlaw-alpha-1", "trajectory-negative", "config-max-iter"])
+            "alpha-0", "sweep-alpha", "powerlaw-alpha-1", "trajectory-negative", "config-max-iter",
+            "ipr-r-0", "stability-points-0", "attack-removals-0"])
     def test_numeric_flag_out_of_range_exits_2(self, tmp_path, capsys, monkeypatch, argv, flag):
         # rejected as the flags are read, before any graph is built
         generated = []

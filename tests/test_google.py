@@ -176,6 +176,16 @@ class TestStructuredGoogle:
             assert rel_err(structured.entries @ x, dense.entries @ x) < 1e-13
             assert rel_err(classical_pagerank(structured), classical_pagerank(dense)) < 1e-12
 
+    @pytest.mark.parametrize("name", sorted(operator_graphs()))
+    def test_doubled_operator_gives_doubled_products(self, name):
+        # the walk loop folds its factor 2 into D; doubling is exact
+        d = build_structured_google(operator_graphs()[name], 0.85).overlap()
+        x = np.random.default_rng(2).normal(size=len(d.u))
+        doubled = 2.0 * d
+        assert isinstance(doubled, RankOnePlusSparse)
+        assert np.array_equal(doubled @ x, 2.0 * (d @ x))
+        assert np.array_equal(doubled.toarray(), 2.0 * d.toarray())
+
     @settings(max_examples=60, deadline=None)
     @given(small_digraphs(), st.sampled_from([0.01, 0.3, 0.85, 0.98]))
     def test_dense_form_bitwise_equal_to_oracle(self, g, alpha):

@@ -16,6 +16,7 @@ from qprank import (
     google_from_graph,
 )
 from qprank.google import DENSE_MAX_NODES, RankOnePlusSparse, build_structured_google
+from qprank.walk import G_BLOCK
 
 from conftest import complete, cycle, dense_google, operator_graphs, random_graph, rel_err
 
@@ -215,6 +216,91 @@ class TestTrajectory:
             assert np.abs(traj.sum(axis=0) / horizon - avg).max() < 1e-14
             half_avg = traj[: horizon // 2].mean(axis=0)
             assert abs(gap - np.abs(avg - half_avg).max()) < 1e-14
+
+
+class Counted:
+    """An operator that counts its products with a vector under ``key``;
+    a scalar multiple counts under its own key."""
+
+    def __init__(self, op, counts, key):
+        self.op, self.counts, self.key = op, counts, key
+        counts.setdefault(key, 0)
+
+    def __matmul__(self, x):
+        self.counts[self.key] += 1
+        return self.op @ x
+
+    def __rmul__(self, c):
+        return Counted(c * self.op, self.counts, f"{c:g}{self.key}")
+
+
+class TestIteratedAverage:
+    """The recurrence-based average against the row-by-row ``trajectory``."""
+
+    GRAPHS = {
+        "sf300-structured": (gen_scale_free(300, seed=0), 0.85),
+        "er300-dense": (gen_erdos_renyi(300, 0.125, seed=0), 0.85),
+        # the top mode sits about 1e-8 below 1: the closed form declines it
+        "sf16-near-unit": (gen_scale_free(16, seed=0), 1e-4),
+    }
+
+    @pytest.mark.parametrize("name", sorted(GRAPHS))
+    def test_equals_mean_of_trajectory_rows(self, name):
+        g, alpha = self.GRAPHS[name]
+        w = walk_for(g, alpha)
+        assert w.modes is None
+        assert isinstance(w.d, RankOnePlusSparse) == name.endswith("structured")
+        rows = w.trajectory(max(HORIZONS))
+        for horizon in HORIZONS:
+            avg, gap = w.average_with_convergence(horizon)
+            ref = rows[:horizon].mean(axis=0)
+            tol = 1e-13
+            if name.endswith("near-unit"):
+                # the coefficients grow linearly in t, and the row sums of both
+                # loops round at about T**2 eps (each is ~1e-10 off a
+                # long-double iteration at T = 1000)
+                tol = max(tol, 4 * horizon**2 * np.finfo(float).eps)
+            assert rel_err(avg, ref) < tol
+            if horizon == 1:
+                assert np.isnan(gap)
+            else:
+                ref_gap = np.abs(ref - rows[: horizon // 2].mean(axis=0)).max()
+                assert abs(gap - ref_gap) < tol * np.abs(ref).max()
+
+    @pytest.mark.parametrize("name", ["sf300-structured", "er300-dense"])
+    def test_two_products_per_double_step(self, name):
+        g, alpha = self.GRAPHS[name]
+        w = walk_for(g, alpha)
+        for horizon in (1, 2, 50, 1000):
+            counts = {}
+            w.d, w.g = Counted(w.d, counts, "D"), Counted(w.g, counts, "G")
+            w.average(horizon)
+            w.d, w.g = w.d.op, w.g.op
+            assert counts["D"] == 0
+            assert counts["2D"] == 2 * (horizon - 1)
+            # once per block of G_BLOCK double-steps, once at the half horizon
+            # and once at the end; never once per double-step
+            assert counts["G"] <= (horizon - 1) // G_BLOCK + 2
+
+    def test_near_unit_rounding_stays_at_the_row_loop_level(self):
+        # G applied to the sums of a whole horizon left 0.8-1.0e-9 here; once
+        # per block 0.8-1.5e-10; the row-by-row loop 0.3-1.2e-10
+        if np.finfo(np.longdouble).eps > 1e-18:
+            pytest.skip("needs an extended-precision long double")
+        for seed in range(4):
+            gm = google_from_graph(gen_scale_free(16, seed=seed), 1e-4)
+            g = gm.toarray().astype(np.longdouble)
+            r = np.sqrt(g)
+            d = r * r.T
+            a, b = np.full(16, 1 / np.sqrt(np.longdouble(16))), np.zeros(16, np.longdouble)
+            acc = np.zeros(16, np.longdouble)
+            for _ in range(1000):
+                acc += g @ (a * a) + 2 * b * (d @ a) + b * b
+                for _ in range(2):
+                    a, b = -b, a + 2 * (d @ b)
+            w = SzegedyWalk(gm)
+            assert w.modes is None
+            assert rel_err(w.average(1000), (acc / 1000).astype(float)) < 3e-10
 
 
 class TestStructuredWalk:
