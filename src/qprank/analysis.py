@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConvergenceError, ParameterError
-from .google import DEFAULT_ALPHA, DEFAULT_MAX_ITER, DEFAULT_TOL, classical_pagerank, google_from_graph
+from .google import DEFAULT_ALPHA, classical_pagerank, google_from_graph
 from .graphs import DirectedGraph, GeneratorSpec, generate, remove_node
 from .walk import DEFAULT_HORIZON, SzegedyWalk
 
@@ -76,8 +76,6 @@ def importance_vector(
     mode: str,
     alpha: float = DEFAULT_ALPHA,
     horizon: int = DEFAULT_HORIZON,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
 ) -> np.ndarray:
     """One ranking vector for a graph: time-averaged walk or stationary distribution."""
     if mode not in MODES:
@@ -85,7 +83,7 @@ def importance_vector(
     gm = google_from_graph(g, alpha)
     if mode == "quantum":
         return SzegedyWalk(gm).average(horizon)
-    return classical_pagerank(gm, tol=tol, max_iter=max_iter)
+    return classical_pagerank(gm)
 
 
 # ---------------------------------------------------------------------------
@@ -289,8 +287,6 @@ def attack_experiment(
     mode: str = "quantum",
     alpha: float = DEFAULT_ALPHA,
     horizon: int = DEFAULT_HORIZON,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
 ) -> AttackRun:
     """Repeatedly knock out the currently most important node.
 
@@ -302,7 +298,7 @@ def attack_experiment(
     """
     if not 0 <= n_max < g.n:
         raise ParameterError(f"removal count {n_max} must lie in [0, n)")
-    kwargs = dict(alpha=alpha, horizon=horizon, tol=tol, max_iter=max_iter)
+    kwargs = dict(alpha=alpha, horizon=horizon)
     original_order = ranking_order(importance_vector(g, mode, **kwargs))
     current_graph = g
     to_original = list(range(g.n))
@@ -393,15 +389,11 @@ def attack_metrics(
     modes: tuple[str, ...] = ("quantum", "classical"),
     alpha: float = DEFAULT_ALPHA,
     horizon: int = DEFAULT_HORIZON,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
 ) -> dict[str, float]:
     """Flat metric dict of one hub-removal run per mode, for ensemble aggregation."""
     out: dict[str, float] = {}
     for mode in modes:
-        run = attack_experiment(
-            g, removals, mode=mode, alpha=alpha, horizon=horizon, tol=tol, max_iter=max_iter
-        )
+        run = attack_experiment(g, removals, mode=mode, alpha=alpha, horizon=horizon)
         for i, k in enumerate(run.kendall, start=1):
             out[f"kendall_{mode}_{i}"] = k
     return out
@@ -412,16 +404,13 @@ def powerlaw_metrics(
     modes: tuple[str, ...] = ("quantum", "classical"),
     alpha: float = DEFAULT_ALPHA,
     horizon: int = DEFAULT_HORIZON,
-    i_min: int = 1,
     i_max: int | None = None,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
 ) -> dict[str, float]:
     """Flat metric dict of per-mode power-law fits, for ensemble aggregation."""
     out: dict[str, float] = {}
     for mode in modes:
-        p = importance_vector(g, mode, alpha=alpha, horizon=horizon, tol=tol, max_iter=max_iter)
-        fit = power_law_fit(rank_list(p), i_min=i_min, i_max=i_max)
+        p = importance_vector(g, mode, alpha=alpha, horizon=horizon)
+        fit = power_law_fit(rank_list(p), i_max=i_max)
         out[f"beta_{mode}"] = fit.beta
         out[f"c_{mode}"] = fit.c
         out[f"residual_{mode}"] = fit.residual

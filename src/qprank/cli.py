@@ -25,8 +25,7 @@ import numpy as np
 
 from . import __version__, analysis, graphs, walk
 from .errors import ConvergenceError, ParameterError, ParseError
-from .google import (DEFAULT_ALPHA, DEFAULT_MAX_ITER, DEFAULT_TOL, classical_pagerank,
-                     format_dense_matrix, google_from_graph)
+from .google import DEFAULT_ALPHA, classical_pagerank, format_dense_matrix, google_from_graph
 
 EXIT_OK = 0
 EXIT_PARAMETER = 2
@@ -92,10 +91,8 @@ def parallel_map(fn, items, jobs: int) -> list:
 
 def importance_item(item) -> np.ndarray:
     """Top-level worker for process pools: one importance vector."""
-    g, mode, alpha, horizon, tol, max_iter = item
-    return analysis.importance_vector(
-        g, mode, alpha=alpha, horizon=horizon, tol=tol, max_iter=max_iter
-    )
+    g, mode, alpha, horizon = item
+    return analysis.importance_vector(g, mode, alpha=alpha, horizon=horizon)
 
 
 # ---------------------------------------------------------------------------
@@ -138,11 +135,31 @@ def _graph_from_args(args) -> tuple[graphs.DirectedGraph, str]:
     return g, args.family
 
 
-def _prefix(cmd: str, label: str, **parts) -> str:
-    bits = [cmd, label]
-    for key, val in parts.items():
-        if val is not None:
-            bits.append(f"{key}{val:g}" if isinstance(val, float) else f"{key}{val}")
+# The generator flags each family reads besides --n; a prefix names the node
+# count of the graph built instead, which also fixes a hierarchy's --gen.
+FAMILY_FLAGS = {"sf": ("sf_alpha", "sf_beta", "sf_delta_in", "sf_delta_out", "self_loops"),
+                "er": ("p",), "hier3": (), "hier2": ()}
+
+
+def _part(key: str, val) -> str:
+    if val is True:
+        return key
+    return f"{key}{val:g}" if isinstance(val, float) else f"{key}{val}".replace(",", "-")
+
+
+def _prefix(args, label: str, *settings: str, **parts) -> str:
+    """The file prefix of a run: the subcommand, the graph label, each of
+    ``parts`` that is not None, then each data-changing flag of ``settings``
+    and of the family whose value, from a config file too, differs from the
+    parser's built-in default. So runs with different data differ in name."""
+    bits = [args.command, label, *(_part(k, v) for k, v in parts.items() if v is not None)]
+    if not getattr(args, "input", None):
+        settings += FAMILY_FLAGS[args.family]
+    builtin = build_parser()[1][args.command]
+    for dest in settings:
+        val = getattr(args, dest)
+        if val != builtin.get_default(dest):
+            bits.append(_part(dest.replace("_", "-"), val))
     return "_".join(bits)
 
 
@@ -155,7 +172,7 @@ def cmd_generate(args) -> tuple[str, None]:
     spec = _spec_from_args(args)
     g = graphs.generate(spec)
     outdir = Path(args.out)
-    label = _prefix("generate", args.family, n=g.n, seed=args.seed)
+    label = _prefix(args, args.family, n=g.n, seed=args.seed)
     _write_text(outdir / f"{label}.edges", graphs.write_edge_list(g))
     _write_text(outdir / f"{label}.net", graphs.write_pajek(g))
     in_hist, out_hist = graphs.degree_distribution(g)
@@ -172,14 +189,14 @@ def cmd_generate(args) -> tuple[str, None]:
 def cmd_rank(args) -> tuple[str, dict]:
     g, label = _graph_from_args(args)
     gm = google_from_graph(g, args.alpha)
-    classical = classical_pagerank(gm, tol=args.tol, max_iter=args.max_iter)
+    classical = classical_pagerank(gm)
     qwalk = walk.SzegedyWalk(gm)
     quantum, delta = qwalk.average_with_convergence(args.T)
     cl_ranks = analysis.node_ranks(classical)
     q_ranks = analysis.node_ranks(quantum)
 
     outdir = Path(args.out)
-    prefix = _prefix("rank", label, n=g.n, a=args.alpha, T=args.T,
+    prefix = _prefix(args, label, n=g.n, a=args.alpha, T=args.T,
                      seed=None if args.input else args.seed)
     _write_table(
         outdir / f"{prefix}.csv",
@@ -206,7 +223,7 @@ def cmd_rank(args) -> tuple[str, dict]:
     if args.trajectory:
         traj = qwalk.trajectory(args.trajectory)
         _write_table(
-            outdir / f"{prefix}_trajectory.csv",
+            outdir / f"{prefix}_trajectory{args.trajectory}.csv",
             ("t", "node", "instantaneous_qpr"),
             ((t, node, traj[t, node]) for t in range(args.trajectory) for node in range(g.n)),
         )
@@ -235,14 +252,15 @@ def cmd_ipr(args) -> tuple[str, dict]:
         graphs.generate(_spec_with_n(args, n, args.seed + k)) for k, n in enumerate(sizes)
     ]
     outdir = Path(args.out)
-    prefix = _prefix("ipr", args.family, a=args.alpha, r=args.r, T=args.T, seed=args.seed)
+    prefix = _prefix(args, args.family, "sizes", "mode", a=args.alpha, r=args.r, T=args.T,
+                     seed=args.seed)
     summary: dict = {"sizes": sizes, "alpha": args.alpha, "r": args.r}
     modes = _modes(args.mode)
     xis = []
     for mode in modes:
         vectors = parallel_map(
             importance_item,
-            [(g, mode, args.alpha, args.T, args.tol, args.max_iter) for g in graphs_by_size],
+            [(g, mode, args.alpha, args.T) for g in graphs_by_size],
             args.jobs,
         )
         samples = [analysis.ipr(p, args.r) for p in vectors]
@@ -275,10 +293,11 @@ def cmd_stability(args) -> tuple[str, dict]:
     sweep = args.grid == "sweep"
     if sweep:  # the reference --alpha is ranked first, as row 0 of the grid
         alphas = np.concatenate(([args.alpha], alphas))
-    prefix = _prefix("stability", label, n=g.n, a=args.alpha if sweep else None, T=args.T,
+    points = ("points",) if args.grid == "coarse" else ()
+    prefix = _prefix(args, label, *points, n=g.n, a=args.alpha if sweep else None, T=args.T,
                      seed=args.seed)
     prefix += f"_{args.grid}_{args.mode}"
-    items = [(g, args.mode, float(a), args.T, args.tol, args.max_iter) for a in alphas]
+    items = [(g, args.mode, float(a), args.T) for a in alphas]
     grid = analysis.pairwise_stability(parallel_map(importance_item, items, args.jobs), alphas)
 
     if sweep:
@@ -308,14 +327,16 @@ def cmd_stability(args) -> tuple[str, dict]:
     return prefix, summary
 
 
-def _run_ensemble(args, command: str, experiment) -> tuple[analysis.EnsembleReport, str, dict]:
+def _run_ensemble(args, experiment, *settings: str) -> tuple[analysis.EnsembleReport, str, dict]:
     """Run ``experiment`` over the seeded ensemble the flags describe; return
-    the report, the file prefix and the run summary."""
+    the report, the file prefix, which names ``settings`` as ``_prefix`` does,
+    and the run summary."""
+    spec = _spec_from_args(args)
     report = analysis.ensemble_run(
-        _spec_from_args(args), args.ensemble, experiment,
-        map_fn=functools.partial(parallel_map, jobs=args.jobs),
+        spec, args.ensemble, experiment, map_fn=functools.partial(parallel_map, jobs=args.jobs)
     )
-    prefix = _prefix(command, args.family, n=args.n, a=args.alpha, T=args.T, seed=args.seed)
+    prefix = _prefix(args, args.family, *settings, n=spec.node_count, a=args.alpha, T=args.T,
+                     seed=args.seed)
     summary = {
         "ensemble": report.count,
         "failures": report.failures,
@@ -327,21 +348,18 @@ def _run_ensemble(args, command: str, experiment) -> tuple[analysis.EnsembleRepo
 
 
 def cmd_powerlaw(args) -> tuple[str, dict]:
-    if args.ensemble < 1:
-        raise ParameterError(f"--ensemble {args.ensemble} must be >= 1")
     outdir = Path(args.out)
     modes = _modes(args.mode)
+    settings = ("mode", "i_max")
     if args.input or args.ensemble == 1:
         g, label = _graph_from_args(args)
-        prefix = _prefix("powerlaw", label, n=g.n, a=args.alpha, T=args.T,
+        prefix = _prefix(args, label, *settings, n=g.n, a=args.alpha, T=args.T,
                          seed=None if args.input else args.seed)
         summary: dict = {"n": g.n, "alpha": args.alpha}
         for mode in modes:
-            p = analysis.importance_vector(
-                g, mode, alpha=args.alpha, horizon=args.T, tol=args.tol, max_iter=args.max_iter
-            )
+            p = analysis.importance_vector(g, mode, alpha=args.alpha, horizon=args.T)
             ranks = analysis.rank_list(p)
-            fit = analysis.power_law_fit(ranks, i_min=args.i_min, i_max=args.i_max)
+            fit = analysis.power_law_fit(ranks, i_max=args.i_max)
             summary[mode] = {
                 "beta": fit.beta,
                 "c": fit.c,
@@ -358,17 +376,9 @@ def cmd_powerlaw(args) -> tuple[str, dict]:
             print(f"{mode}: beta {fit.beta:.4f}  c {fit.c:.4g}  residual {fit.residual:.4f}")
         return prefix, summary
 
-    experiment = functools.partial(
-        analysis.powerlaw_metrics,
-        modes=modes,
-        alpha=args.alpha,
-        horizon=args.T,
-        i_min=args.i_min,
-        i_max=args.i_max,
-        tol=args.tol,
-        max_iter=args.max_iter,
-    )
-    report, prefix, summary = _run_ensemble(args, "powerlaw", experiment)
+    experiment = functools.partial(analysis.powerlaw_metrics, modes=modes, alpha=args.alpha,
+                                   horizon=args.T, i_max=args.i_max)
+    report, prefix, summary = _run_ensemble(args, experiment, *settings)
     _write_table(
         outdir / f"{prefix}.csv",
         ("metric", "mean", "stddev"),
@@ -382,16 +392,9 @@ def cmd_powerlaw(args) -> tuple[str, dict]:
 
 def cmd_attack(args) -> tuple[str, dict]:
     modes = _modes(args.mode)
-    experiment = functools.partial(
-        analysis.attack_metrics,
-        removals=args.removals,
-        modes=modes,
-        alpha=args.alpha,
-        horizon=args.T,
-        tol=args.tol,
-        max_iter=args.max_iter,
-    )
-    report, prefix, summary = _run_ensemble(args, "attack", experiment)
+    experiment = functools.partial(analysis.attack_metrics, removals=args.removals, modes=modes,
+                                   alpha=args.alpha, horizon=args.T)
+    report, prefix, summary = _run_ensemble(args, experiment, "mode", "removals")
     outdir = Path(args.out)
     removals = range(1, args.removals + 1)
     _write_table(
@@ -428,8 +431,6 @@ def _add_common(sp: argparse.ArgumentParser, *, ranking: bool = True) -> None:
                         help="damping parameter (stability --grid sweep: the reference)")
         sp.add_argument("--T", type=int, default=walk.DEFAULT_HORIZON,
                         help="quantum averaging horizon (double-steps)")
-        sp.add_argument("--tol", type=float, default=DEFAULT_TOL, help="classical fixed-point tolerance")
-        sp.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER, help="classical iteration cap")
 
 
 def _add_generator(sp: argparse.ArgumentParser, *, with_input: bool = False) -> None:
@@ -495,7 +496,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     _add_common(sp)
     sp.add_argument("--mode", choices=("quantum", "classical", "both"), default="both")
     sp.add_argument("--ensemble", type=int, default=29, help="graphs in the ensemble (1 = single)")
-    sp.add_argument("--i-min", type=int, default=1, help="first 1-based rank index of the fit")
     sp.add_argument("--i-max", type=int, default=None, help="last rank index (default: before the degenerate tail)")
     sp.set_defaults(func=cmd_powerlaw)
 
@@ -533,13 +533,12 @@ BOOLEAN_WORDS = {"1": True, "true": True, "yes": True, "0": False, "false": Fals
 NUMERIC_FLAG_RULES = {
     "alpha": ("in (0, 1)", lambda v: 0.0 < v < 1.0),
     "T": (">= 1", lambda v: v >= 1),
-    "tol": (">= 0", lambda v: v >= 0.0),
-    "max_iter": (">= 1", lambda v: v >= 1),
     "jobs": (">= 1", lambda v: v >= 1),
     "trajectory": (">= 0", lambda v: v >= 0),
     "r": (">= 1", lambda v: v >= 1),
     "points": (">= 1", lambda v: v >= 1),
     "removals": (">= 1", lambda v: v >= 1),
+    "ensemble": (">= 1", lambda v: v >= 1),
 }
 
 

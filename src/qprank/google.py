@@ -155,25 +155,24 @@ def google_from_graph(g: DirectedGraph, alpha: float) -> GoogleMatrix:
     return GoogleMatrix(g.n, alpha, gm.toarray())
 
 
-def classical_pagerank(
-    gm: GoogleMatrix, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER
-) -> np.ndarray:
+def classical_pagerank(gm: GoogleMatrix) -> np.ndarray:
     """Stationary distribution of the transition matrix by power iteration.
 
     Starts from the uniform vector and iterates until the L1 residual of the
-    fixed-point equation drops to ``tol``. The result sums to 1.
+    fixed-point equation drops to DEFAULT_TOL, for at most DEFAULT_MAX_ITER
+    sweeps. The result sums to 1.
     """
     m = gm.entries
     x = np.full(gm.n, 1.0 / gm.n)
     residual = np.inf
-    for _ in range(max_iter):
+    for _ in range(DEFAULT_MAX_ITER):
         y = m @ x
         residual = float(np.abs(y - x).sum())
-        if residual <= tol:
+        if residual <= DEFAULT_TOL:
             return x
         x = y / y.sum()
     raise ConvergenceError(
-        f"power iteration stalled at residual {residual:.3e} after {max_iter} sweeps",
+        f"power iteration stalled at residual {residual:.3e} after {DEFAULT_MAX_ITER} sweeps",
         residual=residual,
     )
 

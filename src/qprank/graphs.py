@@ -115,6 +115,11 @@ class GeneratorSpec:
         if self.family in ("hier3", "hier2") and self.n_gen < 1:
             raise ParameterError("generation index must be >= 1")
 
+    @property
+    def node_count(self) -> int:
+        """Nodes of the graph that ``generate`` builds from this spec."""
+        return {"hier3": 3**self.n_gen, "hier2": 2 ** (self.n_gen + 1)}.get(self.family, self.n)
+
 
 def generate(spec: GeneratorSpec) -> DirectedGraph:
     """Build the graph described by ``spec``."""

@@ -71,7 +71,7 @@ class TestGenerate:
 
     def test_degree_csv_sums_to_n(self, tmp_path):
         run(["generate", "--family", "er", "--n", 20, "--p", 0.2, "--seed", 1, "--out", tmp_path])
-        rows = read_rows(tmp_path / "generate_er_n20_seed1_degrees.csv")
+        rows = read_rows(tmp_path / "generate_er_n20_seed1_p0.2_degrees.csv")
         assert sum(int(r["in_count"]) for r in rows) == 20
         assert sum(int(r["out_count"]) for r in rows) == 20
 
@@ -122,7 +122,7 @@ class TestRank:
     def test_trajectory_dump(self, tmp_path):
         assert run(["rank", "--family", "sf", "--n", 8, "--seed", 1, "--T", 20,
                     "--trajectory", 6, "--out", tmp_path]) == 0
-        rows = read_rows(tmp_path / "rank_sf_n8_a0.85_T20_seed1_trajectory.csv")
+        rows = read_rows(tmp_path / "rank_sf_n8_a0.85_T20_seed1_trajectory6.csv")
         assert len(rows) == 6 * 8
         by_t = {}
         for r in rows:
@@ -144,15 +144,22 @@ class TestRank:
     (["rank", "--family", "sf", "--n", 32], "--seed", (3, 4)),
     (["powerlaw", "--family", "sf", "--n", 32, "--ensemble", 1], "--seed", (3, 4)),
     (["stability", "--family", "sf", "--n", 16, "--grid", "sweep"], "--alpha", (0.5, 0.3)),
-], ids=["rank-seed", "powerlaw-seed", "sweep-reference"])
+    (["rank", "--family", "er", "--n", 32], "--p", (0.1, 0.3)),
+    (["stability", "--family", "sf", "--n", 16], "--points", (4, 5)),
+    (["ipr", "--family", "sf"], "--sizes", ("16,32", "32,64")),
+    (["powerlaw", "--family", "sf", "--n", 32, "--ensemble", 1], "--i-max", (10, 12)),
+    (["attack", "--family", "hier3", "--ensemble", 2, "--removals", 1], "--gen", (2, 3)),
+], ids=["rank-seed", "powerlaw-seed", "sweep-reference", "er-p", "coarse-points", "ipr-sizes",
+        "powerlaw-i-max", "hier-gen"])
 def test_runs_differing_in_one_value_keep_their_files(tmp_path, argv, flag, values):
-    counts = []
+    names = []
     for value in values:
-        assert run(argv + [flag, value, "--T", 20, "--out", tmp_path]) == 0
-        counts.append(len(list(tmp_path.iterdir())))
-    assert counts[1] == 2 * counts[0]
-    configs = tmp_path.glob("*_run_config.json")
-    assert {json.loads(path.read_text())["params"][flag[2:]] for path in configs} == set(values)
+        assert run(argv + [flag, value, "--T", 20, "--out", tmp_path / str(value)]) == 0
+        names.append({path.name for path in (tmp_path / str(value)).iterdir()})
+    assert names[0] and names[0].isdisjoint(names[1])
+    configs = tmp_path.glob("*/*_run_config.json")
+    params = [json.loads(path.read_text())["params"] for path in configs]
+    assert {p[flag[2:].replace("-", "_")] for p in params} == set(values)
 
 
 class TestExitCodes:
@@ -167,9 +174,15 @@ class TestExitCodes:
     def test_missing_input_file(self, tmp_path):
         assert run(["rank", "--input", tmp_path / "absent.net", "--out", tmp_path]) == 3
 
-    def test_convergence_error(self, tmp_path):
-        assert run(["rank", "--family", "sf", "--n", 12, "--max-iter", 1, "--T", 10,
+    def test_convergence_error(self, tmp_path, capsys):
+        # two 2-cycles plus a tail: at damping near 1 the power iteration
+        # oscillates between the cycles for all google.DEFAULT_MAX_ITER sweeps
+        edges = tmp_path / "cycles.edges"
+        edges.write_text("0 1\n1 0\n2 3\n3 2\n4 0\n")
+        assert run(["rank", "--input", edges, "--alpha", 0.9999999, "--T", 10,
                     "--out", tmp_path]) == 4
+        assert capsys.readouterr().err.startswith(
+            "error [stage=iteration]: power iteration stalled at residual ")
 
     def test_missing_graph_source(self, tmp_path):
         assert run(["rank", "--out", tmp_path]) == 2
@@ -180,31 +193,36 @@ class TestExitCodes:
         assert exit_code(["attack", "--input", net, "--removals", 1, "--ensemble", 2,
                           "--out", tmp_path]) == 2
 
-    @pytest.mark.parametrize("argv, code", [
-        (["rank", "--family", "sf", "--seed", -1], 2),
-        (["ipr", "--family", "sf", "--sizes", "16,32", "--seed", -1], 2),
-        (["attack", "--family", "sf", "--n", 8, "--ensemble", 2, "--seed", -1], 2),
-        (["stability", "--family", "sf", "--n", 8, "--grid", "coarse", "--points", 0], 2),
-        (["stability", "--family", "sf", "--n", 8, "--grid", "coarse", "--points", -1], 2),
-        (["ipr", "--family", "sf", "--sizes", "32,a"], 2),
-        (["ipr", "--family", "er", "--sizes", "16,16,32"], 2),
-        (["powerlaw", "--family", "sf", "--n", 8, "--ensemble", 0], 2),
-        (["powerlaw", "--family", "sf", "--n", 8, "--ensemble", -3], 2),
-        (["rank", "--input", "NOT_UTF8"], 3),
-        (["rank", "--family", "sf", "--config", "NOT_UTF8"], 3),
-        (["ipr", "--family", "hier3", "--sizes", "9,27"], 2),
-        (["rank", "--input", "NO_NODES"], 2),
-        (["attack", "--family", "sf", "--n", 8, "--ensemble", 2, "--max-iter", 1], 2),
+    @pytest.mark.parametrize("argv, code, message", [
+        (["rank", "--family", "sf", "--seed", -1], 2, "seed -1 must be >= 0"),
+        (["ipr", "--family", "sf", "--sizes", "16,32", "--seed", -1], 2, "seed -1"),
+        (["attack", "--family", "sf", "--n", 8, "--ensemble", 2, "--seed", -1], 2, "seed -1"),
+        (["stability", "--family", "sf", "--n", 8, "--grid", "coarse", "--points", 0], 2,
+         "--points 0"),
+        (["stability", "--family", "sf", "--n", 8, "--grid", "coarse", "--points", -1], 2,
+         "--points -1"),
+        (["ipr", "--family", "sf", "--sizes", "32,a"], 2, "is not a list of integers"),
+        (["ipr", "--family", "er", "--sizes", "16,16,32"], 2, "repeats a size"),
+        (["powerlaw", "--family", "sf", "--n", 8, "--ensemble", 0], 2, "--ensemble 0"),
+        (["powerlaw", "--family", "sf", "--n", 8, "--ensemble", -3], 2, "--ensemble -3"),
+        (["rank", "--input", "NOT_UTF8"], 3, "cannot read"),
+        (["rank", "--family", "sf", "--config", "NOT_UTF8"], 3, "cannot read config"),
+        (["ipr", "--family", "hier3", "--sizes", "9,27"], 2, "--family sf or er"),
+        (["rank", "--input", "NO_NODES"], 2, "at least one node"),
+        # 8 removals from an 8-node graph fail in every run, so the ensemble fails
+        (["attack", "--family", "sf", "--n", 8, "--ensemble", 2, "--removals", 8], 2,
+         "all 2 ensemble runs failed"),
     ], ids=["rank-seed", "ipr-seed", "attack-seed", "points-0", "points-neg", "sizes-not-int",
             "sizes-repeated", "powerlaw-ensemble-0", "powerlaw-ensemble-neg",
             "input-not-utf8", "config-not-utf8", "ipr-hier3", "empty-graph", "every-seed-fails"])
-    def test_bad_input_exit_code(self, tmp_path, argv, code):
+    def test_bad_input_exit_code(self, tmp_path, capsys, argv, code, message):
         files = {"NOT_UTF8": ("latin1.net", b"*Vertices 1\n1 \"caf\xe9\"\n"),
                  "NO_NODES": ("empty.edges", b"# nodes 0\n")}
         for name, data in files.values():
             (tmp_path / name).write_bytes(data)
         argv = [tmp_path / files[a][0] if a in files else a for a in argv]
         assert exit_code(argv + ["--T", 10, "--out", tmp_path]) == code
+        assert message in capsys.readouterr().err
 
     def test_out_naming_a_file(self, tmp_path, capsys):
         afile = tmp_path / "afile"
@@ -286,9 +304,6 @@ class TestExitCodes:
         assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("argv, flag", [
-        (["rank", "--tol", -1], "--tol"),
-        (["rank", "--tol", "nan"], "--tol"),
-        (["rank", "--max-iter", 0], "--max-iter"),
         (["attack", "--ensemble", 2, "--jobs", -3], "--jobs"),
         (["rank", "--T", 0], "--T"),
         (["ipr", "--sizes", "8,16", "--T", -5], "--T"),
@@ -296,13 +311,15 @@ class TestExitCodes:
         (["stability", "--grid", "sweep", "--alpha", 1.5], "--alpha"),
         (["powerlaw", "--ensemble", 1, "--alpha", 1], "--alpha"),
         (["rank", "--trajectory", -1], "--trajectory"),
-        (["rank", "--config", "CONFIG"], "--max-iter"),
+        (["rank", "--config", "CONFIG"], "--T"),
         (["ipr", "--sizes", "8,16", "--r", 0], "--r"),
         (["stability", "--points", 0], "--points"),
         (["attack", "--ensemble", 2, "--removals", 0, "--T", 10], "--removals"),
-    ], ids=["tol-negative", "tol-nan", "max-iter-0", "jobs-negative", "T-0", "ipr-T-negative",
-            "alpha-0", "sweep-alpha", "powerlaw-alpha-1", "trajectory-negative", "config-max-iter",
-            "ipr-r-0", "stability-points-0", "attack-removals-0"])
+        (["attack", "--ensemble", 0], "--ensemble"),
+        (["powerlaw", "--ensemble", 0], "--ensemble"),
+    ], ids=["jobs-negative", "T-0", "ipr-T-negative", "alpha-0", "sweep-alpha",
+            "powerlaw-alpha-1", "trajectory-negative", "config-T-0", "ipr-r-0",
+            "stability-points-0", "attack-removals-0", "attack-ensemble-0", "powerlaw-ensemble-0"])
     def test_numeric_flag_out_of_range_exits_2(self, tmp_path, capsys, monkeypatch, argv, flag):
         # rejected as the flags are read, before any graph is built
         generated = []
@@ -310,7 +327,7 @@ class TestExitCodes:
         monkeypatch.setattr(graphs, "generate", lambda spec: generated.append(spec) or build(spec))
         monkeypatch.setattr(analysis, "generate", graphs.generate)
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("max_iter=0\n")
+        cfg.write_text("T=0\n")
         argv = [cfg if a == "CONFIG" else a for a in argv]
         assert run([argv[0], "--family", "sf", "--n", 8, *argv[1:], "--out", tmp_path]) == 2
         assert capsys.readouterr().err.startswith(f"error [stage=parameters]: {flag} ")
@@ -349,7 +366,8 @@ class TestConfigFile:
         cfg.write_text("self_loops=true\n")
         assert run(["generate", "--family", "sf", "--n", 10, "--config", cfg,
                     "--out", tmp_path]) == 0
-        config = json.loads((tmp_path / "generate_sf_n10_seed0_run_config.json").read_text())
+        config = json.loads(
+            (tmp_path / "generate_sf_n10_seed0_self-loops_run_config.json").read_text())
         assert config["params"]["self_loops"] is True
 
     @pytest.mark.parametrize("word, value", [
@@ -360,7 +378,8 @@ class TestConfigFile:
         cfg.write_text(f"self_loops={word}\n")
         assert run(["generate", "--family", "sf", "--n", 10, "--config", cfg,
                     "--out", tmp_path]) == 0
-        config = json.loads((tmp_path / "generate_sf_n10_seed0_run_config.json").read_text())
+        name = "generate_sf_n10_seed0_self-loops" if value else "generate_sf_n10_seed0"
+        config = json.loads((tmp_path / f"{name}_run_config.json").read_text())
         assert config["params"]["self_loops"] is value
 
     @pytest.mark.parametrize("command, entry", [
@@ -396,7 +415,7 @@ class TestIprCommand:
         assert run(["ipr", "--family", "er", "--sizes", "16,32,64", "--alpha", 0.85,
                     "--mode", "quantum", "--T", 150, "--seed", 4, "--out", tmp_path]) == 0
         summary = json.loads(
-            (tmp_path / "ipr_er_a0.85_r1_T150_seed4_summary.json").read_text()
+            (tmp_path / "ipr_er_a0.85_r1_T150_seed4_sizes16-32-64_summary.json").read_text()
         )
         assert summary["quantum"]["classification"] == "delocalized"
 
@@ -408,7 +427,7 @@ class TestStabilityCommand:
     def test_unit_diagonal(self, tmp_path):
         assert run(["stability", "--family", "sf", "--n", 12, "--grid", "coarse",
                     "--points", 5, "--T", 40, "--seed", 3, "--out", tmp_path]) == 0
-        prefix = "stability_sf_n12_T40_seed3_coarse_quantum"
+        prefix = "stability_sf_n12_T40_seed3_points5_coarse_quantum"
         with open(tmp_path / f"{prefix}_fidelity.csv") as fh:
             rows = list(csv.reader(fh))
         for i in range(1, len(rows)):
@@ -505,13 +524,14 @@ class TestAttackCommand:
         assert run(["attack", "--family", "sf", "--n", 10, "--removals", 3,
                     "--ensemble", 4, "--mode", "both", "--T", 50, "--seed", 1,
                     "--out", tmp_path]) == 0
-        rows = read_rows(tmp_path / "attack_sf_n10_a0.85_T50_seed1_ens4.csv")
+        rows = read_rows(tmp_path / "attack_sf_n10_a0.85_T50_seed1_removals3_ens4.csv")
         assert len(rows) == 3
         assert {"removals", "kendall_quantum_mean", "kendall_quantum_std",
                 "kendall_classical_mean", "kendall_classical_std"} <= set(rows[0])
         for row in rows:
             assert 0.0 <= float(row["kendall_quantum_mean"]) <= 1.0
-        summary = json.loads((tmp_path / "attack_sf_n10_a0.85_T50_seed1_ens4_summary.json").read_text())
+        summary = json.loads(
+            (tmp_path / "attack_sf_n10_a0.85_T50_seed1_removals3_ens4_summary.json").read_text())
         assert summary["failures"] == 0
         assert summary["failure_messages"] == []
 
@@ -548,7 +568,29 @@ def stale_constants(text: str) -> list[str]:
     return stale
 
 
+FLAG = re.compile(r"(?<![\w-])--[A-Za-z][\w-]*")
+
+
+def undefined_flags(text: str) -> list[str]:
+    """Each `--flag` of ``text`` that no qprank parser defines; `pip` lines
+    name pip's own flags and are skipped."""
+    parser, subparsers = build_parser()
+    defined = {option for p in (parser, *subparsers.values())
+               for action in p._actions for option in action.option_strings}
+    lines = [line for line in text.splitlines() if not line.strip().startswith("pip ")]
+    return [flag for line in lines for flag in FLAG.findall(line) if flag not in defined]
+
+
 class TestReadme:
+    def test_documented_flags_exist(self):
+        text = README.read_text()
+        assert len(FLAG.findall(text)) >= 20
+        assert undefined_flags(text) == []
+
+    def test_undefined_flags_are_found(self):
+        text = "`--T`, `--max-iter` or `--ensemble` below 1; `--tol`; --sf-delta-in/--sf-gamma"
+        assert undefined_flags(text) == ["--max-iter", "--tol", "--sf-gamma"]
+
     def test_documented_constants_match_the_code(self):
         text = README.read_text()
         assert len(DOCUMENTED_CONSTANT.findall(text)) >= 4

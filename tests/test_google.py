@@ -13,6 +13,7 @@ from qprank import (
     gen_erdos_renyi,
     gen_hierarchical_ternary,
     gen_scale_free,
+    google,
     google_from_graph,
 )
 from qprank.google import (
@@ -126,11 +127,12 @@ class TestClassicalPagerank:
                 assert abs(pr.sum() - 1.0) < 1e-10
                 assert pr.min() >= 0.0
 
-    def test_nonconvergence_raises_with_residual(self):
+    def test_nonconvergence_raises_with_residual(self, monkeypatch):
+        monkeypatch.setattr(google, "DEFAULT_MAX_ITER", 2)
         gm = google_from_graph(gen_scale_free(20, seed=3), 0.85)
-        with pytest.raises(ConvergenceError) as err:
-            classical_pagerank(gm, tol=1e-12, max_iter=2)
-        assert err.value.residual > 1e-12
+        with pytest.raises(ConvergenceError, match="after 2 sweeps") as err:
+            classical_pagerank(gm)
+        assert err.value.residual > google.DEFAULT_TOL
 
     def test_matches_repeated_squaring_oracle(self):
         # G^(2^k) columns converge to the stationary vector; independent of

@@ -180,6 +180,13 @@ class TestGeneratorSpec:
         g = generate(GeneratorSpec(family="hier3", n_gen=2))
         assert g.n == 9
 
+    @pytest.mark.parametrize("spec", [
+        GeneratorSpec(family="sf", n=20), GeneratorSpec(family="er", n=7, p=0.0),
+        GeneratorSpec(family="hier3", n=64, n_gen=3), GeneratorSpec(family="hier2", n=64, n_gen=2),
+    ], ids=lambda spec: spec.family)
+    def test_node_count_is_that_of_the_graph_built(self, spec):
+        assert spec.node_count == generate(spec).n
+
     def test_validation(self):
         with pytest.raises(ParameterError):
             GeneratorSpec(family="er", p=-0.1)
