@@ -6,6 +6,11 @@ CSV/JSON reports plus gnuplot-ready `.dat` tables into the output
 directory, alongside an echo of the exact run configuration, so identical
 invocations produce byte-identical outputs.
 
+The parser is the one check of a flag value: a ``--config`` file's entries
+are read as flags placed before the command line's, and every wrong type,
+choice or range, from either source, is a parameter error naming the flag
+before any graph is built.
+
 Exit codes: 0 success, 2 parameter error, 3 input parse error, 4 numerical
 non-convergence.
 """
@@ -67,14 +72,6 @@ def _write_table(path: Path, header, rows, sep: str = ",") -> None:
 
 def _write_json(path: Path, payload: dict) -> None:
     _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-def _echo_config(outdir: Path, prefix: str, args: argparse.Namespace) -> None:
-    params = {k: v for k, v in vars(args).items() if k not in ("func", "config")}
-    _write_json(
-        outdir / f"{prefix}_run_config.json",
-        {"tool": "qprank", "version": __version__, "params": params},
-    )
 
 
 def parallel_map(fn, items, jobs: int) -> list:
@@ -144,21 +141,23 @@ FAMILY_FLAGS = {"sf": ("sf_alpha", "sf_beta", "sf_delta_in", "sf_delta_out", "se
 def _part(key: str, val) -> str:
     if val is True:
         return key
-    return f"{key}{val:g}" if isinstance(val, float) else f"{key}{val}".replace(",", "-")
+    if isinstance(val, float):  # :g, unless it drops digits: then the shortest round trip
+        return key + (f"{val:g}" if float(f"{val:g}") == val else repr(val))
+    return f"{key}{val}".replace(",", "-")
 
 
 def _prefix(args, label: str, *settings: str, **parts) -> str:
     """The file prefix of a run: the subcommand, the graph label, each of
     ``parts`` that is not None, then each data-changing flag of ``settings``
     and of the family whose value, from a config file too, differs from the
-    parser's built-in default. So runs with different data differ in name."""
+    subcommand parser's built-in default. So runs with different data differ
+    in name."""
     bits = [args.command, label, *(_part(k, v) for k, v in parts.items() if v is not None)]
     if not getattr(args, "input", None):
         settings += FAMILY_FLAGS[args.family]
-    builtin = build_parser()[1][args.command]
     for dest in settings:
         val = getattr(args, dest)
-        if val != builtin.get_default(dest):
+        if val != args.parser.get_default(dest):
             bits.append(_part(dest.replace("_", "-"), val))
     return "_".join(bits)
 
@@ -391,6 +390,9 @@ def cmd_powerlaw(args) -> tuple[str, dict]:
 
 
 def cmd_attack(args) -> tuple[str, dict]:
+    n = _spec_from_args(args).node_count
+    if args.removals >= n:  # else every ensemble member would fail on its own
+        raise ParameterError(f"--removals {args.removals} must be below the node count {n}")
     modes = _modes(args.mode)
     experiment = functools.partial(analysis.attack_metrics, removals=args.removals, modes=modes,
                                    alpha=args.alpha, horizon=args.T)
@@ -420,16 +422,41 @@ def cmd_attack(args) -> tuple[str, dict]:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises ParameterError where argparse would print its usage and exit,
+    so every parse error, a config file's included, leaves ``main`` as one
+    line and exit 2."""
+
+    def error(self, message):
+        raise ParameterError(message)
+
+
+def _checked(convert, rule: str, holds):
+    """An argparse ``type``: ``convert`` the text, then require ``holds``."""
+    def check(text: str):
+        value = convert(text)
+        if not holds(value):
+            raise argparse.ArgumentTypeError(f"{text} must be {rule}")
+        return value
+
+    check.__name__ = convert.__name__  # argparse reports "invalid int value: ..."
+    return check
+
+
+_positive = _checked(int, ">= 1", lambda v: v >= 1)
+_damping = _checked(float, "in (0, 1)", lambda v: 0.0 < v < 1.0)
+
+
 def _add_common(sp: argparse.ArgumentParser, *, ranking: bool = True) -> None:
     sp.add_argument("--out", default=os.environ.get(OUT_ENV_VAR, "runs"),
                     help=f"output directory (env {OUT_ENV_VAR} overrides the default)")
     sp.add_argument("--seed", type=int, default=graphs.GeneratorSpec.seed, help="base RNG seed")
-    sp.add_argument("--jobs", type=int, default=1, help="worker processes for independent runs")
-    sp.add_argument("--config", default=None, help="key=value defaults file; flags override")
+    sp.add_argument("--jobs", type=_positive, default=1, help="worker processes for independent runs")
+    sp.add_argument("--config", default=None, help="key=value file read as leading flags")
     if ranking:
-        sp.add_argument("--alpha", type=float, default=DEFAULT_ALPHA,
+        sp.add_argument("--alpha", type=_damping, default=DEFAULT_ALPHA,
                         help="damping parameter (stability --grid sweep: the reference)")
-        sp.add_argument("--T", type=int, default=walk.DEFAULT_HORIZON,
+        sp.add_argument("--T", type=_positive, default=walk.DEFAULT_HORIZON,
                         help="quantum averaging horizon (double-steps)")
 
 
@@ -453,147 +480,117 @@ def _add_generator(sp: argparse.ArgumentParser, *, with_input: bool = False) -> 
 
 
 def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The top-level parser and its subcommand parsers by name."""
-    parser = argparse.ArgumentParser(
+    """The top-level parser and its subcommand parsers by name. Each
+    subcommand's namespace carries its ``func`` and its own ``parser``, whose
+    defaults ``_prefix`` compares against."""
+    parser = _Parser(
         prog="qprank",
         description="Quantum and classical PageRank on directed complex networks.",
     )
     parser.add_argument("--version", action="version", version=f"qprank {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("generate", help="write a generated graph to disk")
+    def subcommand(name: str, func, help: str) -> argparse.ArgumentParser:
+        sp = sub.add_parser(name, help=help)
+        sp.set_defaults(func=func, parser=sp)
+        return sp
+
+    sp = subcommand("generate", cmd_generate, "write a generated graph to disk")
     _add_generator(sp)
     _add_common(sp, ranking=False)
-    sp.set_defaults(func=cmd_generate)
 
-    sp = sub.add_parser("rank", help="classical and quantum ranking of one graph")
+    sp = subcommand("rank", cmd_rank, "classical and quantum ranking of one graph")
     _add_generator(sp, with_input=True)
     _add_common(sp)
-    sp.add_argument("--trajectory", type=int, default=0,
+    sp.add_argument("--trajectory", type=_checked(int, ">= 0", lambda v: v >= 0), default=0,
                     help="also dump instantaneous distributions for this many steps")
     sp.add_argument("--dump-matrix", action="store_true",
                     help="also write the dense transition matrix at full precision")
-    sp.set_defaults(func=cmd_rank)
 
-    sp = sub.add_parser("ipr", help="inverse participation ratio across graph sizes")
+    sp = subcommand("ipr", cmd_ipr, "inverse participation ratio across graph sizes")
     _add_generator(sp)
     _add_common(sp)
     sp.add_argument("--sizes", default="32,64,128,256", help="comma-separated node counts")
     sp.add_argument("--mode", choices=("quantum", "classical", "both"), default="quantum")
-    sp.add_argument("--r", type=int, default=1, help="participation-ratio order")
-    sp.set_defaults(func=cmd_ipr)
+    sp.add_argument("--r", type=_positive, default=1, help="participation-ratio order")
 
-    sp = sub.add_parser("stability", help="ranking stability across damping values")
+    sp = subcommand("stability", cmd_stability, "ranking stability across damping values")
     _add_generator(sp, with_input=True)
     _add_common(sp)
     sp.add_argument("--grid", choices=("coarse", "fine", "sweep"), default="coarse")
-    sp.add_argument("--points", type=int, default=20, help="coarse grid size")
+    sp.add_argument("--points", type=_positive, default=20, help="coarse grid size")
     sp.add_argument("--mode", choices=("quantum", "classical"), default="quantum")
-    sp.set_defaults(func=cmd_stability)
 
-    sp = sub.add_parser("powerlaw", help="power-law fit of the sorted ranking")
+    sp = subcommand("powerlaw", cmd_powerlaw, "power-law fit of the sorted ranking")
     _add_generator(sp, with_input=True)
     _add_common(sp)
     sp.add_argument("--mode", choices=("quantum", "classical", "both"), default="both")
-    sp.add_argument("--ensemble", type=int, default=29, help="graphs in the ensemble (1 = single)")
+    sp.add_argument("--ensemble", type=_positive, default=29, help="graphs in the ensemble (1 = single)")
     sp.add_argument("--i-max", type=int, default=None, help="last rank index (default: before the degenerate tail)")
-    sp.set_defaults(func=cmd_powerlaw)
 
-    sp = sub.add_parser("attack", help="iterated hub removal over a seeded ensemble")
+    sp = subcommand("attack", cmd_attack, "iterated hub removal over a seeded ensemble")
     _add_generator(sp)
     _add_common(sp)
     sp.add_argument("--mode", choices=("quantum", "classical", "both"), default="both")
-    sp.add_argument("--removals", type=int, default=5, help="nodes to remove, one per round")
-    sp.add_argument("--ensemble", type=int, default=100, help="graphs in the ensemble")
-    sp.set_defaults(func=cmd_attack)
+    sp.add_argument("--removals", type=_positive, default=5, help="nodes to remove, one per round")
+    sp.add_argument("--ensemble", type=_positive, default=100, help="graphs in the ensemble")
 
     return parser, sub.choices
 
 
-def _read_config_file(path: str) -> dict[str, str]:
+BOOLEAN_WORDS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+
+def _config_flags(sp: argparse.ArgumentParser, path: str) -> list[str]:
+    """The ``key=value`` lines of config file ``path`` as the flags they stand
+    for: ``--key=value``, or for a boolean flag the flag or nothing, by its
+    word of BOOLEAN_WORDS in any case. Keys the subcommand does not define
+    are skipped, so one config file can serve several subcommands."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read config {path}: {exc}") from exc
-    values: dict[str, str] = {}
+    actions = {action.dest: action for action in sp._actions}
+    flags = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
             raise ParseError(f"expected key=value, got {line!r}", lineno)
-        key, _, value = line.partition("=")
-        values[key.strip()] = value.strip()
-    return values
-
-
-BOOLEAN_WORDS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
-
-# The range of each numeric flag that a subcommand may define, as (rule, test).
-NUMERIC_FLAG_RULES = {
-    "alpha": ("in (0, 1)", lambda v: 0.0 < v < 1.0),
-    "T": (">= 1", lambda v: v >= 1),
-    "jobs": (">= 1", lambda v: v >= 1),
-    "trajectory": (">= 0", lambda v: v >= 0),
-    "r": (">= 1", lambda v: v >= 1),
-    "points": (">= 1", lambda v: v >= 1),
-    "removals": (">= 1", lambda v: v >= 1),
-    "ensemble": (">= 1", lambda v: v >= 1),
-}
-
-
-def _check_numeric_flags(args: argparse.Namespace) -> None:
-    for dest, (rule, holds) in NUMERIC_FLAG_RULES.items():
-        value = getattr(args, dest, None)
-        if value is not None and not holds(value):
-            raise ParameterError(f"--{dest.replace('_', '-')} {value} must be {rule}")
-
-
-def _apply_config(sp: argparse.ArgumentParser, parsed: dict, values: dict[str, str]) -> None:
-    """Make config-file entries the subcommand's defaults.
-
-    Flags given on the command line still win on the re-parse, which also
-    type-converts the string values. A value outside its flag's choices is a
-    parameter error here, since argparse checks choices on the command line
-    only. Keys the chosen subcommand does not define are skipped, so one
-    config file can serve several subcommands. Boolean flags take a word of
-    BOOLEAN_WORDS, in any case.
-    """
-    choices = {action.dest: action.choices for action in sp._actions}
-    defaults = {}
-    for key, value in values.items():
-        dest = key.replace("-", "_")
-        if dest in ("command", "config", "func") or dest not in parsed:
+        key, value = (part.strip() for part in line.split("=", 1))
+        action = actions.get(key.replace("-", "_"))
+        if action is None or action.dest in ("help", "config"):
             continue
-        if isinstance(parsed[dest], bool):
-            if value.lower() not in BOOLEAN_WORDS:
-                raise ParameterError(f"config {key}={value!r} is not one of "
-                                     f"{', '.join(BOOLEAN_WORDS)}")
-            defaults[dest] = BOOLEAN_WORDS[value.lower()]
-        elif choices.get(dest) is not None and value not in choices[dest]:
-            raise ParameterError(f"config {key}={value!r} is not one of {', '.join(choices[dest])}")
-        else:
-            defaults[dest] = value
-    sp.set_defaults(**defaults)
+        if action.nargs != 0:
+            flags.append(f"{action.option_strings[0]}={value}")
+        elif value.lower() not in BOOLEAN_WORDS:
+            raise ParameterError(f"config {key}={value!r} is not one of {', '.join(BOOLEAN_WORDS)}")
+        elif BOOLEAN_WORDS[value.lower()]:
+            flags.append(action.option_strings[0])
+    return flags
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one subcommand: parse and check the flags, run it, then record the
-    run as ``<prefix>_summary.json``, when it has a summary, and
+    """Run one subcommand: parse the flags, a config file's placed right after
+    the subcommand name, run it, then record the run as
+    ``<prefix>_summary.json``, when it has a summary, and
     ``<prefix>_run_config.json``."""
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser, subparsers = build_parser()
+    parser, _ = build_parser()
     try:
         args = parser.parse_args(argv)
         if args.config is not None:
-            _apply_config(subparsers[args.command], vars(args), _read_config_file(args.config))
-            args = parser.parse_args(argv)
-        _check_numeric_flags(args)
+            at = argv.index(args.command) + 1
+            args = parser.parse_args(
+                argv[:at] + _config_flags(args.parser, args.config) + argv[at:])
         prefix, summary = args.func(args)
         outdir = Path(args.out)
         if summary is not None:
             _write_json(outdir / f"{prefix}_summary.json", summary)
-        _echo_config(outdir, prefix, args)
+        params = {k: v for k, v in vars(args).items() if k not in ("func", "parser", "config")}
+        _write_json(outdir / f"{prefix}_run_config.json",
+                    {"tool": "qprank", "version": __version__, "params": params})
         return EXIT_OK
     except ParseError as exc:
         print(f"error [stage=input]: {exc}", file=sys.stderr)

@@ -405,6 +405,14 @@ class TestEnsemble:
         assert len(report.failure_messages) == report.failures
         assert all("seed" in msg for msg in report.failure_messages)
 
+    def test_every_run_failing_is_a_parameter_error(self):
+        def diverges(g):
+            raise ConvergenceError("never settles", residual=1.0)
+
+        with pytest.raises(ParameterError, match="all 3 ensemble runs failed; first: seed 4: "
+                                                 "never settles"):
+            ensemble_run(GeneratorSpec(family="er", n=5, seed=4), 3, diverges)
+
     def test_count_validation(self):
         with pytest.raises(ParameterError):
             ensemble_run(GeneratorSpec(family="er", n=5), 0, lambda g: {})

@@ -1,8 +1,11 @@
 import csv
 import importlib
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -12,6 +15,7 @@ import pytest
 
 from qprank import __version__, analysis, cli, graphs, load_edge_list, load_pajek
 from qprank.cli import build_parser, main
+from qprank.errors import ParameterError
 
 from conftest import dense_google, epa_path
 from test_acceptance import STABILITY_CLASSICAL_ARGV, STABILITY_QUANTUM_ARGV
@@ -21,12 +25,19 @@ def run(args) -> int:
     return main([str(a) for a in args])
 
 
-def exit_code(args) -> int:
-    """Exit status of a run, whether returned by main or raised by argparse."""
-    try:
-        return run(args)
-    except SystemExit as exc:
-        return exc.code
+@pytest.fixture
+def generated(monkeypatch) -> list:
+    """The spec of each graph the test generates, in order."""
+    specs = []
+    build = graphs.generate
+
+    def counted(spec):
+        specs.append(spec)
+        return build(spec)
+
+    monkeypatch.setattr(graphs, "generate", counted)
+    monkeypatch.setattr(analysis, "generate", counted)  # the ensembles' own reference
+    return specs
 
 
 def read_rows(path: Path) -> list[dict]:
@@ -149,8 +160,10 @@ class TestRank:
     (["ipr", "--family", "sf"], "--sizes", ("16,32", "32,64")),
     (["powerlaw", "--family", "sf", "--n", 32, "--ensemble", 1], "--i-max", (10, 12)),
     (["attack", "--family", "hier3", "--ensemble", 2, "--removals", 1], "--gen", (2, 3)),
+    # the same to six significant digits
+    (["rank", "--family", "sf", "--n", 16], "--alpha", (0.1234561, 0.1234564)),
 ], ids=["rank-seed", "powerlaw-seed", "sweep-reference", "er-p", "coarse-points", "ipr-sizes",
-        "powerlaw-i-max", "hier-gen"])
+        "powerlaw-i-max", "hier-gen", "alpha-seventh-digit"])
 def test_runs_differing_in_one_value_keep_their_files(tmp_path, argv, flag, values):
     names = []
     for value in values:
@@ -190,39 +203,56 @@ class TestExitCodes:
     def test_attack_rejects_file_input(self, tmp_path):  # attack has no --input
         net = tmp_path / "g.net"
         net.write_text("*Vertices 2\n*Arcs\n1 2\n")
-        assert exit_code(["attack", "--input", net, "--removals", 1, "--ensemble", 2,
-                          "--out", tmp_path]) == 2
+        assert run(["attack", "--input", net, "--removals", 1, "--ensemble", 2,
+                    "--out", tmp_path]) == 2
 
     @pytest.mark.parametrize("argv, code, message", [
         (["rank", "--family", "sf", "--seed", -1], 2, "seed -1 must be >= 0"),
         (["ipr", "--family", "sf", "--sizes", "16,32", "--seed", -1], 2, "seed -1"),
         (["attack", "--family", "sf", "--n", 8, "--ensemble", 2, "--seed", -1], 2, "seed -1"),
         (["stability", "--family", "sf", "--n", 8, "--grid", "coarse", "--points", 0], 2,
-         "--points 0"),
+         "argument --points: 0 must be >= 1"),
         (["stability", "--family", "sf", "--n", 8, "--grid", "coarse", "--points", -1], 2,
-         "--points -1"),
+         "argument --points: -1 must be >= 1"),
         (["ipr", "--family", "sf", "--sizes", "32,a"], 2, "is not a list of integers"),
         (["ipr", "--family", "er", "--sizes", "16,16,32"], 2, "repeats a size"),
-        (["powerlaw", "--family", "sf", "--n", 8, "--ensemble", 0], 2, "--ensemble 0"),
-        (["powerlaw", "--family", "sf", "--n", 8, "--ensemble", -3], 2, "--ensemble -3"),
+        (["powerlaw", "--family", "sf", "--n", 8, "--ensemble", 0], 2,
+         "argument --ensemble: 0 must be >= 1"),
+        (["powerlaw", "--family", "sf", "--n", 8, "--ensemble", -3], 2,
+         "argument --ensemble: -3 must be >= 1"),
         (["rank", "--input", "NOT_UTF8"], 3, "cannot read"),
         (["rank", "--family", "sf", "--config", "NOT_UTF8"], 3, "cannot read config"),
         (["ipr", "--family", "hier3", "--sizes", "9,27"], 2, "--family sf or er"),
         (["rank", "--input", "NO_NODES"], 2, "at least one node"),
-        # 8 removals from an 8-node graph fail in every run, so the ensemble fails
+        # 8 removals from an 8-node graph would fail in every ensemble run
         (["attack", "--family", "sf", "--n", 8, "--ensemble", 2, "--removals", 8], 2,
-         "all 2 ensemble runs failed"),
+         "--removals 8 must be below the node count 8"),
+        (["attack", "--family", "hier3", "--gen", 1, "--ensemble", 2, "--removals", 3], 2,
+         "--removals 3 must be below the node count 3"),
+        # parse errors are returned as exit 2, not raised as SystemExit
+        (["rank", "--family", "sf", "--T", "abc"], 2, "argument --T: invalid int value: 'abc'"),
+        (["stability", "--family", "sf", "--mode", "both"], 2,
+         "argument --mode: invalid choice: 'both'"),
+        (["rank", "--family", "sf", "--bogus", 1], 2, "unrecognized arguments: --bogus 1"),
+        ([], 2, "the following arguments are required: command"),
     ], ids=["rank-seed", "ipr-seed", "attack-seed", "points-0", "points-neg", "sizes-not-int",
             "sizes-repeated", "powerlaw-ensemble-0", "powerlaw-ensemble-neg",
-            "input-not-utf8", "config-not-utf8", "ipr-hier3", "empty-graph", "every-seed-fails"])
-    def test_bad_input_exit_code(self, tmp_path, capsys, argv, code, message):
+            "input-not-utf8", "config-not-utf8", "ipr-hier3", "empty-graph", "every-seed-fails",
+            "hier-removals-all", "T-not-int", "mode-not-a-choice", "unknown-flag",
+            "no-subcommand"])
+    def test_bad_input_exit_code(self, tmp_path, capsys, generated, argv, code, message):
+        # each is rejected before any graph is generated, in one line
         files = {"NOT_UTF8": ("latin1.net", b"*Vertices 1\n1 \"caf\xe9\"\n"),
                  "NO_NODES": ("empty.edges", b"# nodes 0\n")}
         for name, data in files.values():
             (tmp_path / name).write_bytes(data)
         argv = [tmp_path / files[a][0] if a in files else a for a in argv]
-        assert exit_code(argv + ["--T", 10, "--out", tmp_path]) == code
-        assert message in capsys.readouterr().err
+        assert run(argv + ["--T=10", f"--out={tmp_path}"]) == code
+        err = capsys.readouterr().err
+        stage = {2: "parameters", 3: "input"}[code]
+        assert err.startswith(f"error [stage={stage}]: ") and err.count("\n") == 1
+        assert message in err
+        assert generated == []
 
     def test_out_naming_a_file(self, tmp_path, capsys):
         afile = tmp_path / "afile"
@@ -303,35 +333,47 @@ class TestExitCodes:
                     "--out", out]) == 2
         assert list(out.iterdir()) == []
 
-    @pytest.mark.parametrize("argv, flag", [
-        (["attack", "--ensemble", 2, "--jobs", -3], "--jobs"),
-        (["rank", "--T", 0], "--T"),
-        (["ipr", "--sizes", "8,16", "--T", -5], "--T"),
-        (["rank", "--alpha", 0], "--alpha"),
-        (["stability", "--grid", "sweep", "--alpha", 1.5], "--alpha"),
-        (["powerlaw", "--ensemble", 1, "--alpha", 1], "--alpha"),
-        (["rank", "--trajectory", -1], "--trajectory"),
-        (["rank", "--config", "CONFIG"], "--T"),
-        (["ipr", "--sizes", "8,16", "--r", 0], "--r"),
-        (["stability", "--points", 0], "--points"),
-        (["attack", "--ensemble", 2, "--removals", 0, "--T", 10], "--removals"),
-        (["attack", "--ensemble", 0], "--ensemble"),
-        (["powerlaw", "--ensemble", 0], "--ensemble"),
+    @pytest.mark.parametrize("argv, message", [
+        (["attack", "--ensemble", 2, "--jobs", -3], "--jobs: -3 must be >= 1"),
+        (["rank", "--T", 0], "--T: 0 must be >= 1"),
+        (["ipr", "--sizes", "8,16", "--T", -5], "--T: -5 must be >= 1"),
+        (["rank", "--alpha", 0], "--alpha: 0 must be in (0, 1)"),
+        (["stability", "--grid", "sweep", "--alpha", 1.5], "--alpha: 1.5 must be in (0, 1)"),
+        (["powerlaw", "--ensemble", 1, "--alpha", 1], "--alpha: 1 must be in (0, 1)"),
+        (["rank", "--trajectory", -1], "--trajectory: -1 must be >= 0"),
+        (["rank", "--config", "CONFIG"], "--T: 0 must be >= 1"),
+        (["ipr", "--sizes", "8,16", "--r", 0], "--r: 0 must be >= 1"),
+        (["stability", "--points", 0], "--points: 0 must be >= 1"),
+        (["attack", "--ensemble", 2, "--removals", 0, "--T", 10], "--removals: 0 must be >= 1"),
+        (["attack", "--ensemble", 0], "--ensemble: 0 must be >= 1"),
+        (["powerlaw", "--ensemble", 0], "--ensemble: 0 must be >= 1"),
     ], ids=["jobs-negative", "T-0", "ipr-T-negative", "alpha-0", "sweep-alpha",
             "powerlaw-alpha-1", "trajectory-negative", "config-T-0", "ipr-r-0",
             "stability-points-0", "attack-removals-0", "attack-ensemble-0", "powerlaw-ensemble-0"])
-    def test_numeric_flag_out_of_range_exits_2(self, tmp_path, capsys, monkeypatch, argv, flag):
+    def test_numeric_flag_out_of_range_exits_2(self, tmp_path, capsys, generated, argv, message):
         # rejected as the flags are read, before any graph is built
-        generated = []
-        build = graphs.generate
-        monkeypatch.setattr(graphs, "generate", lambda spec: generated.append(spec) or build(spec))
-        monkeypatch.setattr(analysis, "generate", graphs.generate)
         cfg = tmp_path / "run.cfg"
         cfg.write_text("T=0\n")
         argv = [cfg if a == "CONFIG" else a for a in argv]
         assert run([argv[0], "--family", "sf", "--n", 8, *argv[1:], "--out", tmp_path]) == 2
-        assert capsys.readouterr().err.startswith(f"error [stage=parameters]: {flag} ")
+        assert capsys.readouterr().err == f"error [stage=parameters]: argument {message}\n"
         assert generated == []
+
+    def test_console_entry_point(self, tmp_path):
+        # the error is one line, with no usage text; --version still exits 0
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+
+        def qprank(*argv):
+            return subprocess.run([sys.executable, "-m", "qprank.cli", *argv], cwd=tmp_path,
+                                  env=env, capture_output=True, text=True, timeout=60)
+
+        bad = qprank("rank", "--family", "sf", "--T", "abc")
+        assert bad.returncode == 2
+        assert bad.stderr == "error [stage=parameters]: argument --T: invalid int value: 'abc'\n"
+        version = qprank("--version")
+        assert (version.returncode, version.stdout) == (0, f"qprank {__version__}\n")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestConfigFile:
@@ -359,7 +401,20 @@ class TestConfigFile:
         assert (tmp_path / "rank_sf_n20_a0.85_T30_seed0.csv").exists()
 
     def test_trailing_config_flag_exits_2(self, tmp_path):
-        assert exit_code(["rank", "--family", "sf", "--out", tmp_path, "--config"]) == 2
+        assert run(["rank", "--family", "sf", "--out", tmp_path, "--config"]) == 2
+
+    def test_file_and_flags_write_the_same_bytes(self, tmp_path, monkeypatch):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("alpha=0.5\nT=40\nself_loops=yes\n")
+        trees = []
+        for name, extra in (("file", ["--config", cfg]),
+                            ("flags", ["--alpha", 0.5, "--T", 40, "--self-loops"])):
+            (tmp_path / name).mkdir()
+            monkeypatch.chdir(tmp_path / name)  # the same relative --out, echoed by both
+            assert run(["rank", "--family", "sf", "--n", 16, *extra, "--out", "o"]) == 0
+            trees.append(tree_bytes(tmp_path / name / "o"))
+        assert "rank_sf_n16_a0.5_T40_seed0_self-loops_run_config.json" in trees[0]
+        assert trees[0] == trees[1]
 
     def test_store_true_key_honoured(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -390,23 +445,18 @@ class TestConfigFile:
         ("stability", "mode=both"),
         ("rank", "self_loops=maybe"),
         ("rank", "dump_matrix=on"),
+        ("rank", "T=0"),  # wrong even where the command line's --T overrides it
     ])
-    def test_bad_value_exits_2(self, tmp_path, capsys, monkeypatch, command, entry):
-        # rejected as the flags are read, before any graph is built
-        generated = []
-        build = graphs.generate
-
-        def counted(spec):
-            generated.append(spec)
-            return build(spec)
-
-        monkeypatch.setattr(graphs, "generate", counted)
-        monkeypatch.setattr(analysis, "generate", counted)  # the ensembles' own reference
+    def test_bad_value_exits_2(self, tmp_path, capsys, generated, command, entry):
+        # rejected as the flags are read, before any graph is built, naming key and value
         cfg = tmp_path / "run.cfg"
         cfg.write_text(entry + "\n")
-        assert exit_code([command, "--family", "sf", "--n", 8, "--T", 20, "--config", cfg,
-                          "--out", tmp_path]) == 2
-        assert entry.split("=")[0] in capsys.readouterr().err
+        assert run([command, "--family", "sf", "--n", 8, "--T", 20, "--config", cfg,
+                    "--out", tmp_path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error [stage=parameters]: ") and err.count("\n") == 1
+        key, value = entry.split("=")
+        assert key.replace("_", "-") in err.replace("_", "-") and value in err
         assert generated == []
 
 
@@ -621,7 +671,7 @@ class TestReadme:
             argv = ["0" if tok.startswith("$") else tok for tok in shlex.split(line)[1:]]
             try:
                 parser.parse_args(argv)
-            except SystemExit:
+            except ParameterError:
                 pytest.fail(f"README invocation does not parse: {line}")
 
 
