@@ -350,6 +350,10 @@ def cmd_powerlaw(args) -> tuple[str, dict]:
     outdir = Path(args.out)
     modes = _modes(args.mode)
     settings = ("mode", "i_max")
+    if args.i_max is not None and not args.input:  # else every ranking would fail its fit
+        n = _spec_from_args(args).node_count
+        if args.i_max > n:
+            raise ParameterError(f"--i-max {args.i_max} must not exceed the node count {n}")
     if args.input or args.ensemble == 1:
         g, label = _graph_from_args(args)
         prefix = _prefix(args, label, *settings, n=g.n, a=args.alpha, T=args.T,
@@ -526,7 +530,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     _add_common(sp)
     sp.add_argument("--mode", choices=("quantum", "classical", "both"), default="both")
     sp.add_argument("--ensemble", type=_positive, default=29, help="graphs in the ensemble (1 = single)")
-    sp.add_argument("--i-max", type=int, default=None, help="last rank index (default: before the degenerate tail)")
+    sp.add_argument("--i-max", type=_checked(int, ">= 2", lambda v: v >= 2), default=None,
+                    help="last rank index (default: before the degenerate tail)")
 
     sp = subcommand("attack", cmd_attack, "iterated hub removal over a seeded ensemble")
     _add_generator(sp)

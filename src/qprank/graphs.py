@@ -1,8 +1,9 @@
 """Directed graphs: construction, seeded generators, file formats, mutation.
 
-All randomness is drawn from numpy's PCG64 bit generator through
-``Generator.random()`` only, so a fixed seed reproduces identical graphs
-across runs, platforms, and numpy releases. Seeds are plain 64-bit
+All randomness is the uniform stream of numpy's PCG64 bit generator
+(``Generator.random``, drawn one at a time or in blocks, which give the same
+numbers), so a fixed seed reproduces identical graphs across runs,
+platforms, and numpy releases. Seeds are plain 64-bit
 integers; ensemble drivers derive per-run seeds as ``base_seed + index``.
 """
 
@@ -140,11 +141,44 @@ def generate(spec: GeneratorSpec) -> DirectedGraph:
     return gen_hierarchical_outerplanar(spec.n_gen)
 
 
-def _preferential_pick(rng: np.random.Generator, degrees: np.ndarray, offset: float, total: float) -> int:
-    # P(i) proportional to degrees[i] + offset; total = degrees.sum() + offset*len
-    r = rng.random() * total
-    idx = int(np.searchsorted(np.cumsum(degrees + offset), r, side="right"))
-    return min(idx, len(degrees) - 1)
+# Uniforms are drawn in blocks: rng.random(k) gives the same numbers as k
+# calls of rng.random(), at one call per block.
+_DRAW_BLOCK = 1024
+
+
+def _uniforms(rng: np.random.Generator):
+    while True:
+        yield from rng.random(_DRAW_BLOCK).tolist()
+
+
+# Preferential picks run on Fenwick trees (binary indexed trees; Fenwick,
+# Softw. Pract. Exper. 24, 1994) of integer degrees: tree[j] holds the degree
+# sum of nodes j - (j & -j) .. j - 1, so a prefix sum or an increment visits
+# O(log n) slots. A tree spans 2n slots, the nodes past n keeping degree 0,
+# so a descent from the highest power of two <= count stays inside it.
+
+
+def _fenwick_add(tree: list, i: int) -> None:
+    """Add one to the degree of node i."""
+    i += 1
+    while i < len(tree):
+        tree[i] += 1
+        i += i & -i
+
+
+def _fenwick_pick(tree: list, r: float, offset: float, count: int) -> int:
+    """The first of nodes 0..count-1 whose prefix sum of degree + ``offset``
+    exceeds ``r``, as ``searchsorted(side="right")`` finds it, clamped to
+    count - 1. A node of weight zero is never picked."""
+    pos = acc = 0
+    step = 1 << (count.bit_length() - 1)
+    while step:
+        nxt = pos + step
+        if acc + tree[nxt] + offset * nxt <= r:
+            pos = nxt
+            acc += tree[nxt]
+        step >>= 1
+    return min(pos, count - 1)
 
 
 def _check_scale_free(alpha: float, beta: float, delta_in: float, delta_out: float) -> None:
@@ -186,33 +220,34 @@ def gen_scale_free(
     if n > 3 and beta >= 1.0:
         raise ParameterError("beta must be below 1 for the graph to grow")
 
-    rng = np.random.default_rng(seed)
-    in_deg = np.zeros(n, dtype=np.float64)
-    out_deg = np.zeros(n, dtype=np.float64)
-    multi_edges = [(0, 1), (1, 2), (2, 0)]
-    in_deg[:3] = out_deg[:3] = 1.0  # one link in and one out on the seed cycle
-    num_nodes = 3
-    num_edges = 3
+    draw = _uniforms(np.random.default_rng(seed)).__next__
+    in_tree, out_tree = [0] * (2 * n), [0] * (2 * n)
+    src, dst = [0, 1, 2], [1, 2, 0]  # the seed cycle: one link in and one out per node
+    for i in range(3):
+        _fenwick_add(in_tree, i)
+        _fenwick_add(out_tree, i)
+    num_nodes = num_edges = 3
 
     while num_nodes < n:
-        r = rng.random()
+        r = draw()
         if r < alpha:
-            w = _preferential_pick(rng, in_deg[:num_nodes], delta_in, num_edges + delta_in * num_nodes)
+            w = _fenwick_pick(in_tree, draw() * (num_edges + delta_in * num_nodes), delta_in, num_nodes)
             v = num_nodes
             num_nodes += 1
         elif r < alpha + beta:
-            v = _preferential_pick(rng, out_deg[:num_nodes], delta_out, num_edges + delta_out * num_nodes)
-            w = _preferential_pick(rng, in_deg[:num_nodes], delta_in, num_edges + delta_in * num_nodes)
+            v = _fenwick_pick(out_tree, draw() * (num_edges + delta_out * num_nodes), delta_out, num_nodes)
+            w = _fenwick_pick(in_tree, draw() * (num_edges + delta_in * num_nodes), delta_in, num_nodes)
         else:
-            v = _preferential_pick(rng, out_deg[:num_nodes], delta_out, num_edges + delta_out * num_nodes)
+            v = _fenwick_pick(out_tree, draw() * (num_edges + delta_out * num_nodes), delta_out, num_nodes)
             w = num_nodes
             num_nodes += 1
-        multi_edges.append((v, w))
-        out_deg[v] += 1
-        in_deg[w] += 1
+        src.append(v)
+        dst.append(w)
+        _fenwick_add(out_tree, v)
+        _fenwick_add(in_tree, w)
         num_edges += 1
 
-    pairs = np.array(multi_edges)
+    pairs = np.column_stack([src, dst])
     return DirectedGraph(n, pairs[(pairs[:, 0] != pairs[:, 1]) | allow_self_loops], allow_self_loops)
 
 

@@ -334,29 +334,34 @@ class TestExitCodes:
         assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("argv, message", [
-        (["attack", "--ensemble", 2, "--jobs", -3], "--jobs: -3 must be >= 1"),
-        (["rank", "--T", 0], "--T: 0 must be >= 1"),
-        (["ipr", "--sizes", "8,16", "--T", -5], "--T: -5 must be >= 1"),
-        (["rank", "--alpha", 0], "--alpha: 0 must be in (0, 1)"),
-        (["stability", "--grid", "sweep", "--alpha", 1.5], "--alpha: 1.5 must be in (0, 1)"),
-        (["powerlaw", "--ensemble", 1, "--alpha", 1], "--alpha: 1 must be in (0, 1)"),
-        (["rank", "--trajectory", -1], "--trajectory: -1 must be >= 0"),
-        (["rank", "--config", "CONFIG"], "--T: 0 must be >= 1"),
-        (["ipr", "--sizes", "8,16", "--r", 0], "--r: 0 must be >= 1"),
-        (["stability", "--points", 0], "--points: 0 must be >= 1"),
-        (["attack", "--ensemble", 2, "--removals", 0, "--T", 10], "--removals: 0 must be >= 1"),
-        (["attack", "--ensemble", 0], "--ensemble: 0 must be >= 1"),
-        (["powerlaw", "--ensemble", 0], "--ensemble: 0 must be >= 1"),
+        (["attack", "--ensemble", 2, "--jobs", -3], "argument --jobs: -3 must be >= 1"),
+        (["rank", "--T", 0], "argument --T: 0 must be >= 1"),
+        (["ipr", "--sizes", "8,16", "--T", -5], "argument --T: -5 must be >= 1"),
+        (["rank", "--alpha", 0], "argument --alpha: 0 must be in (0, 1)"),
+        (["stability", "--grid", "sweep", "--alpha", 1.5], "argument --alpha: 1.5 must be in (0, 1)"),
+        (["powerlaw", "--ensemble", 1, "--alpha", 1], "argument --alpha: 1 must be in (0, 1)"),
+        (["rank", "--trajectory", -1], "argument --trajectory: -1 must be >= 0"),
+        (["rank", "--config", "CONFIG"], "argument --T: 0 must be >= 1"),
+        (["ipr", "--sizes", "8,16", "--r", 0], "argument --r: 0 must be >= 1"),
+        (["stability", "--points", 0], "argument --points: 0 must be >= 1"),
+        (["attack", "--ensemble", 2, "--removals", 0, "--T", 10],
+         "argument --removals: 0 must be >= 1"),
+        (["attack", "--ensemble", 0], "argument --ensemble: 0 must be >= 1"),
+        (["powerlaw", "--ensemble", 0], "argument --ensemble: 0 must be >= 1"),
+        (["powerlaw", "--ensemble", 2, "--i-max", 1], "argument --i-max: 1 must be >= 2"),
+        (["powerlaw", "--ensemble", 2, "--i-max", 9], "--i-max 9 must not exceed the node count 8"),
+        (["powerlaw", "--ensemble", 1, "--i-max", 9], "--i-max 9 must not exceed the node count 8"),
     ], ids=["jobs-negative", "T-0", "ipr-T-negative", "alpha-0", "sweep-alpha",
             "powerlaw-alpha-1", "trajectory-negative", "config-T-0", "ipr-r-0",
-            "stability-points-0", "attack-removals-0", "attack-ensemble-0", "powerlaw-ensemble-0"])
+            "stability-points-0", "attack-removals-0", "attack-ensemble-0", "powerlaw-ensemble-0",
+            "powerlaw-i-max-1", "powerlaw-i-max-above-n", "powerlaw-single-i-max-above-n"])
     def test_numeric_flag_out_of_range_exits_2(self, tmp_path, capsys, generated, argv, message):
-        # rejected as the flags are read, before any graph is built
+        # rejected as the flags are read, or from them alone, before any graph is built
         cfg = tmp_path / "run.cfg"
         cfg.write_text("T=0\n")
         argv = [cfg if a == "CONFIG" else a for a in argv]
         assert run([argv[0], "--family", "sf", "--n", 8, *argv[1:], "--out", tmp_path]) == 2
-        assert capsys.readouterr().err == f"error [stage=parameters]: argument {message}\n"
+        assert capsys.readouterr().err == f"error [stage=parameters]: {message}\n"
         assert generated == []
 
     def test_console_entry_point(self, tmp_path):
@@ -667,8 +672,8 @@ class TestReadme:
         assert lines
         parser, _ = build_parser()
         for line in lines:
-            # shell variables in the recipes stand for numbers
-            argv = ["0" if tok.startswith("$") else tok for tok in shlex.split(line)[1:]]
+            # shell variables in the recipes stand for a seed or a node count
+            argv = ["1000" if tok.startswith("$") else tok for tok in shlex.split(line)[1:]]
             try:
                 parser.parse_args(argv)
             except ParameterError:

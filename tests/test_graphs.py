@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from qprank import (
     write_edge_list,
     write_pajek,
 )
+from qprank import graphs
 from qprank.graphs import MAX_NODES
 
 from conftest import complete, cycle, epa_path, small_digraphs
@@ -117,6 +119,97 @@ class TestScaleFree:
         for seed in range(5):
             g = gen_scale_free(200, seed=seed)
             assert all(s != t for s, t in g.edges)
+
+
+def _cumsum_scale_free(n, *, alpha=0.41, beta=0.54, delta_in=0.2, delta_out=0.0, seed=0,
+                       allow_self_loops=False):
+    """The scale-free generator with the picker it had before the Fenwick
+    trees: a float cumsum over every current node on each pick."""
+
+    def pick(rng, degrees, offset, total):
+        r = rng.random() * total
+        idx = int(np.searchsorted(np.cumsum(degrees + offset), r, side="right"))
+        return min(idx, len(degrees) - 1)
+
+    rng = np.random.default_rng(seed)
+    in_deg = np.zeros(n, dtype=np.float64)
+    out_deg = np.zeros(n, dtype=np.float64)
+    multi_edges = [(0, 1), (1, 2), (2, 0)]
+    in_deg[:3] = out_deg[:3] = 1.0
+    num_nodes = num_edges = 3
+    while num_nodes < n:
+        r = rng.random()
+        if r < alpha:
+            w = pick(rng, in_deg[:num_nodes], delta_in, num_edges + delta_in * num_nodes)
+            v = num_nodes
+            num_nodes += 1
+        elif r < alpha + beta:
+            v = pick(rng, out_deg[:num_nodes], delta_out, num_edges + delta_out * num_nodes)
+            w = pick(rng, in_deg[:num_nodes], delta_in, num_edges + delta_in * num_nodes)
+        else:
+            v = pick(rng, out_deg[:num_nodes], delta_out, num_edges + delta_out * num_nodes)
+            w = num_nodes
+            num_nodes += 1
+        multi_edges.append((v, w))
+        out_deg[v] += 1
+        in_deg[w] += 1
+        num_edges += 1
+    pairs = np.array(multi_edges)
+    return DirectedGraph(n, pairs[(pairs[:, 0] != pairs[:, 1]) | allow_self_loops], allow_self_loops)
+
+
+class TestPreferentialPick:
+    """The Fenwick picker against the cumsum picker it replaced. The two sum
+    differently rounded prefixes, so a draw within rounding of a boundary
+    could pick a neighbour; on these seeds none does."""
+
+    @pytest.mark.parametrize("n, seeds", [
+        (16, range(1000)), (32, range(1000)), (64, range(1000)),
+        (128, range(0, 1000, 5)), (256, range(0, 1000, 5)), (512, range(0, 1000, 5)),
+    ])
+    def test_same_graph_as_the_cumsum_picker(self, n, seeds):
+        differ = [s for s in seeds if gen_scale_free(n, seed=s) != _cumsum_scale_free(n, seed=s)]
+        assert differ == []
+
+    @pytest.mark.parametrize("params", [
+        dict(delta_out=0.7), dict(allow_self_loops=True), dict(alpha=0.05, beta=0.9),
+    ], ids=["delta-out", "self-loops", "high-beta"])
+    def test_same_graph_for_other_parameters(self, params):
+        differ = [(n, s) for n in (16, 64, 128) for s in range(0, 200, 4)
+                  if gen_scale_free(n, seed=s, **params) != _cumsum_scale_free(n, seed=s, **params)]
+        assert differ == []
+
+    def test_zero_weight_node_never_picked(self):
+        tree = [0] * 8
+        for node in (0, 0, 2):  # degrees 2, 0, 1
+            graphs._fenwick_add(tree, node)
+        # with no offset, node 1 holds the empty interval [2, 2)
+        assert [graphs._fenwick_pick(tree, r, 0.0, 3) for r in (0.0, 1.99, 2.0, 2.99)] == [0, 0, 2, 2]
+        assert graphs._fenwick_pick(tree, 3.0, 0.0, 3) == 2  # at the total: clamped
+
+    def test_memory_linear_and_no_cumsum(self, monkeypatch):
+        # A scaling guard that reads no clock: an O(n)-per-pick picker would
+        # call np.cumsum, and an O(n^2) structure would break the memory bound.
+        # Measured: 118 bytes per node + edge at n = 2**14. (2**14 rather than
+        # the 2**16 of the localization study: tracemalloc makes every Python
+        # int allocation ~13x slower, and 2**16 took 33 s traced, about 2 s not.)
+        calls = []
+        cumsum = np.cumsum
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return cumsum(*args, **kwargs)
+
+        monkeypatch.setattr(np, "cumsum", counted)
+        n = 2**14
+        tracemalloc.start()
+        try:
+            g = generate(GeneratorSpec("sf", n=n, seed=0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert calls == []
+        assert peak < 200 * (n + g.num_edges)
 
 
 class TestErdosRenyi:
@@ -371,6 +464,8 @@ GENERATOR_DIGESTS = [
     (dict(family="sf", n=2048, seed=0), "c761bab4c7c8588121a5eb6e014bae1d578c18832a7ef9a1d5c090d45be7f92c"),
     (dict(family="sf", n=2048, seed=1), "a8f966da724a0581cc1cd9f14f136dd273242f4bcb805b2b9edf203559e01267"),
     (dict(family="sf", n=2048, seed=2), "d4725f9921235c2f408af20820c8dabfd2bee3e488a6a0df523f87bb1977c7c4"),
+    # recorded with the cumsum picker, before the Fenwick trees
+    (dict(family="sf", n=16384, seed=0), "57d41944c5e47b47df422bb24c1fabfffee233559ffcb9430d64ddfec3635ef5"),
     (dict(family="sf", n=256, seed=0, allow_self_loops=True),
      "f54b6f3e089df70d2e7051850d9b00e441f4678a050ed6379099397b58edcb44"),
     (dict(family="er", n=64, seed=0), "9d915c2c903ac657ea1a9dddb50ade14fa537ab0560e5d712f39b9519321fa39"),
