@@ -8,7 +8,6 @@ from .analysis import (
     PowerLawFit,
     StabilityGrid,
     attack_experiment,
-    classical_fidelity,
     coarse_alpha_grid,
     degeneracy_resolution,
     ensemble_run,
@@ -17,7 +16,6 @@ from .analysis import (
     ipr_scaling,
     kendall_coefficient,
     power_law_fit,
-    qpr_distance,
     rank_list,
 )
 from .errors import ConvergenceError, ParameterError, ParseError
@@ -42,6 +40,6 @@ from .graphs import (
     write_edge_list,
     write_pajek,
 )
-from .walk import DenseWalk, SzegedyWalk, WalkState
+from .walk import SzegedyWalk, WalkState
 
 __version__ = "0.1.0"

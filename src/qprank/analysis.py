@@ -143,22 +143,6 @@ def ipr_scaling(samples: list[IprSample]) -> IprScaling:
 # ---------------------------------------------------------------------------
 
 
-def classical_fidelity(p: np.ndarray, q: np.ndarray) -> float:
-    """Bhattacharyya overlap sum_j sqrt(p_j q_j); 1 iff the vectors coincide."""
-    p, q = np.asarray(p), np.asarray(q)
-    if p.shape != q.shape:
-        raise ParameterError("vectors must have the same length")
-    return float(np.sqrt(p * q).sum())
-
-
-def qpr_distance(p: np.ndarray, q: np.ndarray) -> float:
-    """Largest per-node importance difference, max_i |p_i - q_i|."""
-    p, q = np.asarray(p), np.asarray(q)
-    if p.shape != q.shape:
-        raise ParameterError("vectors must have the same length")
-    return float(np.abs(p - q).max())
-
-
 @dataclass(frozen=True)
 class StabilityGrid:
     """Pairwise overlap/difference of rankings across damping values."""
@@ -176,7 +160,8 @@ def coarse_alpha_grid(points: int = 20) -> np.ndarray:
 
 
 def pairwise_stability(vectors: list[np.ndarray], alphas) -> StabilityGrid:
-    """classical_fidelity and qpr_distance of every pair of vectors, a row at a time."""
+    """Fidelity sum_j sqrt(p_j q_j) and distance max_j |p_j - q_j| of every
+    pair of vectors (p, q), a row at a time."""
     stacked = np.asarray(vectors, dtype=np.float64)
     fid = np.empty((len(stacked), len(stacked)))
     dist = np.empty_like(fid)
@@ -201,15 +186,12 @@ class PowerLawFit:
 
     beta: float
     c: float
-    i_min: int
     i_max: int
     residual: float
 
 
-def power_law_fit(
-    ranks: list[tuple[int, float]], i_min: int = 1, i_max: int | None = None
-) -> PowerLawFit:
-    """Fit importance ~ c * index**(-beta) over rank indices [i_min, i_max].
+def power_law_fit(ranks: list[tuple[int, float]], i_max: int | None = None) -> PowerLawFit:
+    """Fit importance ~ c * index**(-beta) over rank indices [1, i_max].
 
     By default the fit ends just before the last tie class (the degenerate
     tail of values equal within TIE_RTOL); when every entry is tied, the full
@@ -219,27 +201,24 @@ def power_law_fit(
     n = len(values)
     if n == 0:
         raise ParameterError("empty ranking")
-    if i_min < 1:
-        raise ParameterError("i_min must be >= 1")
     if i_max is None:
         classes = tie_classes(values)
         before_tail = n - int(np.count_nonzero(classes == classes.max()))
         i_max = before_tail if before_tail >= 1 else n
-    if i_max > n or i_max < i_min:
-        raise ParameterError(f"bad fit range [{i_min}, {i_max}] for {n} entries")
-    window = values[i_min - 1 : i_max]
+    if not 1 <= i_max <= n:
+        raise ParameterError(f"bad fit range [1, {i_max}] for {n} entries")
+    window = values[:i_max]
     if window.min() <= 0.0:
         raise ParameterError("nonpositive importance inside the fit range")
     if len(window) < 2:
         raise ParameterError("fit range must contain at least 2 entries")
-    x = np.log(np.arange(i_min, i_max + 1, dtype=np.float64))
+    x = np.log(np.arange(1, i_max + 1, dtype=np.float64))
     y = np.log(window)
     slope, intercept = np.polyfit(x, y, 1)
     resid = y - (slope * x + intercept)
     return PowerLawFit(
         beta=float(-slope),
         c=float(np.exp(intercept)),
-        i_min=i_min,
         i_max=i_max,
         residual=float(np.sqrt(np.mean(resid**2))),
     )
@@ -308,7 +287,7 @@ def attack_experiment(
     for _ in range(n_max):
         top = current_order[0]
         removed.append(to_original[top])
-        current_graph, _ = remove_node(current_graph, top)
+        current_graph = remove_node(current_graph, top)
         del to_original[top]
         current_order = ranking_order(importance_vector(current_graph, mode, **kwargs))
         reduced_as_original = [to_original[i] for i in current_order]

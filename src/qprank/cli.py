@@ -366,7 +366,7 @@ def cmd_powerlaw(args) -> tuple[str, dict]:
             summary[mode] = {
                 "beta": fit.beta,
                 "c": fit.c,
-                "i_min": fit.i_min,
+                "i_min": 1,
                 "i_max": fit.i_max,
                 "rms_residual": fit.residual,
             }

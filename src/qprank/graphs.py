@@ -9,6 +9,7 @@ integers; ensemble drivers derive per-run seeds as ``base_seed + index``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,7 +111,8 @@ class GeneratorSpec:
         if self.seed < 0:
             raise ParameterError(f"seed {self.seed} must be >= 0")
         if self.family == "sf":
-            _check_scale_free(self.sf_alpha, self.sf_beta, self.sf_delta_in, self.sf_delta_out)
+            _check_scale_free(self.n, self.sf_alpha, self.sf_beta,
+                              self.sf_delta_in, self.sf_delta_out)
         if self.family == "er" and not 0.0 <= self.p <= 1.0:
             raise ParameterError(f"edge probability p={self.p} outside [0, 1]")
         if self.family in ("hier3", "hier2") and self.n_gen < 1:
@@ -181,12 +183,20 @@ def _fenwick_pick(tree: list, r: float, offset: float, count: int) -> int:
     return min(pos, count - 1)
 
 
-def _check_scale_free(alpha: float, beta: float, delta_in: float, delta_out: float) -> None:
+def _check_scale_free(n: int, alpha: float, beta: float, delta_in: float, delta_out: float) -> None:
+    if n > MAX_NODES:
+        raise ParameterError(f"n={n} exceeds {MAX_NODES} nodes")
     # written as "not (valid)" so that NaN is rejected too
     if not (alpha >= 0 and beta >= 0 and alpha + beta <= 1.0):
         raise ParameterError("sf move probabilities must be nonnegative with alpha + beta <= 1")
     if not (delta_in >= 0 and delta_out >= 0):
         raise ParameterError("sf degree offsets must be nonnegative")
+    # a pick weighs nodes by degree + delta over up to 2n Fenwick slots; where
+    # delta * 2n overflows, every pick would fall on the newest node
+    for name, delta in (("delta_in", delta_in), ("delta_out", delta_out)):
+        if not math.isfinite(delta * 2 * n):
+            raise ParameterError(f"sf degree offset {name}={delta} is too large: "
+                                 f"{name} * 2n is not finite for n={n}")
 
 
 def gen_scale_free(
@@ -214,9 +224,7 @@ def gen_scale_free(
     """
     if n < 3:
         raise ParameterError("scale-free growth needs n >= 3 (3-node seed cycle)")
-    if n > MAX_NODES:
-        raise ParameterError(f"n={n} exceeds {MAX_NODES} nodes")
-    _check_scale_free(alpha, beta, delta_in, delta_out)
+    _check_scale_free(n, alpha, beta, delta_in, delta_out)
     if n > 3 and beta >= 1.0:
         raise ParameterError("beta must be below 1 for the graph to grow")
 
@@ -306,17 +314,15 @@ def gen_hierarchical_outerplanar(n_gen: int) -> DirectedGraph:
     return DirectedGraph(size, edges)
 
 
-def remove_node(g: DirectedGraph, v: int) -> tuple[DirectedGraph, dict[int, int]]:
+def remove_node(g: DirectedGraph, v: int) -> DirectedGraph:
     """Drop node v with all incident edges; survivors compact to 0..n-2.
 
-    Re-indexing preserves relative order (old id -> old id, or old id - 1
-    past the removed node). Returns the reduced graph and the old-to-new map.
+    Re-indexing preserves relative order: old id u becomes u - (u > v).
     """
     if not 0 <= v < g.n:
         raise ParameterError(f"node {v} out of range for n={g.n}")
     pairs = np.column_stack([g.src, g.dst])[(g.src != v) & (g.dst != v)]
-    remap = {old: old - (old > v) for old in range(g.n) if old != v}
-    return DirectedGraph(g.n - 1, pairs - (pairs > v), g.allow_self_loops), remap
+    return DirectedGraph(g.n - 1, pairs - (pairs > v), g.allow_self_loops)
 
 
 def degree_distribution(g: DirectedGraph) -> tuple[np.ndarray, np.ndarray]:

@@ -56,9 +56,6 @@ sf and 0.72-0.81 on er at n = 128. At 144 sf gave 0.67-0.71 but er
 1.64-1.94 on sf and 1.37-1.91 on er. The constant is the largest swept size
 at which the closed form was at least as fast on every graph; CHANGES.md has
 both sweeps.
-
-``DenseWalk`` realizes the same dynamics literally on the n**2 amplitude
-vector and serves as a cross-check for small n.
 """
 
 from __future__ import annotations
@@ -71,7 +68,6 @@ from .errors import ParameterError
 from .google import DENSE_MAX_NODES, GoogleMatrix
 
 DEFAULT_HORIZON = 1000
-DENSE_NODE_LIMIT = 64
 
 # |lam| this close to 1, in units of n * machine epsilon, is a unit mode. On
 # edgeless, complete and 2-cycle graphs up to n = 256 eigh puts the exact unit
@@ -290,44 +286,3 @@ class SzegedyWalk:
 
     def average(self, horizon: int = DEFAULT_HORIZON) -> np.ndarray:
         return self.average_with_convergence(horizon)[0]
-
-
-class DenseWalk:
-    """Literal simulator on the full n**2 amplitude vector.
-
-    Builds the projector, the register swap, and the one-step unitary as
-    explicit dense matrices. The unitary alone is n**2 x n**2, O(n**4)
-    memory, hence the hard size guard; intended as an independent reference
-    for ``SzegedyWalk``.
-    """
-
-    def __init__(self, gm: GoogleMatrix):
-        if gm.n > DENSE_NODE_LIMIT:
-            raise ParameterError(f"dense simulator limited to n <= {DENSE_NODE_LIMIT}")
-        n = gm.n
-        self.n = n
-        r = np.sqrt(gm.toarray())
-        # Column j holds |psi_j>: amplitude R[k, j] at pair index j*n + k.
-        cols = np.zeros((n * n, n))
-        for j in range(n):
-            cols[j * n : (j + 1) * n, j] = r[:, j]
-        self.psi_columns = cols
-        swap = np.zeros((n * n, n * n))
-        for j in range(n):
-            for k in range(n):
-                swap[k * n + j, j * n + k] = 1.0
-        self.swap = swap
-        reflection = 2.0 * (cols @ cols.T) - np.eye(n * n)
-        self.u = swap @ reflection
-
-    def initial_state(self) -> np.ndarray:
-        return self.psi_columns @ np.full(self.n, 1.0 / np.sqrt(self.n))
-
-    def step(self, state: np.ndarray) -> np.ndarray:
-        return self.u @ state
-
-    def measure(self, state: np.ndarray) -> np.ndarray:
-        """Distribution of the second register: sum the squared amplitudes of
-        all pairs whose second index is i."""
-        amp = state.reshape(self.n, self.n)
-        return (amp * amp).sum(axis=0)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from qprank import (
     DirectedGraph,
     GoogleMatrix,
+    ParameterError,
     gen_erdos_renyi,
     gen_hierarchical_ternary,
     gen_scale_free,
@@ -77,6 +78,70 @@ def dense_google(g: DirectedGraph, alpha: float) -> GoogleMatrix:
     """Independent dense Google matrix alpha * E + (1 - alpha) / n: the oracle
     that the production build must match bit for bit."""
     return GoogleMatrix(g.n, alpha, alpha * patched_connectivity(g) + (1.0 - alpha) / g.n)
+
+
+# The dense simulator's unitary is n**2 x n**2, O(n**4) memory.
+DENSE_NODE_LIMIT = 64
+
+
+class DenseWalk:
+    """Literal simulator on the full n**2 amplitude vector: the independent
+    reference for ``SzegedyWalk``.
+
+    The walker lives on ordered node pairs |j>_1 |k>_2. Builds the projector
+    onto the per-node vectors |psi_j> = sum_k sqrt(G[k, j]) |j>_1 |k>_2, the
+    register swap, and the one-step unitary U = S (2 P - 1) as explicit dense
+    matrices, hence the hard size guard.
+    """
+
+    def __init__(self, gm: GoogleMatrix):
+        if gm.n > DENSE_NODE_LIMIT:
+            raise ParameterError(f"dense simulator limited to n <= {DENSE_NODE_LIMIT}")
+        n = gm.n
+        self.n = n
+        r = np.sqrt(gm.toarray())
+        # Column j holds |psi_j>: amplitude R[k, j] at pair index j*n + k.
+        cols = np.zeros((n * n, n))
+        for j in range(n):
+            cols[j * n : (j + 1) * n, j] = r[:, j]
+        self.psi_columns = cols
+        swap = np.zeros((n * n, n * n))
+        for j in range(n):
+            for k in range(n):
+                swap[k * n + j, j * n + k] = 1.0
+        self.swap = swap
+        reflection = 2.0 * (cols @ cols.T) - np.eye(n * n)
+        self.u = swap @ reflection
+
+    def initial_state(self) -> np.ndarray:
+        return self.psi_columns @ np.full(self.n, 1.0 / np.sqrt(self.n))
+
+    def step(self, state: np.ndarray) -> np.ndarray:
+        return self.u @ state
+
+    def measure(self, state: np.ndarray) -> np.ndarray:
+        """Distribution of the second register: sum the squared amplitudes of
+        all pairs whose second index is i."""
+        amp = state.reshape(self.n, self.n)
+        return (amp * amp).sum(axis=0)
+
+
+def classical_fidelity(p: np.ndarray, q: np.ndarray) -> float:
+    """Bhattacharyya overlap sum_j sqrt(p_j q_j); 1 iff the vectors coincide.
+    The reference for ``pairwise_stability``'s fidelity grid."""
+    p, q = np.asarray(p), np.asarray(q)
+    if p.shape != q.shape:
+        raise ParameterError("vectors must have the same length")
+    return float(np.sqrt(p * q).sum())
+
+
+def qpr_distance(p: np.ndarray, q: np.ndarray) -> float:
+    """Largest per-node importance difference, max_i |p_i - q_i|. The
+    reference for ``pairwise_stability``'s distance grid."""
+    p, q = np.asarray(p), np.asarray(q)
+    if p.shape != q.shape:
+        raise ParameterError("vectors must have the same length")
+    return float(np.abs(p - q).max())
 
 
 def operator_graphs() -> dict[str, DirectedGraph]:

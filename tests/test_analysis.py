@@ -14,7 +14,6 @@ from qprank import (
     ParameterError,
     SzegedyWalk,
     attack_experiment,
-    classical_fidelity,
     classical_pagerank,
     coarse_alpha_grid,
     degeneracy_resolution,
@@ -25,7 +24,6 @@ from qprank import (
     ipr_scaling,
     kendall_coefficient,
     power_law_fit,
-    qpr_distance,
     rank_list,
     remove_node,
 )
@@ -41,7 +39,7 @@ from qprank.analysis import (
 )
 from qprank.google import build_structured_google
 
-from conftest import complete, cycle
+from conftest import classical_fidelity, complete, cycle, qpr_distance
 
 
 def normalized_vectors(min_size=2, max_size=12):
@@ -73,7 +71,7 @@ def quantum_orders(g, horizon):
     while g.n > 1:
         order = ranking_order(importance_vector(g, "quantum", horizon=horizon))
         orders.append(order)
-        g, _ = remove_node(g, order[0])
+        g = remove_node(g, order[0])
     return orders
 
 
@@ -267,7 +265,7 @@ class TestStabilityGrid:
 class TestPowerLawFit:
     def test_exact_synthetic_power_law(self):
         ranks = [(i - 1, 0.1 * i ** (-0.9)) for i in range(1, 40)]
-        fit = power_law_fit(ranks, i_min=1, i_max=39)
+        fit = power_law_fit(ranks, i_max=39)
         assert fit.beta == pytest.approx(0.9, abs=1e-12)
         assert fit.c == pytest.approx(0.1, abs=1e-12)
         assert fit.residual < 1e-12
@@ -282,7 +280,7 @@ class TestPowerLawFit:
         values = [0.4, 0.2, 0.1] + [0.05] * 5
         ranks = [(i, v) for i, v in enumerate(values)]
         fit = power_law_fit(ranks)
-        assert fit.i_min == 1 and fit.i_max == 3
+        assert fit.i_max == 3
 
     def test_default_range_ends_before_the_last_tie_class(self):
         values = [0.4, 0.2, 0.1, 0.05 * (1 + 3e-10)] + [0.05 * (1 + k * 4e-11) for k in (2, 1, 0)]
@@ -291,22 +289,20 @@ class TestPowerLawFit:
 
     def test_rescaling_changes_only_prefactor(self):
         ranks = [(i - 1, 0.2 * i ** (-0.7) * (1 + 0.01 * ((i * 7) % 3))) for i in range(1, 30)]
-        base = power_law_fit(ranks, 1, 29)
-        scaled = power_law_fit([(n, 3.0 * v) for n, v in ranks], 1, 29)
+        base = power_law_fit(ranks, i_max=29)
+        scaled = power_law_fit([(n, 3.0 * v) for n, v in ranks], i_max=29)
         assert scaled.beta == pytest.approx(base.beta, abs=1e-12)
         assert scaled.c == pytest.approx(3.0 * base.c, rel=1e-10)
         assert scaled.residual == pytest.approx(base.residual, abs=1e-12)
 
     def test_nonpositive_importance_rejected(self):
         with pytest.raises(ParameterError):
-            power_law_fit([(0, 0.5), (1, 0.0)], i_min=1, i_max=2)
+            power_law_fit([(0, 0.5), (1, 0.0)], i_max=2)
 
     def test_bad_range_rejected(self):
         ranks = [(i, 0.5 / (i + 1)) for i in range(5)]
         with pytest.raises(ParameterError):
-            power_law_fit(ranks, i_min=0)
-        with pytest.raises(ParameterError):
-            power_law_fit(ranks, i_min=4, i_max=9)
+            power_law_fit(ranks, i_max=9)
 
 
 def brute_force_kendall(order_a, order_b):

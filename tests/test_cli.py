@@ -17,7 +17,7 @@ from qprank import __version__, analysis, cli, graphs, load_edge_list, load_paje
 from qprank.cli import build_parser, main
 from qprank.errors import ParameterError
 
-from conftest import dense_google, epa_path
+from conftest import classical_fidelity, dense_google, epa_path, qpr_distance
 from test_acceptance import STABILITY_CLASSICAL_ARGV, STABILITY_QUANTUM_ARGV
 
 
@@ -234,12 +234,16 @@ class TestExitCodes:
         (["stability", "--family", "sf", "--mode", "both"], 2,
          "argument --mode: invalid choice: 'both'"),
         (["rank", "--family", "sf", "--bogus", 1], 2, "unrecognized arguments: --bogus 1"),
+        (["rank", "--family", "sf", "--n", 20, "--sf-delta-out", "inf"], 2,
+         "sf degree offset delta_out=inf is too large"),
+        (["rank", "--family", "sf", "--n", 20, "--sf-delta-in", "1e308"], 2,
+         "sf degree offset delta_in=1e+308 is too large"),
         ([], 2, "the following arguments are required: command"),
     ], ids=["rank-seed", "ipr-seed", "attack-seed", "points-0", "points-neg", "sizes-not-int",
             "sizes-repeated", "powerlaw-ensemble-0", "powerlaw-ensemble-neg",
             "input-not-utf8", "config-not-utf8", "ipr-hier3", "empty-graph", "every-seed-fails",
             "hier-removals-all", "T-not-int", "mode-not-a-choice", "unknown-flag",
-            "no-subcommand"])
+            "sf-delta-out-inf", "sf-delta-in-overflows", "no-subcommand"])
     def test_bad_input_exit_code(self, tmp_path, capsys, generated, argv, code, message):
         # each is rejected before any graph is generated, in one line
         files = {"NOT_UTF8": ("latin1.net", b"*Vertices 1\n1 \"caf\xe9\"\n"),
@@ -253,6 +257,12 @@ class TestExitCodes:
         assert err.startswith(f"error [stage={stage}]: ") and err.count("\n") == 1
         assert message in err
         assert generated == []
+
+    def test_huge_finite_sf_offset_runs(self, tmp_path, generated):
+        # 1e300 * 2n is finite: the uniform limit of the model, not an error
+        assert run(["rank", "--family", "sf", "--n", 20, "--sf-delta-out", "1e300", "--T", 10,
+                    "--out", tmp_path]) == 0
+        assert [spec.sf_delta_out for spec in generated] == [1e300]
 
     def test_out_naming_a_file(self, tmp_path, capsys):
         afile = tmp_path / "afile"
@@ -518,8 +528,8 @@ class TestStabilityCommand:
         ref = analysis.importance_vector(g, mode, alpha=0.6, horizon=30)
         for row in rows:
             v = analysis.importance_vector(g, mode, alpha=float(row["alpha"]), horizon=30)
-            assert float(row["fidelity_vs_ref"]) == analysis.classical_fidelity(v, ref)
-            assert float(row["distance_vs_ref"]) == analysis.qpr_distance(v, ref)
+            assert float(row["fidelity_vs_ref"]) == classical_fidelity(v, ref)
+            assert float(row["distance_vs_ref"]) == qpr_distance(v, ref)
 
     @pytest.mark.parametrize("grid, ranked", [
         ("coarse", analysis.coarse_alpha_grid(5)),

@@ -1,6 +1,8 @@
 """numpy is the only run-time dependency: the package imports nothing else
 outside the standard library and itself. The CLI writes files through one
-text writer and one table writer, and records each run in one place."""
+text writer and one table writer, and records each run in one place. Every
+definition in the package is used by the package: reference code that only
+tests call lives in tests/."""
 
 import ast
 import sys
@@ -60,3 +62,49 @@ def test_cli_records_runs_only_in_main():
         or isinstance(node, ast.Constant) and isinstance(node.value, str)
         and "_summary.json" in node.value))
     assert not stray, f"cli.py records a run outside main: {stray}"
+
+
+# Definitions that nothing in src/ names, and why they stay.
+UNUSED_ALLOWED = {
+    "cli.entry": "the console script in pyproject.toml",
+    "cli._Parser.error": "argparse calls it on a parse error",
+    "walk.SzegedyWalk.norm_sq": "criterion 2 checks the conserved norm with it, and the "
+                                "norm-drift report of ROADMAP item 3 will call it",
+}
+
+
+def test_every_definition_is_used_elsewhere_in_src():
+    # a use is a name, an attribute or an import alias outside the
+    # definition's own body; __init__.py's re-exports do not count
+    definitions = {}  # qualified name -> (name, node)
+    uses = []  # (name, ids of the definitions enclosing the use)
+    for path in SOURCES:
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                definitions[f"{path.stem}.{node.name}"] = (node.name, node)
+            if isinstance(node, ast.ClassDef):
+                definitions.update(
+                    (f"{path.stem}.{node.name}.{item.name}", (item.name, item))
+                    for item in node.body
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("__"))
+
+        def visit(node, enclosing):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                enclosing = enclosing | {id(node)}
+            name = (node.id if isinstance(node, ast.Name)
+                    else node.attr if isinstance(node, ast.Attribute)
+                    else node.name if isinstance(node, ast.alias) else None)
+            if name is not None:
+                uses.append((name, enclosing))
+            for child in ast.iter_child_nodes(node):
+                visit(child, enclosing)
+
+        visit(tree, frozenset())
+    assert set(UNUSED_ALLOWED) <= set(definitions), "stale UNUSED_ALLOWED entries"
+    unused = [qualified for qualified, (name, node) in definitions.items()
+              if qualified not in UNUSED_ALLOWED
+              and not any(use == name and id(node) not in inside for use, inside in uses)]
+    assert not unused, f"defined in src/qprank but used nowhere else in it: {unused}"

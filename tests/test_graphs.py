@@ -102,6 +102,15 @@ class TestScaleFree:
         with pytest.raises(ParameterError):
             gen_scale_free(10, alpha=0.0, beta=1.0)  # no move adds a node
 
+    @pytest.mark.parametrize("delta", [float("inf"), 1e308])
+    @pytest.mark.parametrize("name", ["delta_in", "delta_out"])
+    def test_offset_overflowing_its_pick_weight_rejected(self, name, delta):
+        # delta * 2n = inf would send every pick to the newest node
+        with pytest.raises(ParameterError, match=f"sf degree offset {name}="):
+            gen_scale_free(12, alpha=1.0, beta=0.0, seed=3, **{name: delta})
+        with pytest.raises(ParameterError, match=f"sf degree offset {name}="):
+            GeneratorSpec(family="sf", n=12, **{f"sf_{name}": delta})
+
     def test_hub_dominance_across_seeds(self):
         # 20 seeds at n=256: a dominant hub and a decaying log-log rank profile
         # must show up in at least 18.
@@ -294,14 +303,14 @@ class TestGeneratorSpec:
 
 class TestRemoveNode:
     def test_three_cycle(self):
-        g, remap = remove_node(cycle(3), 2)
+        g = remove_node(cycle(3), 2)
+        assert isinstance(g, DirectedGraph)
         assert g.n == 2
         assert g.edges == frozenset({(0, 1)})
-        assert remap == {0: 0, 1: 1}
 
     def test_single_node_to_empty(self):
-        g, remap = remove_node(DirectedGraph(1, frozenset()), 0)
-        assert g.n == 0 and g.num_edges == 0 and remap == {}
+        g = remove_node(DirectedGraph(1, frozenset()), 0)
+        assert g.n == 0 and g.num_edges == 0
 
     def test_out_of_range(self):
         with pytest.raises(ParameterError):
@@ -311,16 +320,16 @@ class TestRemoveNode:
         g = gen_scale_free(32, seed=11)
         hub = int(np.argmax(g.in_degrees()))
         incident = sum(1 for s, t in g.edges if s == hub or t == hub)
-        reduced, _ = remove_node(g, hub)
+        reduced = remove_node(g, hub)
         assert g.num_edges - reduced.num_edges == incident
 
     @settings(max_examples=50, deadline=None)
     @given(small_digraphs())
     def test_surviving_edges_unchanged(self, g):
         v = g.n // 2
-        reduced, remap = remove_node(g, v)
-        survivors = set(remap)
-        expected = {(remap[s], remap[t]) for s, t in g.edges if s in survivors and t in survivors}
+        reduced = remove_node(g, v)
+        expected = {(s - (s > v), t - (t > v)) for s, t in g.edges if v not in (s, t)}
+        assert reduced.n == g.n - 1
         assert reduced.edges == frozenset(expected)
 
 

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from qprank import (
-    DenseWalk,
     DirectedGraph,
     ParameterError,
     SzegedyWalk,
@@ -18,7 +17,15 @@ from qprank import (
 from qprank.google import DENSE_MAX_NODES, RankOnePlusSparse, build_structured_google
 from qprank.walk import G_BLOCK
 
-from conftest import complete, cycle, dense_google, operator_graphs, random_graph, rel_err
+from conftest import (
+    DenseWalk,
+    complete,
+    cycle,
+    dense_google,
+    operator_graphs,
+    random_graph,
+    rel_err,
+)
 
 
 def walk_for(g, alpha=0.85):
