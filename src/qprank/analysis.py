@@ -194,8 +194,8 @@ def power_law_fit(ranks: list[tuple[int, float]], i_max: int | None = None) -> P
     """Fit importance ~ c * index**(-beta) over rank indices [1, i_max].
 
     By default the fit ends just before the last tie class (the degenerate
-    tail of values equal within TIE_RTOL); when every entry is tied, the full
-    list is used.
+    tail of values equal within TIE_RTOL); when fewer than 2 entries come
+    before it, the full list is used.
     """
     values = np.array([imp for _, imp in ranks], dtype=np.float64)
     n = len(values)
@@ -204,7 +204,7 @@ def power_law_fit(ranks: list[tuple[int, float]], i_max: int | None = None) -> P
     if i_max is None:
         classes = tie_classes(values)
         before_tail = n - int(np.count_nonzero(classes == classes.max()))
-        i_max = before_tail if before_tail >= 1 else n
+        i_max = before_tail if before_tail >= 2 else n
     if not 1 <= i_max <= n:
         raise ParameterError(f"bad fit range [1, {i_max}] for {n} entries")
     window = values[:i_max]

@@ -18,12 +18,10 @@ non-convergence.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -82,6 +80,7 @@ def parallel_map(fn, items, jobs: int) -> list:
     items = list(items)
     if jobs <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
+    from concurrent.futures import ProcessPoolExecutor  # imported on use: it pulls in multiprocessing
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(fn, items))
 
@@ -97,18 +96,17 @@ def importance_item(item) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _spec_from_args(args, seed: int | None = None) -> graphs.GeneratorSpec:
+def _spec_from_args(args, n: int | None = None, seed: int | None = None) -> graphs.GeneratorSpec:
     if args.family is None:
         raise ParameterError("a graph source is required: --family, or --input where supported")
     return graphs.GeneratorSpec(
         family=args.family,
-        n=args.n,
+        n=args.n if n is None else n,
         p=args.p,
         sf_alpha=args.sf_alpha,
         sf_beta=args.sf_beta,
         sf_delta_in=args.sf_delta_in,
         sf_delta_out=args.sf_delta_out,
-        n_gen=args.gen,
         seed=args.seed if seed is None else seed,
         allow_self_loops=args.self_loops,
     )
@@ -132,8 +130,8 @@ def _graph_from_args(args) -> tuple[graphs.DirectedGraph, str]:
     return g, args.family
 
 
-# The generator flags each family reads besides --n; a prefix names the node
-# count of the graph built instead, which also fixes a hierarchy's --gen.
+# The generator flags each family reads besides --n, which a prefix names as
+# the node count of the graph built.
 FAMILY_FLAGS = {"sf": ("sf_alpha", "sf_beta", "sf_delta_in", "sf_delta_out", "self_loops"),
                 "er": ("p",), "hier3": (), "hier2": ()}
 
@@ -245,11 +243,8 @@ def cmd_ipr(args) -> tuple[str, dict]:
         raise ParameterError("--sizes needs at least two distinct sizes")
     if len(set(sizes)) < len(sizes):
         raise ParameterError(f"--sizes {args.sizes!r} repeats a size")
-    if args.family not in ("sf", "er"):
-        raise ParameterError("ipr sweeps support --family sf or er")
-    graphs_by_size = [
-        graphs.generate(_spec_with_n(args, n, args.seed + k)) for k, n in enumerate(sizes)
-    ]
+    specs = [_spec_from_args(args, n, args.seed + k) for k, n in enumerate(sizes)]
+    graphs_by_size = [graphs.generate(spec) for spec in specs]
     outdir = Path(args.out)
     prefix = _prefix(args, args.family, "sizes", "mode", a=args.alpha, r=args.r, T=args.T,
                      seed=args.seed)
@@ -279,10 +274,6 @@ def cmd_ipr(args) -> tuple[str, dict]:
         print(f"{mode}: slope {fit.slope:.4f} -> {fit.label}")
     _write_table(outdir / f"{prefix}.csv", ("n", *(f"xi_{m}" for m in modes)), zip(sizes, *xis))
     return prefix, summary
-
-
-def _spec_with_n(args, n: int, seed: int) -> graphs.GeneratorSpec:
-    return dataclasses.replace(_spec_from_args(args, seed=seed), n=n)
 
 
 def cmd_stability(args) -> tuple[str, dict]:
@@ -334,7 +325,7 @@ def _run_ensemble(args, experiment, *settings: str) -> tuple[analysis.EnsembleRe
     report = analysis.ensemble_run(
         spec, args.ensemble, experiment, map_fn=functools.partial(parallel_map, jobs=args.jobs)
     )
-    prefix = _prefix(args, args.family, *settings, n=spec.node_count, a=args.alpha, T=args.T,
+    prefix = _prefix(args, args.family, *settings, n=spec.n, a=args.alpha, T=args.T,
                      seed=args.seed)
     summary = {
         "ensemble": report.count,
@@ -351,7 +342,7 @@ def cmd_powerlaw(args) -> tuple[str, dict]:
     modes = _modes(args.mode)
     settings = ("mode", "i_max")
     if args.i_max is not None and not args.input:  # else every ranking would fail its fit
-        n = _spec_from_args(args).node_count
+        n = _spec_from_args(args).n
         if args.i_max > n:
             raise ParameterError(f"--i-max {args.i_max} must not exceed the node count {n}")
     if args.input or args.ensemble == 1:
@@ -394,7 +385,7 @@ def cmd_powerlaw(args) -> tuple[str, dict]:
 
 
 def cmd_attack(args) -> tuple[str, dict]:
-    n = _spec_from_args(args).node_count
+    n = _spec_from_args(args).n
     if args.removals >= n:  # else every ensemble member would fail on its own
         raise ParameterError(f"--removals {args.removals} must be below the node count {n}")
     modes = _modes(args.mode)
@@ -468,10 +459,10 @@ def _add_generator(sp: argparse.ArgumentParser, *, with_input: bool = False) -> 
     if with_input:
         sp.add_argument("--input", default=None, help="graph file (.net Pajek, else edge list)")
     sp.add_argument("--family", choices=graphs.FAMILIES, default=None, help="generator family")
-    sp.add_argument("--n", type=int, default=64, help="node count (sf, er)")
+    sp.add_argument("--n", type=int, default=64, help="node count; hier3 and hier2 take one of "
+                    + " and ".join(map(str, graphs.HIERARCHY_SIZES.values())))
     defaults = graphs.GeneratorSpec
     sp.add_argument("--p", type=float, default=defaults.p, help="er edge probability")
-    sp.add_argument("--gen", type=int, default=defaults.n_gen, help="hierarchical generation index")
     sp.add_argument("--sf-alpha", type=float, default=defaults.sf_alpha,
                     help="sf: P(new node with edge to existing)")
     sp.add_argument("--sf-beta", type=float, default=defaults.sf_beta,

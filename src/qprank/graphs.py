@@ -18,6 +18,10 @@ from .errors import ParameterError, ParseError
 
 FAMILIES = ("sf", "er", "hier3", "hier2")
 
+# The node counts of a hierarchy's generations 1, 2, ..., the ones it is built to.
+HIERARCHY_SIZES = {"hier3": tuple(3**g for g in range(1, 5)),
+                   "hier2": tuple(2 ** (g + 1) for g in range(1, 7))}
+
 # The longest float64 array numpy can address. A generator asked for more
 # entries than this raises ParameterError, and a file naming more nodes is a
 # parse error on its line; fewer, but too many for memory, is exit 2.
@@ -86,12 +90,12 @@ class DirectedGraph:
 
 @dataclass(frozen=True)
 class GeneratorSpec:
-    """Parameters of one seeded graph construction.
+    """Parameters of one seeded graph construction of ``n`` nodes.
 
     family selects the model: "sf" (directed preferential attachment),
-    "er" (independent directed edges), "hier3" (ternary hierarchy, 3**n_gen
-    nodes), "hier2" (outerplanar hierarchy, 2**(n_gen+1) nodes). Only the
-    fields relevant to the chosen family are read.
+    "er" (independent directed edges), "hier3" (ternary hierarchy) or
+    "hier2" (outerplanar hierarchy), whose ``n`` is one of
+    HIERARCHY_SIZES. Only the fields relevant to the chosen family are read.
     """
 
     family: str
@@ -101,7 +105,6 @@ class GeneratorSpec:
     sf_beta: float = 0.54
     sf_delta_in: float = 0.2
     sf_delta_out: float = 0.0
-    n_gen: int = 1
     seed: int = 0
     allow_self_loops: bool = False
 
@@ -113,15 +116,11 @@ class GeneratorSpec:
         if self.family == "sf":
             _check_scale_free(self.n, self.sf_alpha, self.sf_beta,
                               self.sf_delta_in, self.sf_delta_out)
-        if self.family == "er" and not 0.0 <= self.p <= 1.0:
-            raise ParameterError(f"edge probability p={self.p} outside [0, 1]")
-        if self.family in ("hier3", "hier2") and self.n_gen < 1:
-            raise ParameterError("generation index must be >= 1")
-
-    @property
-    def node_count(self) -> int:
-        """Nodes of the graph that ``generate`` builds from this spec."""
-        return {"hier3": 3**self.n_gen, "hier2": 2 ** (self.n_gen + 1)}.get(self.family, self.n)
+        elif self.family == "er":
+            _check_erdos_renyi(self.n, self.p)
+        elif self.n not in HIERARCHY_SIZES[self.family]:
+            raise ParameterError(f"{self.family} graphs have n in {HIERARCHY_SIZES[self.family]}, "
+                                 f"not n={self.n}")
 
 
 def generate(spec: GeneratorSpec) -> DirectedGraph:
@@ -138,9 +137,10 @@ def generate(spec: GeneratorSpec) -> DirectedGraph:
         )
     if spec.family == "er":
         return gen_erdos_renyi(spec.n, spec.p, seed=spec.seed)
+    n_gen = HIERARCHY_SIZES[spec.family].index(spec.n) + 1
     if spec.family == "hier3":
-        return gen_hierarchical_ternary(spec.n_gen)
-    return gen_hierarchical_outerplanar(spec.n_gen)
+        return gen_hierarchical_ternary(n_gen)
+    return gen_hierarchical_outerplanar(n_gen)
 
 
 # Uniforms are drawn in blocks: rng.random(k) gives the same numbers as k
@@ -184,6 +184,8 @@ def _fenwick_pick(tree: list, r: float, offset: float, count: int) -> int:
 
 
 def _check_scale_free(n: int, alpha: float, beta: float, delta_in: float, delta_out: float) -> None:
+    if n < 3:
+        raise ParameterError("scale-free growth needs n >= 3 (3-node seed cycle)")
     if n > MAX_NODES:
         raise ParameterError(f"n={n} exceeds {MAX_NODES} nodes")
     # written as "not (valid)" so that NaN is rejected too
@@ -197,6 +199,8 @@ def _check_scale_free(n: int, alpha: float, beta: float, delta_in: float, delta_
         if not math.isfinite(delta * 2 * n):
             raise ParameterError(f"sf degree offset {name}={delta} is too large: "
                                  f"{name} * 2n is not finite for n={n}")
+    if n > 3 and beta >= 1.0:
+        raise ParameterError("beta must be below 1 for the graph to grow")
 
 
 def gen_scale_free(
@@ -222,11 +226,7 @@ def gen_scale_free(
     growth but collapse in the result; self-loops (possible in the middle
     move) are dropped unless flagged.
     """
-    if n < 3:
-        raise ParameterError("scale-free growth needs n >= 3 (3-node seed cycle)")
     _check_scale_free(n, alpha, beta, delta_in, delta_out)
-    if n > 3 and beta >= 1.0:
-        raise ParameterError("beta must be below 1 for the graph to grow")
 
     draw = _uniforms(np.random.default_rng(seed)).__next__
     in_tree, out_tree = [0] * (2 * n), [0] * (2 * n)
@@ -259,14 +259,18 @@ def gen_scale_free(
     return DirectedGraph(n, pairs[(pairs[:, 0] != pairs[:, 1]) | allow_self_loops], allow_self_loops)
 
 
-def gen_erdos_renyi(n: int, p: float, seed: int = 0) -> DirectedGraph:
-    """Each ordered pair (i, j), i != j, is an edge independently with probability p."""
+def _check_erdos_renyi(n: int, p: float) -> None:
     if n < 1:
         raise ParameterError("n must be >= 1")
     if n * n > MAX_NODES:  # the n x n draws
         raise ParameterError(f"n={n}: its n * n draws exceed {MAX_NODES} numbers")
     if not 0.0 <= p <= 1.0:
         raise ParameterError(f"edge probability p={p} outside [0, 1]")
+
+
+def gen_erdos_renyi(n: int, p: float, seed: int = 0) -> DirectedGraph:
+    """Each ordered pair (i, j), i != j, is an edge independently with probability p."""
+    _check_erdos_renyi(n, p)
     rng = np.random.default_rng(seed)
     draws = rng.random((n, n))
     mask = draws < p
@@ -283,8 +287,9 @@ def gen_hierarchical_ternary(n_gen: int) -> DirectedGraph:
     are joined in a directed 3-cycle, and every non-root node of copies B
     and C gains a directed edge to the global root.
     """
-    if n_gen not in (1, 2, 3, 4):
-        raise ParameterError("ternary hierarchy supports generations 1..4")
+    last = len(HIERARCHY_SIZES["hier3"])
+    if n_gen not in range(1, last + 1):
+        raise ParameterError(f"ternary hierarchy supports generations 1..{last}")
     edges = np.array([(0, 1), (1, 2), (2, 0)])
     size = 3
     for _ in range(n_gen - 1):
@@ -304,8 +309,9 @@ def gen_hierarchical_outerplanar(n_gen: int) -> DirectedGraph:
     and B.tail -> A.head. With nodes laid out in id order on a circle every
     edge is a non-crossing chord, so all vertices stay on the outer face.
     """
-    if not 1 <= n_gen <= 6:
-        raise ParameterError("outerplanar hierarchy supports generations 1..6")
+    last = len(HIERARCHY_SIZES["hier2"])
+    if n_gen not in range(1, last + 1):
+        raise ParameterError(f"outerplanar hierarchy supports generations 1..{last}")
     edges = np.array([(0, 1)])
     size = 2
     for _ in range(n_gen):

@@ -287,6 +287,14 @@ class TestPowerLawFit:
         fit = power_law_fit([(i, v) for i, v in enumerate(values)])
         assert fit.i_max == 4
 
+    def test_one_entry_before_the_tail_fits_the_whole_list(self):
+        # a star's ranking: the hub, then one tie class of leaves
+        values = [0.4] + [0.12] * 5
+        fit = power_law_fit([(i, v) for i, v in enumerate(values)])
+        assert fit.i_max == 6
+        assert fit.beta == pytest.approx(np.log(0.4 / 0.12) * np.log(720) / (
+            6 * np.sum(np.log(np.arange(1, 7)) ** 2) - np.log(720) ** 2), rel=1e-12)
+
     def test_rescaling_changes_only_prefactor(self):
         ranks = [(i - 1, 0.2 * i ** (-0.7) * (1 + 0.01 * ((i * 7) % 3))) for i in range(1, 30)]
         base = power_law_fit(ranks, i_max=29)
@@ -384,7 +392,7 @@ class TestEnsemble:
         assert report.failures == 0
 
     def test_identical_graphs_have_zero_stddev(self):
-        spec = GeneratorSpec(family="hier3", n_gen=2, seed=0)
+        spec = GeneratorSpec(family="hier3", n=9, seed=0)
         report = ensemble_run(spec, 5, lambda g: {"edges": float(g.num_edges)})
         assert report.stds["edges"] == 0.0
 

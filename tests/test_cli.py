@@ -59,9 +59,16 @@ class TestGenerate:
         assert load_edge_list(edges.read_text()).edges == load_pajek(net.read_text()).edges
 
     def test_hier3_node_count(self, tmp_path):
-        assert run(["generate", "--family", "hier3", "--gen", 2, "--out", tmp_path]) == 0
+        assert run(["generate", "--family", "hier3", "--n", 9, "--out", tmp_path]) == 0
         g = load_edge_list((tmp_path / "generate_hier3_n9_seed0.edges").read_text())
         assert g.n == 9
+
+    @pytest.mark.parametrize("family", ["hier3", "hier2"])
+    def test_every_hierarchy_size_accepted(self, tmp_path, family):
+        for n in graphs.HIERARCHY_SIZES[family]:
+            assert run(["generate", "--family", family, "--n", n, "--out", tmp_path]) == 0
+            g = load_edge_list((tmp_path / f"generate_{family}_n{n}_seed0.edges").read_text())
+            assert g.n == n
 
     def test_repeat_runs_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -76,7 +83,7 @@ class TestGenerate:
         assert tree_bytes(a) == left
 
     def test_degree_csv_bytes(self, tmp_path):
-        assert run(["generate", "--family", "hier3", "--gen", 1, "--out", tmp_path]) == 0
+        assert run(["generate", "--family", "hier3", "--n", 3, "--out", tmp_path]) == 0
         csv_bytes = (tmp_path / "generate_hier3_n3_seed0_degrees.csv").read_bytes()
         assert csv_bytes == b"degree,in_count,out_count\n0,0,0\n1,3,3\n"
 
@@ -159,7 +166,7 @@ class TestRank:
     (["stability", "--family", "sf", "--n", 16], "--points", (4, 5)),
     (["ipr", "--family", "sf"], "--sizes", ("16,32", "32,64")),
     (["powerlaw", "--family", "sf", "--n", 32, "--ensemble", 1], "--i-max", (10, 12)),
-    (["attack", "--family", "hier3", "--ensemble", 2, "--removals", 1], "--gen", (2, 3)),
+    (["attack", "--family", "hier3", "--ensemble", 2, "--removals", 1], "--n", (9, 27)),
     # the same to six significant digits
     (["rank", "--family", "sf", "--n", 16], "--alpha", (0.1234561, 0.1234564)),
 ], ids=["rank-seed", "powerlaw-seed", "sweep-reference", "er-p", "coarse-points", "ipr-sizes",
@@ -222,12 +229,13 @@ class TestExitCodes:
          "argument --ensemble: -3 must be >= 1"),
         (["rank", "--input", "NOT_UTF8"], 3, "cannot read"),
         (["rank", "--family", "sf", "--config", "NOT_UTF8"], 3, "cannot read config"),
-        (["ipr", "--family", "hier3", "--sizes", "9,27"], 2, "--family sf or er"),
+        (["ipr", "--family", "hier3", "--sizes", "9,64"], 2,
+         "hier3 graphs have n in (3, 9, 27, 81), not n=64"),
         (["rank", "--input", "NO_NODES"], 2, "at least one node"),
         # 8 removals from an 8-node graph would fail in every ensemble run
         (["attack", "--family", "sf", "--n", 8, "--ensemble", 2, "--removals", 8], 2,
          "--removals 8 must be below the node count 8"),
-        (["attack", "--family", "hier3", "--gen", 1, "--ensemble", 2, "--removals", 3], 2,
+        (["attack", "--family", "hier3", "--n", 3, "--ensemble", 2, "--removals", 3], 2,
          "--removals 3 must be below the node count 3"),
         # parse errors are returned as exit 2, not raised as SystemExit
         (["rank", "--family", "sf", "--T", "abc"], 2, "argument --T: invalid int value: 'abc'"),
@@ -239,11 +247,21 @@ class TestExitCodes:
         (["rank", "--family", "sf", "--n", 20, "--sf-delta-in", "1e308"], 2,
          "sf degree offset delta_in=1e+308 is too large"),
         ([], 2, "the following arguments are required: command"),
+        # a generated graph of impossible size
+        (["stability", "--family", "hier3", "--n", 64], 2, "hier3 graphs have n in"),
+        (["rank", "--family", "hier3", "--n", 243], 2, "not n=243"),
+        (["attack", "--family", "hier2", "--n", 256, "--ensemble", 2], 2, "not n=256"),
+        (["rank", "--family", "hier3", "--gen", 2], 2, "unrecognized arguments: --gen 2"),
+        (["rank", "--family", "sf", "--n", 2], 2, "scale-free growth needs n >= 3"),
+        (["powerlaw", "--family", "er", "--n", 0, "--ensemble", 3], 2, "n must be >= 1"),
+        (["ipr", "--family", "sf", "--sizes", "64,2"], 2, "scale-free growth needs n >= 3"),
     ], ids=["rank-seed", "ipr-seed", "attack-seed", "points-0", "points-neg", "sizes-not-int",
             "sizes-repeated", "powerlaw-ensemble-0", "powerlaw-ensemble-neg",
             "input-not-utf8", "config-not-utf8", "ipr-hier3", "empty-graph", "every-seed-fails",
             "hier-removals-all", "T-not-int", "mode-not-a-choice", "unknown-flag",
-            "sf-delta-out-inf", "sf-delta-in-overflows", "no-subcommand"])
+            "sf-delta-out-inf", "sf-delta-in-overflows", "no-subcommand",
+            "hier3-n64", "hier3-n243", "hier2-n256", "gen-flag-gone", "sf-n2", "er-n0",
+            "ipr-sf-size-2"])
     def test_bad_input_exit_code(self, tmp_path, capsys, generated, argv, code, message):
         # each is rejected before any graph is generated, in one line
         files = {"NOT_UTF8": ("latin1.net", b"*Vertices 1\n1 \"caf\xe9\"\n"),
@@ -487,6 +505,18 @@ class TestIprCommand:
     def test_rejects_single_size(self, tmp_path):
         assert run(["ipr", "--family", "er", "--sizes", "32", "--out", tmp_path]) == 2
 
+    @pytest.mark.parametrize("family, sizes, slopes, label", [
+        ("hier3", "9,27,81", (-0.322, -0.404), "intermediate"),
+        ("hier2", "8,16,32,64,128", (-1.012, -0.999), "delocalized"),
+    ])
+    def test_hierarchy_sizes_are_node_counts(self, tmp_path, family, sizes, slopes, label):
+        assert run(["ipr", "--family", family, "--sizes", sizes, "--mode", "both",
+                    "--out", tmp_path]) == 0
+        summary = json.loads(next(tmp_path.glob("ipr_*_summary.json")).read_text())
+        for mode, slope in zip(("quantum", "classical"), slopes):
+            assert round(summary[mode]["slope"], 3) == slope
+            assert summary[mode]["classification"] == label
+
 
 class TestStabilityCommand:
     def test_unit_diagonal(self, tmp_path):
@@ -575,6 +605,16 @@ class TestPowerlawCommand:
         summary = json.loads((tmp_path / "powerlaw_sf_n32_a0.85_T60_seed5_summary.json").read_text())
         assert summary["quantum"]["beta"] > 0
         assert summary["classical"]["beta"] > 0
+
+    @pytest.mark.parametrize("mode", ["quantum", "classical"])
+    def test_star_fits_its_whole_ranking(self, tmp_path, mode):
+        # one top node, then one tie class: the window before the tail is one entry
+        star = tmp_path / "star.edges"
+        star.write_text("".join(f"{leaf} 0\n" for leaf in range(1, 6)))
+        assert run(["powerlaw", "--input", star, "--mode", mode, "--out", tmp_path]) == 0
+        summary = json.loads((tmp_path / f"powerlaw_star_n6_a0.85_T1000_mode{mode}_summary.json")
+                             .read_text())
+        assert summary[mode]["i_max"] == 6
 
     def test_ensemble_report(self, tmp_path):
         assert run(["powerlaw", "--family", "sf", "--n", 24, "--ensemble", 3,

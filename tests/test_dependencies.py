@@ -70,24 +70,27 @@ UNUSED_ALLOWED = {
     "cli._Parser.error": "argparse calls it on a parse error",
     "walk.SzegedyWalk.norm_sq": "criterion 2 checks the conserved norm with it, and the "
                                 "norm-drift report of ROADMAP item 3 will call it",
+    "walk.SzegedyWalk.step": "criteria 1 and 2 and tests/test_walk.py step the production walk",
+    "graphs.DirectedGraph.edges": "the rank check of bench/checks.py reads it",
 }
 
 
 def test_every_definition_is_used_elsewhere_in_src():
-    # a use is a name, an attribute or an import alias outside the
-    # definition's own body; __init__.py's re-exports do not count
-    definitions = {}  # qualified name -> (name, node)
-    uses = []  # (name, ids of the definitions enclosing the use)
+    # a use is one outside the definition's own body: of a method, an
+    # attribute of its name; of a module-level definition, also a name or an
+    # import alias. __init__.py's re-exports do not count
+    definitions = {}  # qualified name -> (name, node, whether it is a method)
+    uses = []  # (name, whether it is an attribute, ids of the definitions enclosing the use)
     for path in SOURCES:
         if path.name == "__init__.py":
             continue
         tree = ast.parse(path.read_text(), filename=str(path))
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                definitions[f"{path.stem}.{node.name}"] = (node.name, node)
+                definitions[f"{path.stem}.{node.name}"] = (node.name, node, False)
             if isinstance(node, ast.ClassDef):
                 definitions.update(
-                    (f"{path.stem}.{node.name}.{item.name}", (item.name, item))
+                    (f"{path.stem}.{node.name}.{item.name}", (item.name, item, True))
                     for item in node.body
                     if isinstance(item, ast.FunctionDef) and not item.name.startswith("__"))
 
@@ -98,13 +101,14 @@ def test_every_definition_is_used_elsewhere_in_src():
                     else node.attr if isinstance(node, ast.Attribute)
                     else node.name if isinstance(node, ast.alias) else None)
             if name is not None:
-                uses.append((name, enclosing))
+                uses.append((name, isinstance(node, ast.Attribute), enclosing))
             for child in ast.iter_child_nodes(node):
                 visit(child, enclosing)
 
         visit(tree, frozenset())
     assert set(UNUSED_ALLOWED) <= set(definitions), "stale UNUSED_ALLOWED entries"
-    unused = [qualified for qualified, (name, node) in definitions.items()
+    unused = [qualified for qualified, (name, node, method) in definitions.items()
               if qualified not in UNUSED_ALLOWED
-              and not any(use == name and id(node) not in inside for use, inside in uses)]
+              and not any(use == name and (attribute or not method) and id(node) not in inside
+                          for use, attribute, inside in uses)]
     assert not unused, f"defined in src/qprank but used nowhere else in it: {unused}"

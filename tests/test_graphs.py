@@ -25,7 +25,7 @@ from qprank import (
     write_pajek,
 )
 from qprank import graphs
-from qprank.graphs import MAX_NODES
+from qprank.graphs import HIERARCHY_SIZES, MAX_NODES
 
 from conftest import complete, cycle, epa_path, small_digraphs
 
@@ -279,26 +279,51 @@ class TestHierarchical:
 
 class TestGeneratorSpec:
     def test_dispatch(self):
-        g = generate(GeneratorSpec(family="hier3", n_gen=2))
+        g = generate(GeneratorSpec(family="hier3", n=9))
         assert g.n == 9
 
     @pytest.mark.parametrize("spec", [
         GeneratorSpec(family="sf", n=20), GeneratorSpec(family="er", n=7, p=0.0),
-        GeneratorSpec(family="hier3", n=64, n_gen=3), GeneratorSpec(family="hier2", n=64, n_gen=2),
+        GeneratorSpec(family="hier3", n=27), GeneratorSpec(family="hier2", n=8),
     ], ids=lambda spec: spec.family)
     def test_node_count_is_that_of_the_graph_built(self, spec):
-        assert spec.node_count == generate(spec).n
+        assert spec.n == generate(spec).n
 
     def test_validation(self):
-        with pytest.raises(ParameterError):
-            GeneratorSpec(family="er", p=-0.1)
+        with pytest.raises(ParameterError, match="edge probability p=-0.1 outside"):
+            GeneratorSpec(family="er", n=8, p=-0.1)
         for alpha, beta in ((0.6, 0.5), (-0.1, 0.5), (0.5, -0.1)):
-            with pytest.raises(ParameterError):
-                GeneratorSpec(family="sf", sf_alpha=alpha, sf_beta=beta)
-        with pytest.raises(ParameterError):
-            GeneratorSpec(family="er", seed=-1)
-        with pytest.raises(ParameterError):
+            with pytest.raises(ParameterError, match="sf move probabilities"):
+                GeneratorSpec(family="sf", n=8, sf_alpha=alpha, sf_beta=beta)
+        with pytest.raises(ParameterError, match="seed -1 must be >= 0"):
+            GeneratorSpec(family="er", n=8, seed=-1)
+        with pytest.raises(ParameterError, match="unknown family 'nope'"):
             GeneratorSpec(family="nope")
+
+    @pytest.mark.parametrize("spec, build", [
+        (dict(family="sf", n=2), lambda: gen_scale_free(2)),
+        (dict(family="sf", n=8, sf_alpha=0.0, sf_beta=1.0),
+         lambda: gen_scale_free(8, alpha=0.0, beta=1.0)),
+        (dict(family="er", n=0), lambda: gen_erdos_renyi(0, 0.5)),
+        (dict(family="er", n=math.isqrt(MAX_NODES) + 1),
+         lambda: gen_erdos_renyi(math.isqrt(MAX_NODES) + 1, 0.125)),
+        (dict(family="hier3", n=243), lambda: gen_hierarchical_ternary(5)),
+        (dict(family="hier2", n=256), lambda: gen_hierarchical_outerplanar(7)),
+    ], ids=["sf-n2", "sf-beta1", "er-n0", "er-n-squared", "hier3-243", "hier2-256"])
+    def test_spec_rejects_what_its_generator_rejects(self, spec, build):
+        # the spec fails at once, before any graph is built
+        with pytest.raises(ParameterError) as by_spec:
+            GeneratorSpec(**spec)
+        with pytest.raises(ParameterError) as by_generator:
+            build()
+        if not spec["family"].startswith("hier"):  # a hierarchy's generator counts generations
+            assert str(by_spec.value) == str(by_generator.value)
+
+    @pytest.mark.parametrize("family, n", [("hier3", 64), ("hier3", 0), ("hier3", 243),
+                                           ("hier2", 2), ("hier2", 256), ("hier2", 64.5)])
+    def test_hierarchy_rejects_other_node_counts(self, family, n):
+        with pytest.raises(ParameterError, match=f"{family} graphs have n in .*, not n={n}"):
+            GeneratorSpec(family, n=n)
 
 
 class TestRemoveNode:
@@ -480,16 +505,16 @@ GENERATOR_DIGESTS = [
     (dict(family="er", n=64, seed=0), "9d915c2c903ac657ea1a9dddb50ade14fa537ab0560e5d712f39b9519321fa39"),
     (dict(family="er", n=64, seed=1), "3d2238b7f01893895f4d1fc5670948e6b506d90e3184dc4dffbc8f6d5d10f490"),
     (dict(family="er", n=64, seed=2), "5a9dece17b6511ad2c8f28ea39aa2ebf72fac81812d94dad783c7f3cf7d66d13"),
-    (dict(family="hier3", n_gen=1), "16e0f1b14febf59e51734cf667cbc43952cfa01b2ddfc3b01ce2c2af29b4bc96"),
-    (dict(family="hier3", n_gen=2), "4beca8dce9c8f2edc23e74be94bd35da37d15a11466252b805328024d61eef6c"),
-    (dict(family="hier3", n_gen=3), "d54e3029eb40178b61373b9cecb67d5bb8489d199b60497d88a4ea006288d37f"),
-    (dict(family="hier3", n_gen=4), "a9354a507ad557f5db7b1f55246f099d10c9426bce9594df5a5af469b7dd1586"),
-    (dict(family="hier2", n_gen=1), "b3fdb46676827d67d47b7276008739add89d08f76f24b4be332b9fb96bc55d04"),
-    (dict(family="hier2", n_gen=2), "ed0f377592cb664bfe8771209385735179894c13eaee833e4177e98ce5626d9c"),
-    (dict(family="hier2", n_gen=3), "24740e40463833dbe9b194077eea71b95bbbb6e933227c9cc13cb4633cf7fb79"),
-    (dict(family="hier2", n_gen=4), "84ec223edc602165bd9ac4d9aa9e15caebd71efa12fbf51c30812d4f10e0bd3b"),
-    (dict(family="hier2", n_gen=5), "c2360d3d3ce3de480c3b3b78877c049440caec1ce0c222e6c499cdda4e801185"),
-    (dict(family="hier2", n_gen=6), "a9a1a33ec2266a4a1579955dd9d4c73fa9d3e25bfe5517fca41e6830fdb7f4e2"),
+    (dict(family="hier3", n=3), "16e0f1b14febf59e51734cf667cbc43952cfa01b2ddfc3b01ce2c2af29b4bc96"),
+    (dict(family="hier3", n=9), "4beca8dce9c8f2edc23e74be94bd35da37d15a11466252b805328024d61eef6c"),
+    (dict(family="hier3", n=27), "d54e3029eb40178b61373b9cecb67d5bb8489d199b60497d88a4ea006288d37f"),
+    (dict(family="hier3", n=81), "a9354a507ad557f5db7b1f55246f099d10c9426bce9594df5a5af469b7dd1586"),
+    (dict(family="hier2", n=4), "b3fdb46676827d67d47b7276008739add89d08f76f24b4be332b9fb96bc55d04"),
+    (dict(family="hier2", n=8), "ed0f377592cb664bfe8771209385735179894c13eaee833e4177e98ce5626d9c"),
+    (dict(family="hier2", n=16), "24740e40463833dbe9b194077eea71b95bbbb6e933227c9cc13cb4633cf7fb79"),
+    (dict(family="hier2", n=32), "84ec223edc602165bd9ac4d9aa9e15caebd71efa12fbf51c30812d4f10e0bd3b"),
+    (dict(family="hier2", n=64), "c2360d3d3ce3de480c3b3b78877c049440caec1ce0c222e6c499cdda4e801185"),
+    (dict(family="hier2", n=128), "a9a1a33ec2266a4a1579955dd9d4c73fa9d3e25bfe5517fca41e6830fdb7f4e2"),
 ]
 # Files with self-loops, repeated arcs and undirected edges.
 PAJEK_WITH_LOOPS = '*Vertices 5\n1 "a"\n*Arcs\n1 1\n1 2\n3 2\n2 3\n5 5\n*Edges\n4 1\n2 2\n1 2\n'
@@ -500,10 +525,17 @@ def _digest(g):
     return hashlib.sha256(write_edge_list(g).encode()).hexdigest()
 
 
+def _digest_id(spec: dict) -> str:
+    """The spec's values joined, but a hierarchy's generation in place of its size."""
+    values = dict(spec)
+    if values["family"] in HIERARCHY_SIZES:
+        values["n"] = HIERARCHY_SIZES[values["family"]].index(values["n"]) + 1
+    return "-".join(map(str, values.values()))
+
+
 class TestGeneratorFingerprints:
-    @pytest.mark.parametrize(
-        "spec, digest", GENERATOR_DIGESTS, ids=["-".join(map(str, s.values())) for s, _ in GENERATOR_DIGESTS]
-    )
+    @pytest.mark.parametrize("spec, digest", GENERATOR_DIGESTS,
+                             ids=[_digest_id(s) for s, _ in GENERATOR_DIGESTS])
     def test_generated_graph_unchanged(self, spec, digest):
         assert _digest(generate(GeneratorSpec(**spec))) == digest
 
