@@ -146,12 +146,13 @@ def _part(key: str, val) -> str:
 
 def _prefix(args, label: str, *settings: str, **parts) -> str:
     """The file prefix of a run: the subcommand, the graph label, each of
-    ``parts`` that is not None, then each data-changing flag of ``settings``
-    and of the family whose value, from a config file too, differs from the
-    subcommand parser's built-in default. So runs with different data differ
-    in name."""
+    ``parts`` that is not None, the seed of a generated graph, then each
+    data-changing flag of ``settings`` and of the family whose value, from a
+    config file too, differs from the subcommand parser's built-in default.
+    So runs with different data differ in name."""
     bits = [args.command, label, *(_part(k, v) for k, v in parts.items() if v is not None)]
     if not getattr(args, "input", None):
+        bits.append(_part("seed", args.seed))
         settings += FAMILY_FLAGS[args.family]
     for dest in settings:
         val = getattr(args, dest)
@@ -169,7 +170,7 @@ def cmd_generate(args) -> tuple[str, None]:
     spec = _spec_from_args(args)
     g = graphs.generate(spec)
     outdir = Path(args.out)
-    label = _prefix(args, args.family, n=g.n, seed=args.seed)
+    label = _prefix(args, args.family, n=g.n)
     _write_text(outdir / f"{label}.edges", graphs.write_edge_list(g))
     _write_text(outdir / f"{label}.net", graphs.write_pajek(g))
     in_hist, out_hist = graphs.degree_distribution(g)
@@ -193,8 +194,7 @@ def cmd_rank(args) -> tuple[str, dict]:
     q_ranks = analysis.node_ranks(quantum)
 
     outdir = Path(args.out)
-    prefix = _prefix(args, label, n=g.n, a=args.alpha, T=args.T,
-                     seed=None if args.input else args.seed)
+    prefix = _prefix(args, label, n=g.n, a=args.alpha, T=args.T)
     _write_table(
         outdir / f"{prefix}.csv",
         ("node", "classical_importance", "quantum_importance", "classical_rank", "quantum_rank"),
@@ -246,8 +246,7 @@ def cmd_ipr(args) -> tuple[str, dict]:
     specs = [_spec_from_args(args, n, args.seed + k) for k, n in enumerate(sizes)]
     graphs_by_size = [graphs.generate(spec) for spec in specs]
     outdir = Path(args.out)
-    prefix = _prefix(args, args.family, "sizes", "mode", a=args.alpha, r=args.r, T=args.T,
-                     seed=args.seed)
+    prefix = _prefix(args, args.family, "sizes", "mode", a=args.alpha, r=args.r, T=args.T)
     summary: dict = {"sizes": sizes, "alpha": args.alpha, "r": args.r}
     modes = _modes(args.mode)
     xis = []
@@ -284,8 +283,7 @@ def cmd_stability(args) -> tuple[str, dict]:
     if sweep:  # the reference --alpha is ranked first, as row 0 of the grid
         alphas = np.concatenate(([args.alpha], alphas))
     points = ("points",) if args.grid == "coarse" else ()
-    prefix = _prefix(args, label, *points, n=g.n, a=args.alpha if sweep else None, T=args.T,
-                     seed=args.seed)
+    prefix = _prefix(args, label, *points, n=g.n, a=args.alpha if sweep else None, T=args.T)
     prefix += f"_{args.grid}_{args.mode}"
     items = [(g, args.mode, float(a), args.T) for a in alphas]
     grid = analysis.pairwise_stability(parallel_map(importance_item, items, args.jobs), alphas)
@@ -325,8 +323,7 @@ def _run_ensemble(args, experiment, *settings: str) -> tuple[analysis.EnsembleRe
     report = analysis.ensemble_run(
         spec, args.ensemble, experiment, map_fn=functools.partial(parallel_map, jobs=args.jobs)
     )
-    prefix = _prefix(args, args.family, *settings, n=spec.n, a=args.alpha, T=args.T,
-                     seed=args.seed)
+    prefix = _prefix(args, args.family, *settings, n=spec.n, a=args.alpha, T=args.T)
     summary = {
         "ensemble": report.count,
         "failures": report.failures,
@@ -347,8 +344,7 @@ def cmd_powerlaw(args) -> tuple[str, dict]:
             raise ParameterError(f"--i-max {args.i_max} must not exceed the node count {n}")
     if args.input or args.ensemble == 1:
         g, label = _graph_from_args(args)
-        prefix = _prefix(args, label, *settings, n=g.n, a=args.alpha, T=args.T,
-                         seed=None if args.input else args.seed)
+        prefix = _prefix(args, label, *settings, n=g.n, a=args.alpha, T=args.T)
         summary: dict = {"n": g.n, "alpha": args.alpha}
         for mode in modes:
             p = analysis.importance_vector(g, mode, alpha=args.alpha, horizon=args.T)
@@ -446,21 +442,26 @@ def _add_common(sp: argparse.ArgumentParser, *, ranking: bool = True) -> None:
     sp.add_argument("--out", default=os.environ.get(OUT_ENV_VAR, "runs"),
                     help=f"output directory (env {OUT_ENV_VAR} overrides the default)")
     sp.add_argument("--seed", type=int, default=graphs.GeneratorSpec.seed, help="base RNG seed")
-    sp.add_argument("--jobs", type=_positive, default=1, help="worker processes for independent runs")
     sp.add_argument("--config", default=None, help="key=value file read as leading flags")
     if ranking:
+        sp.add_argument("--jobs", type=_positive, default=1,
+                        help="worker processes for independent runs (rank accepts it, for the "
+                             "benchmark harness, and ignores it)")
         sp.add_argument("--alpha", type=_damping, default=DEFAULT_ALPHA,
                         help="damping parameter (stability --grid sweep: the reference)")
         sp.add_argument("--T", type=_positive, default=walk.DEFAULT_HORIZON,
                         help="quantum averaging horizon (double-steps)")
 
 
-def _add_generator(sp: argparse.ArgumentParser, *, with_input: bool = False) -> None:
-    if with_input:
+def _add_generator(sp: argparse.ArgumentParser, *sources: str) -> None:
+    """The generator flags, after the graph sources ``sources`` names:
+    "input", a graph file, and "n", the node count of a generated graph."""
+    if "input" in sources:
         sp.add_argument("--input", default=None, help="graph file (.net Pajek, else edge list)")
     sp.add_argument("--family", choices=graphs.FAMILIES, default=None, help="generator family")
-    sp.add_argument("--n", type=int, default=64, help="node count; hier3 and hier2 take one of "
-                    + " and ".join(map(str, graphs.HIERARCHY_SIZES.values())))
+    if "n" in sources:
+        sp.add_argument("--n", type=int, default=64, help="node count; hier3 and hier2 take one of "
+                        + " and ".join(map(str, graphs.HIERARCHY_SIZES.values())))
     defaults = graphs.GeneratorSpec
     sp.add_argument("--p", type=float, default=defaults.p, help="er edge probability")
     sp.add_argument("--sf-alpha", type=float, default=defaults.sf_alpha,
@@ -491,11 +492,11 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
         return sp
 
     sp = subcommand("generate", cmd_generate, "write a generated graph to disk")
-    _add_generator(sp)
+    _add_generator(sp, "n")
     _add_common(sp, ranking=False)
 
     sp = subcommand("rank", cmd_rank, "classical and quantum ranking of one graph")
-    _add_generator(sp, with_input=True)
+    _add_generator(sp, "input", "n")
     _add_common(sp)
     sp.add_argument("--trajectory", type=_checked(int, ">= 0", lambda v: v >= 0), default=0,
                     help="also dump instantaneous distributions for this many steps")
@@ -510,14 +511,14 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     sp.add_argument("--r", type=_positive, default=1, help="participation-ratio order")
 
     sp = subcommand("stability", cmd_stability, "ranking stability across damping values")
-    _add_generator(sp, with_input=True)
+    _add_generator(sp, "input", "n")
     _add_common(sp)
     sp.add_argument("--grid", choices=("coarse", "fine", "sweep"), default="coarse")
     sp.add_argument("--points", type=_positive, default=20, help="coarse grid size")
     sp.add_argument("--mode", choices=("quantum", "classical"), default="quantum")
 
     sp = subcommand("powerlaw", cmd_powerlaw, "power-law fit of the sorted ranking")
-    _add_generator(sp, with_input=True)
+    _add_generator(sp, "input", "n")
     _add_common(sp)
     sp.add_argument("--mode", choices=("quantum", "classical", "both"), default="both")
     sp.add_argument("--ensemble", type=_positive, default=29, help="graphs in the ensemble (1 = single)")
@@ -525,7 +526,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
                     help="last rank index (default: before the degenerate tail)")
 
     sp = subcommand("attack", cmd_attack, "iterated hub removal over a seeded ensemble")
-    _add_generator(sp)
+    _add_generator(sp, "n")
     _add_common(sp)
     sp.add_argument("--mode", choices=("quantum", "classical", "both"), default="both")
     sp.add_argument("--removals", type=_positive, default=5, help="nodes to remove, one per round")

@@ -196,26 +196,18 @@ class SzegedyWalk:
         """Uniform superposition of the per-node vectors; unit norm by construction."""
         return WalkState(np.full(self.n, 1.0 / np.sqrt(self.n)), np.zeros(self.n))
 
-    def _step(self, state: WalkState) -> tuple[WalkState, np.ndarray]:
-        """The step and the product D b it computed on the way."""
-        d_b = self.d @ state.b
-        return WalkState(-state.b, state.a + 2.0 * d_b), d_b
-
     def step(self, state: WalkState) -> WalkState:
         """One application of the walk unitary: (a, b) -> (-b, a + 2 D b)."""
-        return self._step(state)[0]
+        return WalkState(-state.b, state.a + 2.0 * (self.d @ state.b))
 
-    def measure(self, state: WalkState, d_a: np.ndarray | None = None) -> np.ndarray:
+    def measure(self, state: WalkState) -> np.ndarray:
         """Second-register outcome distribution of the current state.
 
-        ``d_a`` is the product D a when the caller already has it. Rounding
-        can push individual entries a few ulp below zero; those are clamped
-        to 0 so downstream consumers see a valid distribution.
+        Rounding can push individual entries a few ulp below zero; those are
+        clamped to 0 so downstream consumers see a valid distribution.
         """
         a, b = state.a, state.b
-        if d_a is None:
-            d_a = self.d @ a
-        p = self.g @ (a * a) + 2.0 * b * d_a + b * b
+        p = self.g @ (a * a) + 2.0 * b * (self.d @ a) + b * b
         return np.maximum(p, 0.0)
 
     def norm_sq(self, state: WalkState) -> float:
@@ -231,10 +223,8 @@ class SzegedyWalk:
         state = self.initial_state()
         rows = [self.measure(state)]
         for _ in range(1, horizon):
-            # the second step sets a = -b for the b it multiplied by D, so
-            # D a = -(D b) comes with it
-            state, d_b = self._step(self._step(state)[0])
-            rows.append(self.measure(state, -d_b))
+            state = self.step(self.step(state))
+            rows.append(self.measure(state))
         return np.array(rows)
 
     def _iterated_averages(self, horizon: int) -> tuple[np.ndarray, np.ndarray | None]:

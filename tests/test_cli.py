@@ -1,3 +1,4 @@
+import argparse
 import csv
 import importlib
 import json
@@ -255,13 +256,16 @@ class TestExitCodes:
         (["rank", "--family", "sf", "--n", 2], 2, "scale-free growth needs n >= 3"),
         (["powerlaw", "--family", "er", "--n", 0, "--ensemble", 3], 2, "n must be >= 1"),
         (["ipr", "--family", "sf", "--sizes", "64,2"], 2, "scale-free growth needs n >= 3"),
+        # generate builds one graph in-process; ipr is sized by --sizes alone
+        (["generate", "--family", "sf", "--jobs", 2], 2, "unrecognized arguments: --jobs 2"),
+        (["ipr", "--family", "er", "--n", 64], 2, "unrecognized arguments: --n 64"),
     ], ids=["rank-seed", "ipr-seed", "attack-seed", "points-0", "points-neg", "sizes-not-int",
             "sizes-repeated", "powerlaw-ensemble-0", "powerlaw-ensemble-neg",
             "input-not-utf8", "config-not-utf8", "ipr-hier3", "empty-graph", "every-seed-fails",
             "hier-removals-all", "T-not-int", "mode-not-a-choice", "unknown-flag",
             "sf-delta-out-inf", "sf-delta-in-overflows", "no-subcommand",
             "hier3-n64", "hier3-n243", "hier2-n256", "gen-flag-gone", "sf-n2", "er-n0",
-            "ipr-sf-size-2"])
+            "ipr-sf-size-2", "generate-jobs-gone", "ipr-n-gone"])
     def test_bad_input_exit_code(self, tmp_path, capsys, generated, argv, code, message):
         # each is rejected before any graph is generated, in one line
         files = {"NOT_UTF8": ("latin1.net", b"*Vertices 1\n1 \"caf\xe9\"\n"),
@@ -388,7 +392,8 @@ class TestExitCodes:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("T=0\n")
         argv = [cfg if a == "CONFIG" else a for a in argv]
-        assert run([argv[0], "--family", "sf", "--n", 8, *argv[1:], "--out", tmp_path]) == 2
+        size = [] if argv[0] == "ipr" else ["--n", 8]  # the ipr cases carry --sizes
+        assert run([argv[0], "--family", "sf", *size, *argv[1:], "--out", tmp_path]) == 2
         assert capsys.readouterr().err == f"error [stage=parameters]: {message}\n"
         assert generated == []
 
@@ -426,6 +431,17 @@ class TestConfigFile:
         cfg.write_text("removals=4\nT=30\n")
         assert run(["rank", "--family", "sf", "--n", 8, "--config", cfg,
                     "--out", tmp_path]) == 0
+
+    @pytest.mark.parametrize("argv, entry", [
+        (["generate", "--family", "sf", "--n", 8], "jobs=2"),
+        (["ipr", "--family", "sf", "--sizes", "8,16", "--T", 20], "n=64"),
+    ], ids=["generate-jobs", "ipr-n"])
+    def test_keys_of_removed_flags_ignored(self, tmp_path, argv, entry):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(entry + "\n")
+        assert run([*argv, "--config", cfg, "--out", tmp_path]) == 0
+        config = json.loads(next(tmp_path.glob("*_run_config.json")).read_text())
+        assert entry.split("=")[0] not in config["params"]
 
     def test_equals_form_applies_file_values(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -484,7 +500,8 @@ class TestConfigFile:
         # rejected as the flags are read, before any graph is built, naming key and value
         cfg = tmp_path / "run.cfg"
         cfg.write_text(entry + "\n")
-        assert run([command, "--family", "sf", "--n", 8, "--T", 20, "--config", cfg,
+        size = ["--sizes", "8,16"] if command == "ipr" else ["--n", 8]
+        assert run([command, "--family", "sf", *size, "--T", 20, "--config", cfg,
                     "--out", tmp_path]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error [stage=parameters]: ") and err.count("\n") == 1
@@ -583,6 +600,20 @@ class TestStabilityCommand:
                     "--T", 30, "--out", tmp_path]) == 2
         assert calls == []
 
+    def test_file_input_names_carry_no_seed(self, tmp_path):
+        # the seed does nothing for a graph file, so it does not name the run
+        edges = tmp_path / "g.edges"
+        edges.write_text("0 1\n1 2\n2 0\n")
+        names = []
+        for seed in (0, 5):
+            out = tmp_path / f"seed{seed}"
+            assert run(["stability", "--input", edges, "--seed", seed, "--points", 3, "--T", 10,
+                        "--out", out]) == 0
+            names.append(sorted(path.name for path in out.iterdir()))
+        assert names[0] == names[1]
+        assert "stability_g_n3_T10_points3_coarse_quantum_summary.json" in names[0]
+        assert not any("seed" in name for name in names[0])
+
     def test_fine_grid_output_is_streamed(self, tmp_path):
         # the 98 x 98 tables are written row by row, not built in memory first;
         # an untraced first run takes the one-time allocations of a fresh process
@@ -654,6 +685,55 @@ class TestAttackCommand:
             if name.endswith("run_config.json"):
                 continue
             assert serial[name] == parallel[name]
+
+
+# Flags a subcommand defines but does not read, and why they stay.
+UNREAD_ALLOWED = {
+    "rank.jobs": "bench/run.py passes --jobs 1 to every workload, rank_sf2048's included",
+}
+
+# Runs that between them take every branch that reads a flag.
+FLAG_RUNS = [
+    ["generate", "--family", "sf", "--n", 8],
+    ["rank", "--family", "sf", "--n", 8, "--T", 10, "--trajectory", 3, "--dump-matrix",
+     "--jobs", 1],
+    ["ipr", "--family", "sf", "--sizes", "8,16", "--T", 10],
+    ["stability", "--family", "sf", "--n", 8, "--points", 3, "--T", 10],
+    ["stability", "--family", "sf", "--n", 8, "--grid", "sweep", "--T", 10],
+    ["powerlaw", "--family", "sf", "--n", 16, "--ensemble", 1, "--T", 10],
+    ["powerlaw", "--family", "sf", "--n", 16, "--ensemble", 2, "--i-max", 5, "--T", 10],
+    ["attack", "--family", "sf", "--n", 8, "--ensemble", 2, "--removals", 1, "--T", 10],
+]
+
+
+def test_every_flag_is_read(tmp_path, monkeypatch):
+    # a read is an attribute access on the parsed namespace once parsing
+    # is done; argparse's own accesses and the echo of vars(args) do not count
+    reads = set()
+
+    class Recording(argparse.Namespace):
+        def __getattribute__(self, name):
+            reads.add(name)
+            return super().__getattribute__(name)
+
+    parse = cli._Parser.parse_args
+
+    def parse_args(self, args=None, namespace=None):
+        before = set(reads)
+        namespace = parse(self, args, Recording())
+        reads.intersection_update(before)
+        return namespace
+
+    monkeypatch.setattr(cli._Parser, "parse_args", parse_args)
+    _, subparsers = build_parser()
+    unread = {f"{name}.{action.dest}" for name, sp in subparsers.items()
+              for action in sp._actions if action.dest != "help"}
+    for argv in FLAG_RUNS:
+        reads.clear()
+        assert run([*argv, "--out", tmp_path]) == 0
+        unread -= {f"{argv[0]}.{name}" for name in reads}
+    assert set(UNREAD_ALLOWED) <= unread, "stale UNREAD_ALLOWED entries"
+    assert sorted(unread - set(UNREAD_ALLOWED)) == []
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"

@@ -70,7 +70,6 @@ UNUSED_ALLOWED = {
     "cli._Parser.error": "argparse calls it on a parse error",
     "walk.SzegedyWalk.norm_sq": "criterion 2 checks the conserved norm with it, and the "
                                 "norm-drift report of ROADMAP item 3 will call it",
-    "walk.SzegedyWalk.step": "criteria 1 and 2 and tests/test_walk.py step the production walk",
     "graphs.DirectedGraph.edges": "the rank check of bench/checks.py reads it",
 }
 
