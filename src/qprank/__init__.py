@@ -16,7 +16,7 @@ from .analysis import (
     ipr_scaling,
     kendall_coefficient,
     power_law_fit,
-    rank_list,
+    ranking_order,
 )
 from .errors import ConvergenceError, ParameterError, ParseError
 from .google import (

@@ -54,11 +54,6 @@ def ranking_order(p: np.ndarray) -> list[int]:
     return np.lexsort((np.arange(len(p)), tie_classes(p))).tolist()
 
 
-def rank_list(p: np.ndarray) -> list[tuple[int, float]]:
-    """(node, importance) pairs in ranking_order."""
-    return [(i, float(p[i])) for i in ranking_order(p)]
-
-
 def node_ranks(p: np.ndarray) -> np.ndarray:
     """1-based rank of each node by exact importance, descending; only equal
     values break by ascending node id.
@@ -97,7 +92,6 @@ class IprSample:
 
     n: int
     xi: float
-    r: int
 
 
 def ipr(p: np.ndarray, r: int = 1) -> IprSample:
@@ -106,7 +100,7 @@ def ipr(p: np.ndarray, r: int = 1) -> IprSample:
     p = np.asarray(p, dtype=np.float64)
     if abs(p.sum() - 1.0) > 1e-6:
         raise ParameterError("input must be a normalized distribution")
-    return IprSample(n=len(p), xi=float((p ** (2 * r)).sum()), r=int(r))
+    return IprSample(n=len(p), xi=float((p ** (2 * r)).sum()))
 
 
 @dataclass(frozen=True)
@@ -147,7 +141,6 @@ def ipr_scaling(samples: list[IprSample]) -> IprScaling:
 class StabilityGrid:
     """Pairwise overlap/difference of rankings across damping values."""
 
-    alphas: np.ndarray
     fidelity: np.ndarray
     distance: np.ndarray
 
@@ -159,7 +152,7 @@ def coarse_alpha_grid(points: int = 20) -> np.ndarray:
     return np.linspace(0.01, 0.98, points)
 
 
-def pairwise_stability(vectors: list[np.ndarray], alphas) -> StabilityGrid:
+def pairwise_stability(vectors: list[np.ndarray]) -> StabilityGrid:
     """Fidelity sum_j sqrt(p_j q_j) and distance max_j |p_j - q_j| of every
     pair of vectors (p, q), a row at a time."""
     stacked = np.asarray(vectors, dtype=np.float64)
@@ -168,7 +161,7 @@ def pairwise_stability(vectors: list[np.ndarray], alphas) -> StabilityGrid:
     for i, v in enumerate(stacked):
         fid[i] = np.sqrt(stacked * v).sum(axis=1)
         dist[i] = np.abs(stacked - v).max(axis=1)
-    return StabilityGrid(np.asarray(alphas, dtype=np.float64), fid, dist)
+    return StabilityGrid(fid, dist)
 
 
 # ---------------------------------------------------------------------------
@@ -190,14 +183,15 @@ class PowerLawFit:
     residual: float
 
 
-def power_law_fit(ranks: list[tuple[int, float]], i_max: int | None = None) -> PowerLawFit:
-    """Fit importance ~ c * index**(-beta) over rank indices [1, i_max].
+def power_law_fit(values, i_max: int | None = None) -> PowerLawFit:
+    """Fit importance ~ c * index**(-beta) over rank indices [1, i_max] of
+    ``values``, importances in ranking order (``p[ranking_order(p)]``).
 
     By default the fit ends just before the last tie class (the degenerate
     tail of values equal within TIE_RTOL); when fewer than 2 entries come
     before it, the full list is used.
     """
-    values = np.array([imp for _, imp in ranks], dtype=np.float64)
+    values = np.asarray(values, dtype=np.float64)
     n = len(values)
     if n == 0:
         raise ParameterError("empty ranking")
@@ -316,49 +310,40 @@ class EnsembleReport:
         return len(self.failure_messages)
 
 
-def run_ensemble_item(args) -> tuple[str, object]:
+def run_ensemble_item(args) -> dict[str, float] | str:
     """Build one seeded graph and apply the experiment; a parameter or
-    convergence error on that draw is reported, not raised, so one bad draw
-    cannot sink the ensemble. Any other exception is a defect and propagates.
-    Top-level so that process pools can pickle it."""
+    convergence error on that draw comes back as its message, not raised, so
+    one bad draw cannot sink the ensemble. Any other exception is a defect
+    and propagates. Top-level so that process pools can pickle it."""
     spec, experiment = args
     try:
-        return "ok", experiment(generate(spec))
+        return experiment(generate(spec))
     except (ParameterError, ConvergenceError) as exc:
-        return "fail", f"seed {spec.seed}: {exc}"
-
-
-def aggregate_metrics(metric_dicts: list[dict[str, float]]) -> tuple[dict, dict]:
-    keys: list[str] = []
-    for metrics in metric_dicts:
-        for key in metrics:
-            if key not in keys:
-                keys.append(key)
-    means: dict[str, float] = {}
-    stds: dict[str, float] = {}
-    for key in keys:
-        vals = np.array([m[key] for m in metric_dicts if key in m], dtype=np.float64)
-        means[key] = float(vals.mean())
-        stds[key] = float(vals.std(ddof=1)) if len(vals) >= 2 else 0.0
-    return means, stds
+        return f"seed {spec.seed}: {exc}"
 
 
 def ensemble_run(spec: GeneratorSpec, count: int, experiment, map_fn=map) -> EnsembleReport:
     """Apply ``experiment(graph)`` to ``count`` graphs seeded spec.seed + index.
 
-    ``experiment`` returns a flat dict of named metrics. Aggregation is a
-    deterministic reduction in seed order, so reports do not depend on the
-    mapper's execution schedule (``map_fn`` may be a process pool's map).
+    ``experiment`` returns a flat dict of named metrics, the same keys for
+    every graph. Aggregation is a deterministic reduction in seed order, so
+    reports do not depend on the mapper's execution schedule (``map_fn`` may
+    be a process pool's map).
     """
     if count < 1:
         raise ParameterError("ensemble count must be >= 1")
     items = [(replace(spec, seed=spec.seed + i), experiment) for i in range(count)]
     outcomes = list(map_fn(run_ensemble_item, items))
-    metric_dicts = [payload for status, payload in outcomes if status == "ok"]
-    failures = tuple(payload for status, payload in outcomes if status == "fail")
+    failures = tuple(outcome for outcome in outcomes if isinstance(outcome, str))
+    metric_dicts = [outcome for outcome in outcomes if not isinstance(outcome, str)]
     if not metric_dicts:
         raise ParameterError(f"all {count} ensemble runs failed; first: {failures[0]}")
-    means, stds = aggregate_metrics(metric_dicts)
+    means: dict[str, float] = {}
+    stds: dict[str, float] = {}
+    for key in metric_dicts[0]:
+        vals = np.array([m[key] for m in metric_dicts], dtype=np.float64)
+        means[key] = float(vals.mean())
+        stds[key] = float(vals.std(ddof=1)) if len(vals) >= 2 else 0.0
     return EnsembleReport(count=count, failure_messages=failures, means=means, stds=stds)
 
 
@@ -389,7 +374,7 @@ def powerlaw_metrics(
     out: dict[str, float] = {}
     for mode in modes:
         p = importance_vector(g, mode, alpha=alpha, horizon=horizon)
-        fit = power_law_fit(rank_list(p), i_max=i_max)
+        fit = power_law_fit(p[ranking_order(p)], i_max=i_max)
         out[f"beta_{mode}"] = fit.beta
         out[f"c_{mode}"] = fit.c
         out[f"residual_{mode}"] = fit.residual

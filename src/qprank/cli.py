@@ -286,7 +286,7 @@ def cmd_stability(args) -> tuple[str, dict]:
     prefix = _prefix(args, label, *points, n=g.n, a=args.alpha if sweep else None, T=args.T)
     prefix += f"_{args.grid}_{args.mode}"
     items = [(g, args.mode, float(a), args.T) for a in alphas]
-    grid = analysis.pairwise_stability(parallel_map(importance_item, items, args.jobs), alphas)
+    grid = analysis.pairwise_stability(parallel_map(importance_item, items, args.jobs))
 
     if sweep:
         rows = list(zip(alphas[1:], grid.fidelity[0, 1:], grid.distance[0, 1:]))
@@ -348,8 +348,8 @@ def cmd_powerlaw(args) -> tuple[str, dict]:
         summary: dict = {"n": g.n, "alpha": args.alpha}
         for mode in modes:
             p = analysis.importance_vector(g, mode, alpha=args.alpha, horizon=args.T)
-            ranks = analysis.rank_list(p)
-            fit = analysis.power_law_fit(ranks, i_max=args.i_max)
+            ranked = p[analysis.ranking_order(p)]
+            fit = analysis.power_law_fit(ranked, i_max=args.i_max)
             summary[mode] = {
                 "beta": fit.beta,
                 "c": fit.c,
@@ -360,7 +360,7 @@ def cmd_powerlaw(args) -> tuple[str, dict]:
             _write_table(
                 outdir / f"{prefix}_{mode}.dat",
                 ("#", "log_rank_index", "log_importance"),
-                ((np.log(i), np.log(imp)) for i, (_, imp) in enumerate(ranks, start=1) if imp > 0),
+                ((np.log(i), np.log(imp)) for i, imp in enumerate(ranked, start=1) if imp > 0),
                 sep=" ",
             )
             print(f"{mode}: beta {fit.beta:.4f}  c {fit.c:.4g}  residual {fit.residual:.4f}")

@@ -333,8 +333,6 @@ def remove_node(g: DirectedGraph, v: int) -> DirectedGraph:
 
 def degree_distribution(g: DirectedGraph) -> tuple[np.ndarray, np.ndarray]:
     """(in-degree histogram, out-degree histogram); entry k counts nodes of degree k."""
-    if g.n == 0:
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
     return np.bincount(g.in_degrees()), np.bincount(g.out_degrees())
 
 

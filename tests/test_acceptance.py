@@ -28,7 +28,7 @@ from qprank import (
     kendall_coefficient,
     load_pajek,
     power_law_fit,
-    rank_list,
+    ranking_order,
 )
 from qprank.analysis import attack_metrics, powerlaw_metrics
 from qprank.cli import main as cli_main
@@ -194,8 +194,8 @@ def test_criterion_08_epa_regression():
     g = load_pajek(epa_path().read_text())
     classical = importance_vector(g, "classical")
     quantum = importance_vector(g, "quantum", horizon=1000)
-    fit_cl = power_law_fit(rank_list(classical), i_max=g.n)
-    fit_q = power_law_fit(rank_list(quantum), i_max=g.n)
+    fit_cl = power_law_fit(classical[ranking_order(classical)], i_max=g.n)
+    fit_q = power_law_fit(quantum[ranking_order(quantum)], i_max=g.n)
     assert abs(fit_cl.beta - 0.4545) <= 0.05, f"classical beta {fit_cl.beta:.4f}"
     assert abs(fit_cl.c - 0.0185) <= 0.005, f"classical prefactor {fit_cl.c:.4f}"
     assert abs(fit_q.beta - 0.3066) <= 0.05, f"quantum beta {fit_q.beta:.4f}"
@@ -231,6 +231,37 @@ def test_criterion_10_attack_sensitivity():
     assert kendall_coefficient([1, 2, 3], [3, 2, 1]) == 0.0
     assert kendall_coefficient([1, 2, 3], [1, 3, 2]) == pytest.approx(2 / 3)
     note(10, "hub attacks disturb the quantum ranking at least as much as the classical")
+
+
+# The ER half of criterion 10's claim, as the README's "Paper experiments"
+# lists it; the defaults give 5 removals, 100 graphs and T = 1000.
+ATTACK_ER_ARGVS = (("attack", "--family", "er", "--n", "16"),
+                   ("attack", "--family", "er", "--n", "32"))
+
+
+@pytest.mark.parametrize("argv", ATTACK_ER_ARGVS, ids=["n16", "n32"])
+def test_er_attack_sensitivity(tmp_path, argv):
+    assert cli_main([*argv, "--out", str(tmp_path)]) == 0
+    (summary,) = (json.loads(path.read_text()) for path in tmp_path.glob("*_summary.json"))
+    assert summary["failures"] == 0
+    means = summary["means"]
+    hits = sum(means[f"kendall_quantum_{r}"] <= means[f"kendall_classical_{r}"]
+               for r in range(1, 6))
+    assert hits >= 4, f"{argv}: quantum more sensitive in only {hits}/5 removal counts"
+
+
+@pytest.mark.parametrize("n", [128, 256])
+def test_quantum_resolves_more_low_lying_degeneracy(tmp_path, n):
+    # the abstract's "partially resolves the low-lying degeneracy": the low
+    # half of the quantum ranking has more tie classes than the classical one
+    for seed in range(5):
+        out = tmp_path / str(seed)
+        assert cli_main(["rank", "--family", "sf", "--n", str(n), "--seed", str(seed),
+                         "--out", str(out)]) == 0
+        (summary,) = (json.loads(path.read_text()) for path in out.glob("*_summary.json"))
+        quantum = summary["degeneracy_resolution_quantum"]
+        classical = summary["degeneracy_resolution_classical"]
+        assert quantum > classical, f"n={n} seed {seed}: {quantum} <= {classical}"
 
 
 def test_criterion_11_cli_determinism(tmp_path):

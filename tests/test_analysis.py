@@ -24,7 +24,6 @@ from qprank import (
     ipr_scaling,
     kendall_coefficient,
     power_law_fit,
-    rank_list,
     remove_node,
 )
 from qprank.analysis import (
@@ -51,8 +50,7 @@ def normalized_vectors(min_size=2, max_size=12):
 
 class TestRankList:
     def test_sorted_descending_with_id_tiebreak(self):
-        ranks = rank_list(np.array([0.2, 0.5, 0.2, 0.1]))
-        assert ranks == [(1, 0.5), (0, 0.2), (2, 0.2), (3, 0.1)]
+        assert ranking_order(np.array([0.2, 0.5, 0.2, 0.1])) == [1, 0, 2, 3]
 
     def test_node_ranks_inverse(self):
         p = np.array([0.1, 0.4, 0.3, 0.2])
@@ -95,7 +93,6 @@ class TestTieRule:
     def test_rounding_noise_ties_but_node_ranks_stay_exact(self):
         p = np.array([0.3, np.nextafter(0.3, 1.0), 0.4])
         assert ranking_order(p) == [2, 0, 1]
-        assert [i for i, _ in rank_list(p)] == [2, 0, 1]
         # node_ranks follows the exact values that rank writes beside it
         assert list(node_ranks(p)) == [3, 2, 1]
 
@@ -169,20 +166,20 @@ class TestIpr:
 
 class TestIprScaling:
     def test_flat_is_localized(self):
-        samples = [IprSample(n, 1.0, 1) for n in (32, 64, 128)]
+        samples = [IprSample(n, 1.0) for n in (32, 64, 128)]
         fit = ipr_scaling(samples)
         assert fit.slope == pytest.approx(0.0, abs=1e-12)
         assert fit.label == "localized"
 
     def test_inverse_n_is_delocalized(self):
-        samples = [IprSample(n, 1.0 / n, 1) for n in (32, 64, 128)]
+        samples = [IprSample(n, 1.0 / n) for n in (32, 64, 128)]
         fit = ipr_scaling(samples)
         assert fit.slope == pytest.approx(-1.0, abs=1e-12)
         assert fit.label == "delocalized"
 
     def test_needs_two_sizes(self):
         with pytest.raises(ParameterError):
-            ipr_scaling([IprSample(32, 0.5, 1), IprSample(32, 0.4, 1)])
+            ipr_scaling([IprSample(32, 0.5), IprSample(32, 0.4)])
 
 
 class TestFidelityAndDistance:
@@ -229,7 +226,7 @@ class TestFidelityAndDistance:
 def ranked_grid(g, alphas, mode, **kwargs):
     """The stability grid as ``stability`` builds it: one ranking per damping value."""
     vectors = [importance_vector(g, mode, alpha=a, **kwargs) for a in alphas]
-    return pairwise_stability(vectors, alphas)
+    return pairwise_stability(vectors)
 
 
 class TestStabilityGrid:
@@ -250,7 +247,7 @@ class TestStabilityGrid:
     def test_grid_is_the_pairwise_functions_bit_for_bit(self, n):
         rng = np.random.default_rng(n)
         vectors = list(rng.dirichlet(np.ones(n), size=6))
-        grid = pairwise_stability(vectors, np.linspace(0.1, 0.9, 6))
+        grid = pairwise_stability(vectors)
         for i, p in enumerate(vectors):
             for j, q in enumerate(vectors):
                 assert grid.fidelity[i, j] == classical_fidelity(p, q)
@@ -264,53 +261,51 @@ class TestStabilityGrid:
 
 class TestPowerLawFit:
     def test_exact_synthetic_power_law(self):
-        ranks = [(i - 1, 0.1 * i ** (-0.9)) for i in range(1, 40)]
-        fit = power_law_fit(ranks, i_max=39)
+        values = [0.1 * i ** (-0.9) for i in range(1, 40)]
+        fit = power_law_fit(values, i_max=39)
         assert fit.beta == pytest.approx(0.9, abs=1e-12)
         assert fit.c == pytest.approx(0.1, abs=1e-12)
         assert fit.residual < 1e-12
 
     def test_constant_list_fits_flat(self):
-        ranks = [(i, 0.125) for i in range(8)]
-        fit = power_law_fit(ranks)
+        fit = power_law_fit([0.125] * 8)
         assert fit.beta == pytest.approx(0.0, abs=1e-12)
         assert fit.c == pytest.approx(0.125, rel=1e-12)
 
     def test_default_range_excludes_degenerate_tail(self):
         values = [0.4, 0.2, 0.1] + [0.05] * 5
-        ranks = [(i, v) for i, v in enumerate(values)]
-        fit = power_law_fit(ranks)
+        fit = power_law_fit(values)
         assert fit.i_max == 3
 
     def test_default_range_ends_before_the_last_tie_class(self):
         values = [0.4, 0.2, 0.1, 0.05 * (1 + 3e-10)] + [0.05 * (1 + k * 4e-11) for k in (2, 1, 0)]
-        fit = power_law_fit([(i, v) for i, v in enumerate(values)])
+        fit = power_law_fit(values)
         assert fit.i_max == 4
 
     def test_one_entry_before_the_tail_fits_the_whole_list(self):
         # a star's ranking: the hub, then one tie class of leaves
         values = [0.4] + [0.12] * 5
-        fit = power_law_fit([(i, v) for i, v in enumerate(values)])
+        fit = power_law_fit(values)
         assert fit.i_max == 6
         assert fit.beta == pytest.approx(np.log(0.4 / 0.12) * np.log(720) / (
             6 * np.sum(np.log(np.arange(1, 7)) ** 2) - np.log(720) ** 2), rel=1e-12)
 
     def test_rescaling_changes_only_prefactor(self):
-        ranks = [(i - 1, 0.2 * i ** (-0.7) * (1 + 0.01 * ((i * 7) % 3))) for i in range(1, 30)]
-        base = power_law_fit(ranks, i_max=29)
-        scaled = power_law_fit([(n, 3.0 * v) for n, v in ranks], i_max=29)
+        values = [0.2 * i ** (-0.7) * (1 + 0.01 * ((i * 7) % 3)) for i in range(1, 30)]
+        base = power_law_fit(values, i_max=29)
+        scaled = power_law_fit([3.0 * v for v in values], i_max=29)
         assert scaled.beta == pytest.approx(base.beta, abs=1e-12)
         assert scaled.c == pytest.approx(3.0 * base.c, rel=1e-10)
         assert scaled.residual == pytest.approx(base.residual, abs=1e-12)
 
     def test_nonpositive_importance_rejected(self):
         with pytest.raises(ParameterError):
-            power_law_fit([(0, 0.5), (1, 0.0)], i_max=2)
+            power_law_fit([0.5, 0.0], i_max=2)
 
     def test_bad_range_rejected(self):
-        ranks = [(i, 0.5 / (i + 1)) for i in range(5)]
+        values = [0.5 / (i + 1) for i in range(5)]
         with pytest.raises(ParameterError):
-            power_law_fit(ranks, i_max=9)
+            power_law_fit(values, i_max=9)
 
 
 def brute_force_kendall(order_a, order_b):
@@ -440,15 +435,15 @@ class TestHierarchyPreservation:
     def test_both_rankings_agree_on_the_top_node(self):
         for g in (gen_hierarchical_ternary(2), gen_hierarchical_ternary(3),
                   gen_hierarchical_outerplanar(4)):
-            classical = rank_list(importance_vector(g, "classical"))[0][0]
-            quantum = rank_list(importance_vector(g, "quantum", horizon=500))[0][0]
+            classical = ranking_order(importance_vector(g, "classical"))[0]
+            quantum = ranking_order(importance_vector(g, "quantum", horizon=500))[0]
             assert classical == quantum
 
     def test_ternary_root_ranks_first(self):
         g = gen_hierarchical_ternary(3)
         for mode in ("classical", "quantum"):
-            order = rank_list(importance_vector(g, mode, horizon=500))
-            assert order[0][0] == 0
+            order = ranking_order(importance_vector(g, mode, horizon=500))
+            assert order[0] == 0
 
 
 class TestDegeneracyResolution:

@@ -19,7 +19,7 @@ from qprank.cli import build_parser, main
 from qprank.errors import ParameterError
 
 from conftest import classical_fidelity, dense_google, epa_path, qpr_distance
-from test_acceptance import STABILITY_CLASSICAL_ARGV, STABILITY_QUANTUM_ARGV
+from test_acceptance import ATTACK_ER_ARGVS, STABILITY_CLASSICAL_ARGV, STABILITY_QUANTUM_ARGV
 
 
 def run(args) -> int:
@@ -788,10 +788,11 @@ class TestReadme:
         assert stale_constants("`google.STRUCTURED_MAX_DENSITY` (1/64)") == []
 
     def test_paper_experiments_list_criterion_7(self):
-        # the acceptance gate runs these two lines; the README must show the same ones
+        # the acceptance gate runs these lines, criterion 7's two and the ER
+        # attack's two; the README must show the same ones
         block = README.read_text().split("## Paper experiments", 1)[1].split("```")[1]
         lines = [line.strip() for line in block.splitlines()]
-        for argv in (STABILITY_QUANTUM_ARGV, STABILITY_CLASSICAL_ARGV):
+        for argv in (STABILITY_QUANTUM_ARGV, STABILITY_CLASSICAL_ARGV, *ATTACK_ER_ARGVS):
             assert shlex.join(("qprank", *argv)) in lines
 
     def test_documented_invocations_parse(self):

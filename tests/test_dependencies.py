@@ -1,8 +1,8 @@
 """numpy is the only run-time dependency: the package imports nothing else
 outside the standard library and itself. The CLI writes files through one
 text writer and one table writer, and records each run in one place. Every
-definition in the package is used by the package: reference code that only
-tests call lives in tests/."""
+definition in the package is used by the package, and every dataclass field
+is read there: reference code that only tests call lives in tests/."""
 
 import ast
 import sys
@@ -111,3 +111,32 @@ def test_every_definition_is_used_elsewhere_in_src():
               and not any(use == name and (attribute or not method) and id(node) not in inside
                           for use, attribute, inside in uses)]
     assert not unused, f"defined in src/qprank but used nowhere else in it: {unused}"
+
+
+# Dataclass fields that nothing in src/ reads, and why they stay.
+UNREAD_FIELDS_ALLOWED = {
+    "analysis.AttackRun.removed": "the experiment's own record of which hubs fell, which the "
+                                  "tests check",
+}
+
+
+def test_every_dataclass_field_is_read_in_src():
+    # matched by name, as above: a field counts as read when any attribute
+    # load in src/ has its name, whatever the object. So a field that shares
+    # a name with a read attribute elsewhere (a flag's ``args.<dest>``, say)
+    # cannot be seen by this check
+    fields = {}  # qualified name -> field name
+    loads = set()
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loads.add(node.attr)
+            if isinstance(node, ast.ClassDef) and any(
+                    "dataclass" in ast.unparse(decorator) for decorator in node.decorator_list):
+                fields.update((f"{path.stem}.{node.name}.{item.target.id}", item.target.id)
+                              for item in node.body if isinstance(item, ast.AnnAssign))
+    assert set(UNREAD_FIELDS_ALLOWED) <= set(fields), "stale UNREAD_FIELDS_ALLOWED entries"
+    unread = [qualified for qualified, name in fields.items()
+              if name not in loads and qualified not in UNREAD_FIELDS_ALLOWED]
+    assert not unread, f"dataclass fields in src/qprank that nothing there reads: {unread}"

@@ -363,6 +363,10 @@ class TestDegreeDistribution:
         in_hist, out_hist = degree_distribution(DirectedGraph(4, frozenset()))
         assert list(in_hist) == [4] and list(out_hist) == [4]
 
+    def test_empty_graph(self):
+        for hist in degree_distribution(DirectedGraph(0, [])):
+            assert hist.dtype == np.int64 and hist.shape == (0,)
+
     def test_cycle(self):
         in_hist, out_hist = degree_distribution(cycle(3))
         assert list(in_hist) == [0, 3] and list(out_hist) == [0, 3]
