@@ -40,6 +40,6 @@ from .graphs import (
     write_edge_list,
     write_pajek,
 )
-from .walk import SzegedyWalk, WalkState
+from .walk import SzegedyWalk
 
 __version__ = "0.1.0"

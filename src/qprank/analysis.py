@@ -100,7 +100,10 @@ def ipr(p: np.ndarray, r: int = 1) -> IprSample:
     p = np.asarray(p, dtype=np.float64)
     if abs(p.sum() - 1.0) > 1e-6:
         raise ParameterError("input must be a normalized distribution")
-    return IprSample(n=len(p), xi=float((p ** (2 * r)).sum()))
+    xi = float((p ** (2 * r)).sum())
+    if xi == 0.0:  # its logarithm would make the scaling fit NaN
+        raise ParameterError(f"order r={r} underflows: sum of p**{2 * r} is 0 at n={len(p)}")
+    return IprSample(n=len(p), xi=xi)
 
 
 @dataclass(frozen=True)

@@ -211,7 +211,7 @@ def cmd_rank(args) -> tuple[str, dict]:
         "edges": g.num_edges,
         "alpha": args.alpha,
         "horizon": args.T,
-        "quantum_convergence_sup_gap": delta,
+        "quantum_convergence_sup_gap": None if np.isnan(delta) else delta,  # NaN is not JSON
         "degeneracy_resolution_classical": analysis.degeneracy_resolution(classical),
         "degeneracy_resolution_quantum": analysis.degeneracy_resolution(quantum),
         "top_share_classical": float(classical.max()),
@@ -249,14 +249,13 @@ def cmd_ipr(args) -> tuple[str, dict]:
     prefix = _prefix(args, args.family, "sizes", "mode", a=args.alpha, r=args.r, T=args.T)
     summary: dict = {"sizes": sizes, "alpha": args.alpha, "r": args.r}
     modes = _modes(args.mode)
-    xis = []
+    samples_by_mode = []  # every mode's before any file, so that an underflow writes nothing
     for mode in modes:
-        vectors = parallel_map(
-            importance_item,
-            [(g, mode, args.alpha, args.T) for g in graphs_by_size],
-            args.jobs,
-        )
-        samples = [analysis.ipr(p, args.r) for p in vectors]
+        items = [(g, mode, args.alpha, args.T) for g in graphs_by_size]
+        vectors = parallel_map(importance_item, items, args.jobs)
+        samples_by_mode.append([analysis.ipr(p, args.r) for p in vectors])
+    xis = []
+    for mode, samples in zip(modes, samples_by_mode):
         fit = analysis.ipr_scaling(samples)
         summary[mode] = {
             "slope": fit.slope,
@@ -460,7 +459,9 @@ def _add_generator(sp: argparse.ArgumentParser, *sources: str) -> None:
         sp.add_argument("--input", default=None, help="graph file (.net Pajek, else edge list)")
     sp.add_argument("--family", choices=graphs.FAMILIES, default=None, help="generator family")
     if "n" in sources:
-        sp.add_argument("--n", type=int, default=64, help="node count; hier3 and hier2 take one of "
+        sp.add_argument("--n", type=int, default=64,
+                        help="node count, default 64 for sf, er and hier2 (hier3 runs must give "
+                             "--n); hier3 and hier2 take one of "
                         + " and ".join(map(str, graphs.HIERARCHY_SIZES.values())))
     defaults = graphs.GeneratorSpec
     sp.add_argument("--p", type=float, default=defaults.p, help="er edge probability")

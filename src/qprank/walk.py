@@ -43,7 +43,8 @@ runs its Cesaro average with one of two engines:
   so a double-step costs two products with 2 D and six elementwise
   operations, and G, being linear, is applied to the summed squares once
   per block of G_BLOCK double-steps rather than once per row.
-  ``trajectory`` iterates the step and the measurement above, row by row.
+  ``trajectory`` steps the same recurrence and measures the state
+  (a, b) = (-b_{2t-1}, b_{2t}) row by row, G applied to each.
 
 google.DENSE_MAX_NODES, the one size constant of both the form and the
 engine, is measured. Per ranking at T = 1000 (build, classical PageRank and
@@ -59,8 +60,6 @@ both sweeps.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -99,14 +98,6 @@ NEAR_UNIT_GAP = 1e-3
 # alpha = 0.01. A block costs one product with G beside its 2 G_BLOCK
 # products with 2 D.
 G_BLOCK = 32
-
-
-@dataclass
-class WalkState:
-    """Coefficients (a, b) of sum_j a_j |psi_j> + sum_k b_k S|psi_k>."""
-
-    a: np.ndarray
-    b: np.ndarray
 
 
 def dirichlet_kernel(phi: np.ndarray, horizon: int) -> np.ndarray:
@@ -178,8 +169,9 @@ class SzegedyWalk:
     ``modes`` holds the closed-form engine's spectrum when G is dense with at
     most DENSE_MAX_NODES nodes and no mode within NEAR_UNIT_GAP of
     |lam| = 1 short of a unit mode; else it is None and averages iterate the
-    three-term recurrence of the module docstring. ``step``, ``measure`` and
-    ``norm_sq`` act on one ``WalkState`` and define what that recurrence sums.
+    three-term recurrence of the module docstring, which ``_double_steps``
+    steps for both ``trajectory`` and the iterated average. ``measure`` and
+    ``norm_sq`` act on the coefficients (a, b) of one state.
     """
 
     def __init__(self, gm: GoogleMatrix):
@@ -192,66 +184,64 @@ class SzegedyWalk:
             if modes.conditioned:
                 self.modes = modes
 
-    def initial_state(self) -> WalkState:
-        """Uniform superposition of the per-node vectors; unit norm by construction."""
-        return WalkState(np.full(self.n, 1.0 / np.sqrt(self.n)), np.zeros(self.n))
-
-    def step(self, state: WalkState) -> WalkState:
-        """One application of the walk unitary: (a, b) -> (-b, a + 2 D b)."""
-        return WalkState(-state.b, state.a + 2.0 * (self.d @ state.b))
-
-    def measure(self, state: WalkState) -> np.ndarray:
-        """Second-register outcome distribution of the current state.
+    def measure(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Second-register outcome distribution of the state with coefficients
+        (a, b).
 
         Rounding can push individual entries a few ulp below zero; those are
         clamped to 0 so downstream consumers see a valid distribution.
         """
-        a, b = state.a, state.b
         p = self.g @ (a * a) + 2.0 * b * (self.d @ a) + b * b
         return np.maximum(p, 0.0)
 
-    def norm_sq(self, state: WalkState) -> float:
+    def norm_sq(self, a: np.ndarray, b: np.ndarray) -> float:
         """Conserved squared norm a.a + b.b + 2 a.(D b)."""
-        a, b = state.a, state.b
         return float(a @ a + b @ b + 2.0 * (a @ (self.d @ b)))
+
+    def _double_steps(self, horizon: int):
+        """Yield (b_{2t-2}, b_{2t-1}, b_{2t}) for t = 1 .. horizon - 1, stepped
+        through b_{k+1} = 2 D b_k - b_{k-1} from b_{-1} = -a_0 and b_0 = 0.
+
+        After t double-steps the state is (a, b) = (-b_{2t-1}, b_{2t}).
+        """
+        d2 = 2.0 * self.d  # exact: the same bits as 2 (D x)
+        prev = np.full(self.n, -1.0 / np.sqrt(self.n))  # b_{-1}
+        cur = np.zeros(self.n)  # b_0
+        for _ in range(1, horizon):
+            mid = d2 @ cur - prev
+            nxt = d2 @ mid - cur
+            yield cur, mid, nxt
+            prev, cur = mid, nxt
 
     def trajectory(self, horizon: int) -> np.ndarray:
         """Instantaneous node distributions; row t is the measurement after t
         double-steps of the unitary (row 0 is the initial state)."""
         if horizon < 1:
             raise ParameterError("horizon must be >= 1")
-        state = self.initial_state()
-        rows = [self.measure(state)]
-        for _ in range(1, horizon):
-            state = self.step(self.step(state))
-            rows.append(self.measure(state))
+        rows = [self.measure(np.full(self.n, 1.0 / np.sqrt(self.n)), np.zeros(self.n))]
+        rows += [self.measure(-mid, after) for _, mid, after in self._double_steps(horizon)]
         return np.array(rows)
 
     def _iterated_averages(self, horizon: int) -> tuple[np.ndarray, np.ndarray | None]:
         """The averages over ``horizon`` and ``horizon // 2`` double-steps
-        (None when that is 0), stepped through b_{k+1} = 2 D b_k - b_{k-1}.
+        (None when that is 0) from the recurrence's double-steps.
 
         Row t is G (b_{2t-1}**2) - b_{2t} b_{2t-2}, so the loop sums the two
         terms over a block of at most G_BLOCK rows and applies G once per
         block.
         """
-        d2 = 2.0 * self.d  # exact: the same bits as 2 (D x)
         half = horizon // 2
-        prev = np.full(self.n, -1.0 / np.sqrt(self.n))  # b_{-1} = -a_0
-        cur = np.zeros(self.n)  # b_0
-        squares, cross, total = prev * prev, np.zeros(self.n), np.zeros(self.n)
+        a0 = np.full(self.n, 1.0 / np.sqrt(self.n))
+        squares, cross, total = a0 * a0, np.zeros(self.n), np.zeros(self.n)
         half_avg = None
-        for t in range(1, horizon):
+        for t, (before, mid, after) in enumerate(self._double_steps(horizon), 1):
             if t % G_BLOCK == 0 or t == half:
                 total += self.g @ squares - cross
                 squares, cross = np.zeros(self.n), np.zeros(self.n)
                 if t == half:
                     half_avg = np.maximum(total / half, 0.0)
-            prev = d2 @ cur - prev  # b_{2t-1}
-            nxt = d2 @ prev - cur  # b_{2t}
-            squares += prev * prev
-            cross += nxt * cur
-            cur = nxt
+            squares += mid * mid
+            cross += after * before
         total += self.g @ squares - cross
         return np.maximum(total / horizon, 0.0), half_avg
 

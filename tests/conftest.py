@@ -126,6 +126,34 @@ class DenseWalk:
         return (amp * amp).sum(axis=0)
 
 
+class ReducedWalk:
+    """The walk's reduced coefficients (a, b) stepped literally, one unitary
+    at a time: the independent reference for the three-term recurrence that
+    ``SzegedyWalk`` iterates. A state is the pair (a, b); ``walk`` supplies
+    D and the measurement."""
+
+    def __init__(self, walk):
+        self.walk = walk
+
+    def initial_state(self) -> tuple[np.ndarray, np.ndarray]:
+        """Uniform superposition of the per-node vectors; unit norm by construction."""
+        n = self.walk.n
+        return np.full(n, 1.0 / np.sqrt(n)), np.zeros(n)
+
+    def step(self, state: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+        """One application of the walk unitary: (a, b) -> (-b, a + 2 D b)."""
+        a, b = state
+        return -b, a + 2.0 * (self.walk.d @ b)
+
+    def rows(self, horizon: int) -> np.ndarray:
+        """Row t is the walk's measurement after t double-steps."""
+        state, rows = self.initial_state(), []
+        for _ in range(horizon):
+            rows.append(self.walk.measure(*state))
+            state = self.step(self.step(state))
+        return np.array(rows)
+
+
 def classical_fidelity(p: np.ndarray, q: np.ndarray) -> float:
     """Bhattacharyya overlap sum_j sqrt(p_j q_j); 1 iff the vectors coincide.
     The reference for ``pairwise_stability``'s fidelity grid."""

@@ -156,6 +156,11 @@ class TestIpr:
         with pytest.raises(ParameterError):
             ipr(np.array([0.5, 0.5]), 0)
 
+    def test_underflow_names_r_and_n(self):
+        # every 0.25**800 is below the smallest subnormal double
+        with pytest.raises(ParameterError, match="r=400 .* n=4"):
+            ipr(np.full(4, 0.25), 400)
+
     @settings(max_examples=60, deadline=None)
     @given(normalized_vectors(), st.integers(1, 3))
     def test_bounds_attained_by_limit_cases(self, p, r):

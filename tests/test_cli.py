@@ -358,6 +358,22 @@ class TestExitCodes:
         else:
             assert err.startswith(f"error [stage=input]: line {line}: ")
 
+    def test_hier3_generate_needs_n(self, tmp_path, capsys, generated):
+        # the --n default, 64, serves sf, er and hier2; a hier3 run must give --n
+        assert run(["generate", "--family", "hier3", "--out", tmp_path]) == 2
+        assert capsys.readouterr().err == (
+            "error [stage=parameters]: hier3 graphs have n in (3, 9, 27, 81), not n=64\n")
+        assert generated == []
+        assert list(tmp_path.iterdir()) == []
+
+    def test_ipr_underflow_writes_nothing(self, tmp_path, capsys):
+        # every p_i**800 of a 16-node er ranking is below the smallest double
+        assert run(["ipr", "--family", "er", "--sizes", "16,32", "--r", 400, "--T", 10,
+                    "--out", tmp_path]) == 2
+        assert capsys.readouterr().err == (
+            "error [stage=parameters]: order r=400 underflows: sum of p**800 is 0 at n=16\n")
+        assert list(tmp_path.iterdir()) == []
+
     def test_negative_trajectory_writes_nothing(self, tmp_path):
         out = tmp_path / "out"
         out.mkdir()
@@ -508,6 +524,33 @@ class TestConfigFile:
         key, value = entry.split("=")
         assert key.replace("_", "-") in err.replace("_", "-") and value in err
         assert generated == []
+
+
+def strict_json(text: str):
+    """json.loads that rejects NaN and the infinities, which are not JSON."""
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize("argv", [
+    ["rank", "--family", "sf", "--n", 16, "--T", 1],  # one double-step: no half-horizon gap
+    ["ipr", "--family", "er", "--sizes", "16,32", "--T", 10],
+    ["stability", "--family", "sf", "--n", 12, "--points", 3, "--T", 10],
+    ["powerlaw", "--family", "sf", "--n", 16, "--ensemble", 2, "--T", 10],
+    ["attack", "--family", "sf", "--n", 16, "--ensemble", 2, "--removals", 2, "--T", 10],
+    ["generate", "--family", "er", "--n", 8],
+], ids=lambda argv: argv[0])
+def test_every_record_is_strict_json(tmp_path, argv):
+    assert run([*argv, "--out", tmp_path]) == 0
+    records = sorted(tmp_path.glob("*_summary.json")) + sorted(tmp_path.glob("*_run_config.json"))
+    assert len(records) == (1 if argv[0] == "generate" else 2)
+    for path in records:
+        strict_json(path.read_text())
+    if argv[0] == "rank":
+        summary = strict_json(next(tmp_path.glob("*_summary.json")).read_text())
+        assert summary["quantum_convergence_sup_gap"] is None
 
 
 class TestIprCommand:

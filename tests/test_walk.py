@@ -7,7 +7,6 @@ from qprank import (
     DirectedGraph,
     ParameterError,
     SzegedyWalk,
-    WalkState,
     gen_erdos_renyi,
     gen_hierarchical_outerplanar,
     gen_hierarchical_ternary,
@@ -19,6 +18,7 @@ from qprank.walk import G_BLOCK
 
 from conftest import (
     DenseWalk,
+    ReducedWalk,
     complete,
     cycle,
     dense_google,
@@ -44,95 +44,79 @@ HORIZONS = (1, 2, 3, 50, 1000)
 
 class TestInitialState:
     def test_two_node_values(self):
-        s = walk_for(DirectedGraph(2, frozenset({(0, 1)}))).initial_state()
-        assert np.allclose(s.a, 0.7071067811865475, atol=0, rtol=0)
-        assert np.array_equal(s.b, np.zeros(2))
+        a, b = ReducedWalk(walk_for(DirectedGraph(2, frozenset({(0, 1)})))).initial_state()
+        assert np.allclose(a, 0.7071067811865475, atol=0, rtol=0)
+        assert np.array_equal(b, np.zeros(2))
 
     def test_unit_norm_exactly_from_b_zero(self):
         w = walk_for(gen_scale_free(17, seed=1))
-        s = w.initial_state()
-        assert s.b @ s.b == 0.0
-        assert abs(w.norm_sq(s) - 1.0) < 1e-15
+        a, b = ReducedWalk(w).initial_state()
+        assert b @ b == 0.0
+        assert abs(w.norm_sq(a, b) - 1.0) < 1e-15
 
     def test_t0_measurement_is_row_average(self):
         g = random_graph(np.random.default_rng(3), 9)
         gm = google_from_graph(g, 0.85)
-        w = SzegedyWalk(gm)
-        p0 = w.measure(w.initial_state())
+        p0 = SzegedyWalk(gm).trajectory(1)[0]
         assert np.abs(p0 - gm.entries.mean(axis=1)).max() < 1e-14
 
     def test_cycle_t0_uniform(self):
-        w = walk_for(cycle(3))
-        assert np.abs(w.measure(w.initial_state()) - 1 / 3).max() < 1e-14
+        assert np.abs(walk_for(cycle(3)).trajectory(1)[0] - 1 / 3).max() < 1e-14
 
 
 class TestStep:
+    """The literal reduced-walk oracle against the step's defining properties."""
+
     def test_projector_fixed_point(self):
         # A state with b = 0 lies inside the projected span, so one step just
         # swaps the two families: (a, 0) -> (0, a).
-        w = walk_for(gen_scale_free(8, seed=2))
+        oracle = ReducedWalk(walk_for(gen_scale_free(8, seed=2)))
         a = np.random.default_rng(0).normal(size=8)
-        out = w.step(WalkState(a, np.zeros(8)))
-        assert np.array_equal(out.a, -np.zeros(8))
-        assert np.array_equal(out.b, a)
+        out_a, out_b = oracle.step((a, np.zeros(8)))
+        assert np.array_equal(out_a, -np.zeros(8))
+        assert np.array_equal(out_b, a)
 
     def test_double_step_closed_form(self):
         g = random_graph(np.random.default_rng(5), 7)
         gm = google_from_graph(g, 0.6)
-        w = SzegedyWalk(gm)
+        oracle = ReducedWalk(SzegedyWalk(gm))
         r = np.sqrt(gm.entries)
         d = r * r.T
         a = np.random.default_rng(1).normal(size=7)
-        state = w.step(w.step(WalkState(a.copy(), np.zeros(7))))
-        assert np.allclose(state.a, -a, atol=1e-15)
-        assert np.allclose(state.b, 2 * d @ a, atol=1e-14)
+        out_a, out_b = oracle.step(oracle.step((a.copy(), np.zeros(7))))
+        assert np.allclose(out_a, -a, atol=1e-15)
+        assert np.allclose(out_b, 2 * d @ a, atol=1e-14)
 
     def test_norm_conserved_on_random_state(self):
         g = random_graph(np.random.default_rng(8), 8)
         w = walk_for(g)
+        oracle = ReducedWalk(w)
         rng = np.random.default_rng(4)
-        s = WalkState(rng.normal(size=8), rng.normal(size=8))
-        before = w.norm_sq(s)
+        s = rng.normal(size=8), rng.normal(size=8)
+        before = w.norm_sq(*s)
         for _ in range(200):
-            s = w.step(s)
-        assert abs(w.norm_sq(s) - before) < 1e-12
+            s = oracle.step(s)
+        assert abs(w.norm_sq(*s) - before) < 1e-12
 
 
 class TestMeasurement:
     def test_two_cycle_stays_balanced(self):
-        w = walk_for(cycle(2))
-        s = w.initial_state()
-        for _ in range(30):
-            assert np.abs(w.measure(s) - 0.5).max() < 1e-12
-            s = w.step(w.step(s))
+        assert np.abs(walk_for(cycle(2)).trajectory(30) - 0.5).max() < 1e-12
 
     def test_distributions_normalized_and_clamped(self):
-        w = walk_for(gen_scale_free(30, seed=6))
-        s = w.initial_state()
-        for _ in range(100):
-            p = w.measure(s)
+        for p in walk_for(gen_scale_free(30, seed=6)).trajectory(100):
             assert p.min() >= 0.0
             assert abs(p.sum() - 1.0) < 1e-12
-            s = w.step(w.step(s))
 
     def test_cycle_symmetry_instantaneous(self):
         # Rotation is an automorphism of the cycle, so every node measures alike.
-        w = walk_for(cycle(5))
-        s = w.initial_state()
-        for _ in range(25):
-            p = w.measure(s)
+        for p in walk_for(cycle(5)).trajectory(25):
             assert p.max() - p.min() < 1e-10
-            s = w.step(w.step(s))
 
     def test_complete_digraph_symmetry_instantaneous(self):
         # Every node permutation is an automorphism of the complete digraph.
-        n = 5
-        w = walk_for(complete(n))
-        s = w.initial_state()
-        for _ in range(25):
-            p = w.measure(s)
+        for p in walk_for(complete(5)).trajectory(25):
             assert p.max() - p.min() < 1e-10
-            s = w.step(w.step(s))
 
 
 class TestAverage:
@@ -177,8 +161,8 @@ class TestDenseOracle:
 
     def test_initial_measurements_agree(self):
         gm = google_from_graph(random_graph(np.random.default_rng(9), 8), 0.85)
-        red, den = SzegedyWalk(gm), DenseWalk(gm)
-        p_red = red.measure(red.initial_state())
+        den = DenseWalk(gm)
+        p_red = SzegedyWalk(gm).trajectory(1)[0]
         p_den = den.measure(den.initial_state())
         assert np.abs(p_red - p_den).max() < 1e-12
 
@@ -192,11 +176,10 @@ class TestDenseOracle:
             g = random_graph(rng, int(rng.integers(3, 9)))
             for alpha in (0.3, 0.85):
                 gm = google_from_graph(g, alpha)
-                red, den = SzegedyWalk(gm), DenseWalk(gm)
-                rs, ds = red.initial_state(), den.initial_state()
-                for _ in range(20):
-                    assert np.abs(red.measure(rs) - den.measure(ds)).max() < 1e-10
-                    rs = red.step(red.step(rs))
+                den = DenseWalk(gm)
+                ds = den.initial_state()
+                for p in SzegedyWalk(gm).trajectory(20):
+                    assert np.abs(p - den.measure(ds)).max() < 1e-10
                     ds = den.step(den.step(ds))
 
     def test_size_guard(self):
@@ -209,16 +192,12 @@ class TestTrajectory:
         g = gen_scale_free(10, seed=3)
         for gm in (google_from_graph(g, 0.85), build_structured_google(g, 0.85)):
             w = SzegedyWalk(gm)
-            traj = w.trajectory(5)
-            s = w.initial_state()
-            for t in range(5):
-                assert np.array_equal(traj[t], w.measure(s))
-                s = w.step(w.step(s))
+            assert np.array_equal(w.trajectory(5), ReducedWalk(w).rows(5))
 
     def test_rows_give_average_and_half_horizon_gap(self):
         w = walk_for(gen_scale_free(12, seed=4))
         for horizon in (2, 3, 50):
-            traj = w.trajectory(horizon)
+            traj = ReducedWalk(w).rows(horizon)
             avg, gap = w.average_with_convergence(horizon)
             assert np.abs(traj.sum(axis=0) / horizon - avg).max() < 1e-14
             half_avg = traj[: horizon // 2].mean(axis=0)
@@ -242,7 +221,8 @@ class Counted:
 
 
 class TestIteratedAverage:
-    """The recurrence-based average against the row-by-row ``trajectory``."""
+    """The recurrence-based average against the rows of the literal
+    reduced-walk oracle."""
 
     GRAPHS = {
         "sf300-structured": (gen_scale_free(300, seed=0), 0.85),
@@ -257,7 +237,7 @@ class TestIteratedAverage:
         w = walk_for(g, alpha)
         assert w.modes is None
         assert isinstance(w.d, RankOnePlusSparse) == name.endswith("structured")
-        rows = w.trajectory(max(HORIZONS))
+        rows = ReducedWalk(w).rows(max(HORIZONS))
         for horizon in HORIZONS:
             avg, gap = w.average_with_convergence(horizon)
             ref = rows[:horizon].mean(axis=0)
