@@ -20,9 +20,14 @@ DEFAULT_MAX_ITER = 100_000
 # matrix entry of a dense one, so on denser graphs (er at its default
 # p = 0.125, complete graphs) the dense arrays are faster at every size. Up to
 # DENSE_MAX_NODES every graph is dense, where SzegedyWalk averages in closed
-# form; the size is the crossover of that closed form against the iterating
-# form that takes the graph above it, measured as in the walk.py docstring
-# (re-measured once the iteration went to two products per double-step).
+# form and classical_pagerank solves for its fixed point; the size is the
+# crossover of that closed form against the iterating form that takes the
+# graph above it, measured as in the walk.py docstring (re-measured once the
+# iteration went to two products per double-step). At alpha = 0.85 the solve
+# beat power iteration on the same dense G by 0.05-0.92 ms on sf graphs of
+# 16-128 nodes and er (p = 0.125) graphs of 16-64; on er graphs of 96-128
+# nodes, which the iteration settles in the fewest sweeps, the two were
+# within 0.06 ms of each other either way (two sweeps in CHANGES.md).
 DENSE_MAX_NODES = 128
 STRUCTURED_MAX_DENSITY = 1 / 64
 
@@ -129,8 +134,8 @@ class GoogleMatrix:
         return RankOnePlusSparse(s, s, j, k, c)
 
 
-def build_structured_google(g: DirectedGraph, alpha: float) -> GoogleMatrix:
-    """The Google matrix of ``g`` in structured form, in O(n + m) memory.
+def _links(g: DirectedGraph, alpha: float) -> RankOnePlusSparse:
+    """The entries of ``g``'s Google matrix in structured form, unchecked.
 
     Column j holds alpha / out_j + (1 - alpha) / n on each of j's links and
     the column's background value elsewhere: (1 - alpha) / n, plus alpha / n
@@ -142,28 +147,40 @@ def build_structured_google(g: DirectedGraph, alpha: float) -> GoogleMatrix:
     out = g.out_degrees()
     hop = (1.0 - alpha) / n
     background = np.where(out == 0, alpha * (1.0 / n) + hop, hop)
-    links = RankOnePlusSparse(np.ones(n), background, g.dst, g.src, alpha * (1.0 / out[g.src]))
-    return GoogleMatrix(n, alpha, links)
+    return RankOnePlusSparse(np.ones(n), background, g.dst, g.src, alpha * (1.0 / out[g.src]))
+
+
+def build_structured_google(g: DirectedGraph, alpha: float) -> GoogleMatrix:
+    """The Google matrix of ``g`` in structured form, in O(n + m) memory."""
+    return GoogleMatrix(g.n, alpha, _links(g, alpha))
 
 
 def google_from_graph(g: DirectedGraph, alpha: float) -> GoogleMatrix:
     """The Google matrix of ``g``: structured when ``g`` is large and sparse,
     else the dense array of the same entries."""
-    gm = build_structured_google(g, alpha)
     if g.n > DENSE_MAX_NODES and g.num_edges <= STRUCTURED_MAX_DENSITY * g.n * g.n:
-        return gm
-    return GoogleMatrix(g.n, alpha, gm.toarray())
+        return build_structured_google(g, alpha)
+    return GoogleMatrix(g.n, alpha, _links(g, alpha).toarray())
 
 
 def classical_pagerank(gm: GoogleMatrix) -> np.ndarray:
-    """Stationary distribution of the transition matrix by power iteration.
+    """Stationary distribution of the transition matrix; it sums to 1.
 
-    Starts from the uniform vector and iterates until the L1 residual of the
+    A dense G of at most DENSE_MAX_NODES nodes, the regime where the quantum
+    average has its closed form, gets the fixed point from one linear solve:
+    with G = alpha P + (1 - alpha) / n 1 1^T, the fixed point summing to 1
+    solves (I - alpha P) x = (1 - alpha) / n 1, and I - alpha P = I - G +
+    (1 - alpha) / n 1 1^T is nonsingular for alpha < 1. Every other G is
+    power-iterated from the uniform vector until the L1 residual of the
     fixed-point equation drops to DEFAULT_TOL, for at most DEFAULT_MAX_ITER
-    sweeps. The result sums to 1.
+    sweeps; only that iteration raises ConvergenceError.
     """
-    m = gm.entries
-    x = np.full(gm.n, 1.0 / gm.n)
+    m, n = gm.entries, gm.n
+    if isinstance(m, np.ndarray) and n <= DENSE_MAX_NODES:
+        hop = (1.0 - gm.alpha) / n
+        x = np.linalg.solve(np.eye(n) - m + hop, np.full(n, hop))
+        return x / x.sum()
+    x = np.full(n, 1.0 / n)
     residual = np.inf
     for _ in range(DEFAULT_MAX_ITER):
         y = m @ x

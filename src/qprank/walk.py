@@ -30,7 +30,9 @@ runs its Cesaro average with one of two engines:
       p_avg = G diag(V A V^T) + diag(V (2 C lam^T + B) V^T)
 
   with A, B, C the averaged products a_k a_l, b_k b_l, b_k a_l. The cost is
-  O(n**3) whatever the horizon, in O(n**2) memory.
+  O(n**3) whatever the horizon, in O(n**2) memory. ``average`` evaluates
+  the kernels at the horizon only; ``average_with_convergence`` evaluates
+  them again at horizon // 2 for the half-horizon gap.
 * **iteration** (every G above DENSE_MAX_NODES, structured when sparse, and
   dense G with a mode within NEAR_UNIT_GAP of |lam| = 1, as at damping near
   0): the coefficients follow the three-term recurrence
@@ -42,21 +44,24 @@ runs its Cesaro average with one of two engines:
 
   so a double-step costs two products with 2 D and six elementwise
   operations, and G, being linear, is applied to the summed squares once
-  per block of G_BLOCK double-steps rather than once per row.
+  per block of G_BLOCK double-steps rather than once per row. The loop
+  passes horizon // 2 on its way and yields the half-horizon average for
+  the gap at the cost of one more product with G; ``average`` runs the same
+  loop, so both methods give the same bits.
   ``trajectory`` steps the same recurrence and measures the state
   (a, b) = (-b_{2t-1}, b_{2t}) row by row, G applied to each.
 
-google.DENSE_MAX_NODES, the one size constant of both the form and the
-engine, is measured. Per ranking at T = 1000 (build, classical PageRank and
-the quantum average with its constructor; sf and er at p = 0.125, three
-seeds each, one pinned CPU, one BLAS thread), two sweeps over n = 128-256
-gave the closed form's time over that of the iterating form that takes the
-graph above the constant (structured for sf, dense for er) as 0.58-0.61 on
-sf and 0.72-0.81 on er at n = 128. At 144 sf gave 0.67-0.71 but er
-0.93-1.12; sf crossed 1 at 192 (1.05-1.14), and at 240-256 the ratios were
-1.64-1.94 on sf and 1.37-1.91 on er. The constant is the largest swept size
-at which the closed form was at least as fast on every graph; CHANGES.md has
-both sweeps.
+google.DENSE_MAX_NODES, the one size constant of the form, the engine and
+google.classical_pagerank's solve, is measured. Per ranking at T = 1000
+(build, classical PageRank and the quantum average with its constructor; sf
+and er at p = 0.125, three seeds each, one pinned CPU, one BLAS thread), two
+sweeps over n = 128-256 gave the closed form's time over that of the
+iterating form that takes the graph above the constant (structured for sf,
+dense for er) as 0.58-0.61 on sf and 0.72-0.81 on er at n = 128. At 144 sf
+gave 0.67-0.71 but er 0.93-1.12; sf crossed 1 at 192 (1.05-1.14), and at
+240-256 the ratios were 1.64-1.94 on sf and 1.37-1.91 on er. The constant is
+the largest swept size at which the closed form was at least as fast on
+every graph; CHANGES.md has both sweeps.
 """
 
 from __future__ import annotations
@@ -170,8 +175,10 @@ class SzegedyWalk:
     most DENSE_MAX_NODES nodes and no mode within NEAR_UNIT_GAP of
     |lam| = 1 short of a unit mode; else it is None and averages iterate the
     three-term recurrence of the module docstring, which ``_double_steps``
-    steps for both ``trajectory`` and the iterated average. ``measure`` and
-    ``norm_sq`` act on the coefficients (a, b) of one state.
+    steps for both ``trajectory`` and the iterated average. ``average`` is
+    the Cesaro average alone, and ``average_with_convergence`` adds the
+    half-horizon gap. ``measure`` and ``norm_sq`` act on the coefficients
+    (a, b) of one state.
     """
 
     def __init__(self, gm: GoogleMatrix):
@@ -265,4 +272,10 @@ class SzegedyWalk:
         return avg, float(np.abs(avg - half_avg).max())
 
     def average(self, horizon: int = DEFAULT_HORIZON) -> np.ndarray:
-        return self.average_with_convergence(horizon)[0]
+        """The first value of ``average_with_convergence``, bit for bit,
+        without the closed form's second kernel evaluation for the gap."""
+        if self.modes is None:
+            return self.average_with_convergence(horizon)[0]
+        if horizon < 1:
+            raise ParameterError("horizon must be >= 1")
+        return self.modes.average(horizon)

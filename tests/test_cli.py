@@ -17,6 +17,7 @@ import pytest
 from qprank import __version__, analysis, cli, graphs, load_edge_list, load_pajek
 from qprank.cli import build_parser, main
 from qprank.errors import ParameterError
+from qprank.google import DENSE_MAX_NODES, RankOnePlusSparse, google_from_graph
 
 from conftest import classical_fidelity, dense_google, epa_path, qpr_distance
 from test_acceptance import ATTACK_ER_ARGVS, STABILITY_CLASSICAL_ARGV, STABILITY_QUANTUM_ARGV
@@ -197,13 +198,25 @@ class TestExitCodes:
 
     def test_convergence_error(self, tmp_path, capsys):
         # two 2-cycles plus a tail: at damping near 1 the power iteration
-        # oscillates between the cycles for all google.DEFAULT_MAX_ITER sweeps
+        # oscillates between the cycles for all google.DEFAULT_MAX_ITER sweeps.
+        # The tail of DENSE_MAX_NODES - 3 nodes makes the graph sparse and
+        # larger than DENSE_MAX_NODES, so G is structured and iterated.
+        text = "0 1\n1 0\n2 3\n3 2\n" + "".join(f"{i} 0\n" for i in range(4, DENSE_MAX_NODES + 1))
+        gm = google_from_graph(load_edge_list(text), 0.9999999)
+        assert gm.n == DENSE_MAX_NODES + 1 and isinstance(gm.entries, RankOnePlusSparse)
         edges = tmp_path / "cycles.edges"
-        edges.write_text("0 1\n1 0\n2 3\n3 2\n4 0\n")
+        edges.write_text(text)
         assert run(["rank", "--input", edges, "--alpha", 0.9999999, "--T", 10,
                     "--out", tmp_path]) == 4
         assert capsys.readouterr().err.startswith(
             "error [stage=iteration]: power iteration stalled at residual ")
+
+    def test_small_graph_near_unit_damping_ranks(self, tmp_path):
+        # the same cycles without the tail are dense and small: one solve
+        edges = tmp_path / "cycles.edges"
+        edges.write_text("0 1\n1 0\n2 3\n3 2\n4 0\n")
+        assert run(["rank", "--input", edges, "--alpha", 0.9999999, "--T", 10,
+                    "--out", tmp_path]) == 0
 
     def test_missing_graph_source(self, tmp_path):
         assert run(["rank", "--out", tmp_path]) == 2

@@ -15,8 +15,10 @@ from qprank import (
     gen_scale_free,
     google,
     google_from_graph,
+    ranking_order,
 )
 from qprank.google import (
+    DEFAULT_TOL,
     DENSE_MAX_NODES,
     STRUCTURED_MAX_DENSITY,
     RankOnePlusSparse,
@@ -37,6 +39,7 @@ TWO_NODE = DirectedGraph(2, frozenset({(0, 1)}))
 # Hand-solved fixed point of the damped 2-node chain at alpha = 0.85:
 # I1 = 1.85 I0 and I0 + I1 = 1.
 TWO_NODE_PR = np.array([1.0, 1.85]) / 2.85
+EPS = np.finfo(np.float64).eps
 
 
 class TestPatchedConnectivity:
@@ -128,11 +131,44 @@ class TestClassicalPagerank:
                 assert pr.min() >= 0.0
 
     def test_nonconvergence_raises_with_residual(self, monkeypatch):
+        # only the power iteration can stall: the graph must take the
+        # structured form, as a sparse graph above DENSE_MAX_NODES does
         monkeypatch.setattr(google, "DEFAULT_MAX_ITER", 2)
-        gm = google_from_graph(gen_scale_free(20, seed=3), 0.85)
+        gm = google_from_graph(gen_scale_free(2 * DENSE_MAX_NODES, seed=3), 0.85)
+        assert isinstance(gm.entries, RankOnePlusSparse)
         with pytest.raises(ConvergenceError, match="after 2 sweeps") as err:
             classical_pagerank(gm)
         assert err.value.residual > google.DEFAULT_TOL
+
+    @pytest.mark.parametrize("g", [
+        gen_scale_free(11, seed=0), gen_scale_free(16, seed=1), gen_scale_free(60, seed=2),
+        gen_scale_free(DENSE_MAX_NODES, seed=3), gen_erdos_renyi(11, 0.3, seed=0),
+        gen_erdos_renyi(16, 0.125, seed=1), gen_erdos_renyi(60, 0.125, seed=2),
+        gen_erdos_renyi(DENSE_MAX_NODES, 0.125, seed=3),
+    ], ids=lambda g: f"n{g.n}-m{g.num_edges}")
+    def test_solve_matches_power_iteration(self, g):
+        # the power iteration, reached through the structured form, is the
+        # oracle of the dense form's solve
+        for alpha in (0.01, 0.5, 0.85, 0.98):
+            gm = google_from_graph(g, alpha)
+            assert isinstance(gm.entries, np.ndarray)
+            solved = classical_pagerank(gm)
+            iterated = classical_pagerank(build_structured_google(g, alpha))
+            assert np.array_equal(ranking_order(solved), ranking_order(iterated))
+            assert np.abs(solved - iterated).sum() <= DEFAULT_TOL / (1.0 - alpha)
+            assert np.abs(gm.entries @ solved - solved).sum() <= g.n * EPS
+
+    def test_solve_near_unit_damping(self):
+        # at alpha = 1 - 1e-7 I - alpha P is within 1e-7 of singular, and the
+        # power iteration needs far more than DEFAULT_MAX_ITER sweeps; the
+        # solve still gives a distribution that G maps to itself
+        alpha = 1.0 - 1e-7
+        for g in (gen_scale_free(16, seed=0), gen_erdos_renyi(DENSE_MAX_NODES, 0.125, seed=0)):
+            gm = google_from_graph(g, alpha)
+            pr = classical_pagerank(gm)
+            assert np.abs(gm.entries @ pr - pr).sum() <= g.n * EPS
+            assert abs(pr.sum() - 1.0) <= g.n * EPS
+            assert pr.min() > 0.0
 
     def test_matches_repeated_squaring_oracle(self):
         # G^(2^k) columns converge to the stationary vector; independent of
@@ -176,7 +212,13 @@ class TestStructuredGoogle:
             assert np.array_equal(google_from_graph(g, alpha).toarray(), dense.entries)
             x = np.random.default_rng(0).normal(size=g.n)
             assert rel_err(structured.entries @ x, dense.entries @ x) < 1e-13
-            assert rel_err(classical_pagerank(structured), classical_pagerank(dense)) < 1e-12
+            # the dense G of a graph up to DENSE_MAX_NODES is solved, the
+            # structured one iterated: both are fixed points, and they differ
+            # by at most the iteration's L1 error bound
+            iterated, solved = classical_pagerank(structured), classical_pagerank(dense)
+            for gm, pr in ((structured, iterated), (dense, solved)):
+                assert np.abs(gm.entries @ pr - pr).sum() <= DEFAULT_TOL
+            assert np.abs(iterated - solved).sum() <= DEFAULT_TOL / (1.0 - alpha)
 
     @pytest.mark.parametrize("name", sorted(operator_graphs()))
     def test_doubled_operator_gives_doubled_products(self, name):

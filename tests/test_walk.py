@@ -12,9 +12,10 @@ from qprank import (
     gen_hierarchical_ternary,
     gen_scale_free,
     google_from_graph,
+    walk,
 )
 from qprank.google import DENSE_MAX_NODES, RankOnePlusSparse, build_structured_google
-from qprank.walk import G_BLOCK
+from qprank.walk import G_BLOCK, dirichlet_kernel
 
 from conftest import (
     DenseWalk,
@@ -400,6 +401,30 @@ class TestClosedForm:
         g = gen_scale_free(16, seed=0)
         assert walk_for(g, 0.001).modes is None
         assert walk_for(g, 0.05).modes is not None
+
+    @pytest.mark.parametrize("closed", [True, False], ids=["closed", "iterated"])
+    def test_average_is_first_value_of_convergence_bit_for_bit(self, closed):
+        for name in ("sf16", "er64", "hier2-6"):
+            gm = google_from_graph(self.GRAPHS[name], 0.85)
+            w = SzegedyWalk(gm) if closed else iterated(gm)
+            assert (w.modes is not None) == closed
+            for horizon in HORIZONS:
+                assert np.array_equal(w.average(horizon), w.average_with_convergence(horizon)[0])
+
+    def test_average_evaluates_one_kernel(self, monkeypatch):
+        # the half-horizon gap's second kernel is for average_with_convergence
+        calls = []
+
+        def counted(phi, horizon):
+            calls.append(horizon)
+            return dirichlet_kernel(phi, horizon)
+
+        monkeypatch.setattr(walk, "dirichlet_kernel", counted)
+        w = walk_for(self.GRAPHS["sf16"])
+        w.average(1000)
+        assert calls == [1000]
+        w.average_with_convergence(1000)
+        assert calls == [1000, 1000, 500]
 
     def test_cost_does_not_grow_with_horizon(self):
         # a loop over T, or a T x n array (128 GB here), would not finish
