@@ -34,18 +34,27 @@ class DirectedGraph:
     The edges are ordered (source, target) pairs without repeats, kept as the
     read-only int arrays ``src`` and ``dst`` sorted by (source, target), the
     canonical serialization order. ``edges`` may be any iterable of pairs or
-    an (m, 2) int array; repeated pairs collapse. Self-loops are rejected
-    unless ``allow_self_loops`` is set (file loaders set it, since real
-    datasets contain them).
+    an (m, 2) int array; an endpoint that is not a Python or numpy integer is
+    rejected, never truncated, and repeated pairs collapse. Self-loops are
+    rejected unless ``allow_self_loops`` is set (file loaders set it, since
+    real datasets contain them).
     """
 
     def __init__(self, n: int, edges, allow_self_loops: bool = False):
         if n < 0:
             raise ParameterError("node count must be >= 0")
-        pairs = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges), dtype=np.int64)
-        pairs = pairs.reshape(0, 2) if pairs.size == 0 else pairs
+        rows = edges if isinstance(edges, np.ndarray) else list(edges)
+        pairs = np.asarray(rows)
+        if pairs.size == 0:
+            pairs = np.empty((0, 2), dtype=np.int64)  # np.asarray([]) is float64
         if pairs.shape[1:] != (2,):
             raise ParameterError("edges must be (source, target) pairs")
+        if pairs.dtype.kind not in "iu":  # integer arrays skip the per-endpoint scan
+            bad = next((pair for pair in rows
+                        if not all(isinstance(u, (int, np.integer)) for u in pair)), None)
+            if bad is not None:
+                raise ParameterError(f"edge ({bad[0]}, {bad[1]}) has a non-integer endpoint")
+        pairs = pairs.astype(np.int64, copy=False)
         if pairs.size and (pairs.min() < 0 or pairs.max() >= n):
             s, t = pairs[((pairs < 0) | (pairs >= n)).any(axis=1)][0]
             raise ParameterError(f"edge ({s}, {t}) out of range for n={n}")
@@ -55,9 +64,14 @@ class DirectedGraph:
         src, dst = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))].T
         first = np.ones(len(src), dtype=bool)  # sorting puts repeats next to each other
         first[1:] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])
-        src, dst = src[first], dst[first]
+        self._fill(n, src[first], dst[first], allow_self_loops)
+
+    def _fill(self, n: int, src: np.ndarray, dst: np.ndarray, allow_self_loops: bool) -> DirectedGraph:
+        """Set the fields from int64 arrays already sorted by (source, target),
+        without repeats, in range and free of self-loops unless allowed."""
         src.flags.writeable = dst.flags.writeable = False
         self.__dict__.update(n=n, src=src, dst=dst, allow_self_loops=allow_self_loops)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError(f"DirectedGraph is immutable; cannot set {name!r}")
@@ -324,11 +338,17 @@ def remove_node(g: DirectedGraph, v: int) -> DirectedGraph:
     """Drop node v with all incident edges; survivors compact to 0..n-2.
 
     Re-indexing preserves relative order: old id u becomes u - (u > v).
+    That map is increasing, so the surviving rows of ``g.src``/``g.dst``
+    stay sorted and unique and are kept as they are, in O(m) with no re-sort.
     """
+    if not isinstance(v, (int, np.integer)):
+        raise ParameterError(f"node {v!r} is not an integer")
     if not 0 <= v < g.n:
         raise ParameterError(f"node {v} out of range for n={g.n}")
-    pairs = np.column_stack([g.src, g.dst])[(g.src != v) & (g.dst != v)]
-    return DirectedGraph(g.n - 1, pairs - (pairs > v), g.allow_self_loops)
+    keep = (g.src != v) & (g.dst != v)
+    src, dst = g.src[keep], g.dst[keep]
+    return DirectedGraph.__new__(DirectedGraph)._fill(g.n - 1, src - (src > v), dst - (dst > v),
+                                                     g.allow_self_loops)
 
 
 def degree_distribution(g: DirectedGraph) -> tuple[np.ndarray, np.ndarray]:

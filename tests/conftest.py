@@ -44,11 +44,11 @@ def random_graph(rng: np.random.Generator, n: int, density: float = 0.3) -> Dire
 
 
 @st.composite
-def small_digraphs(draw, max_nodes: int = 10):
+def small_digraphs(draw, max_nodes: int = 10, allow_self_loops: bool = False):
     n = draw(st.integers(min_value=2, max_value=max_nodes))
-    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j or allow_self_loops]
     edges = draw(st.sets(st.sampled_from(pairs)))
-    return DirectedGraph(n, frozenset(edges))
+    return DirectedGraph(n, frozenset(edges), allow_self_loops)
 
 
 def cycle(n: int) -> DirectedGraph:

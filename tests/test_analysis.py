@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -325,6 +327,18 @@ def brute_force_kendall(order_a, order_b):
     return concordant / total if total else 1.0
 
 
+def row_loop_kendall(order_a, order_b):
+    """The concordant-pair count of one numpy pass per element: the oracle
+    for the blocked count of kendall_coefficient."""
+    pos_b = {e: i for i, e in enumerate(order_b)}
+    rb = np.array([pos_b[e] for e in order_a], dtype=np.int64)
+    k = len(rb)
+    concordant = 0
+    for i in range(k - 1):
+        concordant += int((rb[i + 1 :] > rb[i]).sum())
+    return concordant / (k * (k - 1) / 2)
+
+
 class TestKendall:
     def test_identical_orders(self):
         assert kendall_coefficient([3, 1, 4, 0, 2], [3, 1, 4, 0, 2]) == 1.0
@@ -349,6 +363,34 @@ class TestKendall:
         k = kendall_coefficient(a, b)
         assert k == pytest.approx(brute_force_kendall(a, b), abs=1e-14)
         assert k == pytest.approx(1.0 - kendall_coefficient(a, list(reversed(b))), abs=1e-14)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 300), st.integers(0, 2**32 - 1))
+    def test_equals_row_loop(self, k, seed):
+        rng = np.random.default_rng(seed)
+        a, b = rng.permutation(k).tolist(), rng.permutation(k).tolist()
+        assert kendall_coefficient(a, b) == row_loop_kendall(a, b)
+
+    def test_equals_row_loop_across_blocks(self):
+        rng = np.random.default_rng(3)
+        a, b = rng.permutation(3000).tolist(), rng.permutation(3000).tolist()
+        assert kendall_coefficient(a, b) == row_loop_kendall(a, b)
+
+    def test_string_elements(self):
+        a, b = ["x", "y", "z", "w"], ["y", "x", "z", "w"]
+        assert kendall_coefficient(a, b) == row_loop_kendall(a, b) == 5 / 6
+
+    def test_memory_bounded_in_blocks(self):
+        # one unblocked k x k comparison would take k**2 bytes, 400 MB here
+        rng = np.random.default_rng(0)
+        a, b = rng.permutation(20000).tolist(), rng.permutation(20000).tolist()
+        tracemalloc.start()
+        try:
+            kendall_coefficient(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
 
 
 class TestAttack:

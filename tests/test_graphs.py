@@ -35,6 +35,19 @@ class TestDirectedGraph:
         with pytest.raises(ParameterError):
             DirectedGraph(2, frozenset({(0, 2)}))
 
+    @pytest.mark.parametrize("edges", [[(0.5, 1.9), (2, 0)], [(2, 0), (0.5, 1.9)],
+                                       np.array([(0.5, 1.9), (2.0, 0.0)])])
+    def test_rejects_non_integer_endpoints(self, edges):
+        with pytest.raises(ParameterError, match=r"edge \(0\.5, 1\.9\) has a non-integer endpoint"):
+            DirectedGraph(3, edges)
+
+    @pytest.mark.parametrize("edges", [[], frozenset(), np.empty((0, 2)), [(np.int32(2), 0), (0, 1)],
+                                       np.array([(2, 0), (0, 1)], dtype=np.uint8)])
+    def test_accepts_integer_and_empty_edge_sets(self, edges):
+        g = DirectedGraph(3, edges)
+        assert g.src.dtype == g.dst.dtype == np.int64
+        assert g.edge_list() == ([(0, 1), (2, 0)] if len(edges) else [])
+
     def test_rejects_self_loop_by_default(self):
         with pytest.raises(ParameterError):
             DirectedGraph(2, frozenset({(1, 1)}))
@@ -348,14 +361,40 @@ class TestRemoveNode:
         reduced = remove_node(g, hub)
         assert g.num_edges - reduced.num_edges == incident
 
+    @pytest.mark.parametrize("v", [1.5, np.float64(1.0), "1", None])
+    @pytest.mark.parametrize("edges", [[(0, 1), (2, 3), (3, 0)], [(0, 1), (1, 2), (2, 3), (3, 0)]])
+    def test_non_integer_node_rejected(self, edges, v):
+        with pytest.raises(ParameterError, match="is not an integer"):
+            remove_node(DirectedGraph(4, edges), v)
+
+    @pytest.mark.parametrize("v", [1, np.int64(1), np.uint8(1)])
+    def test_integer_types_accepted(self, v):
+        assert remove_node(cycle(4), v) == DirectedGraph(3, [(1, 2), (2, 0)])
+
+    @pytest.mark.parametrize("g", [DirectedGraph(1, []), DirectedGraph(1, [(0, 0)], allow_self_loops=True),
+                                   DirectedGraph(2, []), DirectedGraph(5, [])],
+                             ids=["one-node", "one-node-loop", "edgeless-2", "edgeless-5"])
+    def test_edgeless_and_one_node(self, g):
+        for v in {0, g.n // 2, g.n - 1}:
+            assert_matches_fresh_build(g, v)
+
     @settings(max_examples=50, deadline=None)
-    @given(small_digraphs())
+    @given(st.booleans().flatmap(lambda loops: small_digraphs(allow_self_loops=loops)))
     def test_surviving_edges_unchanged(self, g):
-        v = g.n // 2
-        reduced = remove_node(g, v)
-        expected = {(s - (s > v), t - (t > v)) for s, t in g.edges if v not in (s, t)}
-        assert reduced.n == g.n - 1
-        assert reduced.edges == frozenset(expected)
+        for v in {0, g.n // 2, g.n - 1}:
+            assert_matches_fresh_build(g, v)
+
+
+def assert_matches_fresh_build(g, v):
+    """remove_node(g, v), checked field by field against the same edges
+    relabelled and passed through the DirectedGraph constructor."""
+    reduced = remove_node(g, v)
+    pairs = [(s - (s > v), t - (t > v)) for s, t in g.edge_list() if v not in (s, t)]
+    fresh = DirectedGraph(g.n - 1, pairs, g.allow_self_loops)
+    for got, want in ((reduced.src, fresh.src), (reduced.dst, fresh.dst)):
+        assert got.dtype == np.int64 and not got.flags.writeable
+        assert np.array_equal(got, want)
+    assert reduced == fresh and reduced.allow_self_loops == g.allow_self_loops
 
 
 class TestDegreeDistribution:
