@@ -15,15 +15,18 @@ DEFAULT_MAX_ITER = 100_000
 
 # google_from_graph keeps the structured form for large sparse graphs only, and
 # densifies it otherwise: above DENSE_MAX_NODES nodes, with at most
-# STRUCTURED_MAX_DENSITY links per ordered node pair. Its gain depends on
-# sparseness: a stored entry of a structured product costs about 15 times a
-# matrix entry of a dense one, so on denser graphs (er at its default
-# p = 0.125, complete graphs) the dense arrays are faster at every size. Up to
-# DENSE_MAX_NODES every graph is dense, where SzegedyWalk averages in closed
-# form and classical_pagerank solves for its fixed point; the size is the
-# crossover of that closed form against the iterating form that takes the
-# graph above it, measured as in the walk.py docstring (re-measured once the
-# iteration went to two products per double-step). At alpha = 0.85 the solve
+# STRUCTURED_MAX_DENSITY links per ordered node pair (keeps_structure). Its
+# gain depends on sparseness: a stored entry of a structured product costs
+# about 15 times a matrix entry of a dense one, so on denser graphs (er at its
+# default p = 0.125, complete graphs) the dense arrays are faster at every
+# size. Up to DENSE_MAX_NODES every graph is dense, where classical_pagerank
+# solves for its fixed point. SzegedyWalk counts states, not nodes: it reduces
+# a structured G to its q twin classes and applies the same two constants to
+# q, so it averages in closed form whenever q <= DENSE_MAX_NODES, whatever n.
+# The size is the crossover of that closed form against the iterating form
+# that takes the graph above it, measured as in the walk.py docstring
+# (re-measured once the iteration went to two products per double-step, and
+# on twin classes). At alpha = 0.85 the solve
 # beat power iteration on the same dense G by 0.05-0.92 ms on sf graphs of
 # 16-128 nodes and er (p = 0.125) graphs of 16-64; on er graphs of 96-128
 # nodes, which the iteration settles in the fewest sweeps, the two were
@@ -112,26 +115,30 @@ class GoogleMatrix:
         return e if isinstance(e, np.ndarray) else e.toarray()
 
     def overlap(self) -> np.ndarray | RankOnePlusSparse:
-        """D[j, k] = sqrt(G[k, j] G[j, k]), in the form of the entries.
-
-        For the structured G = 1 c^T + S this is D = s s^T + C with s =
-        sqrt(c): C is symmetric and non-zero only on the pairs joined by an
-        edge either way, where it corrects the background s_j s_k.
-        """
+        """D[j, k] = sqrt(G[k, j] G[j, k]), in the form of the entries (see
+        structured_overlap for the structured one)."""
         e = self.entries
         if isinstance(e, np.ndarray):
             r = np.sqrt(e)
             return r * r.T
-        n, m = self.n, len(e.vals)
-        keys, inv = np.unique(
-            np.concatenate([e.rows * n + e.cols, e.cols * n + e.rows]), return_inverse=True
-        )
-        j, k = np.divmod(keys, n)
-        link_jk = np.bincount(inv[:m], e.vals, minlength=len(keys))
-        link_kj = np.bincount(inv[m:], e.vals, minlength=len(keys))
-        s = np.sqrt(e.v)
-        c = np.sqrt(e.v[j] + link_kj) * np.sqrt(e.v[k] + link_jk) - s[j] * s[k]
-        return RankOnePlusSparse(s, s, j, k, c)
+        return structured_overlap(e)
+
+
+def structured_overlap(e: RankOnePlusSparse) -> RankOnePlusSparse:
+    """D[j, k] = sqrt(M[k, j] M[j, k]) for M = 1 c^T + S in structured form:
+    D = s s^T + C with s = sqrt(c), where C is symmetric bit for bit and
+    non-zero only on the pairs joined by an entry of S either way, where it
+    corrects the background s_j s_k."""
+    n, m = len(e.v), len(e.vals)
+    keys, inv = np.unique(
+        np.concatenate([e.rows * n + e.cols, e.cols * n + e.rows]), return_inverse=True
+    )
+    j, k = np.divmod(keys, n)
+    link_jk = np.bincount(inv[:m], e.vals, minlength=len(keys))
+    link_kj = np.bincount(inv[m:], e.vals, minlength=len(keys))
+    s = np.sqrt(e.v)
+    c = np.sqrt(e.v[j] + link_kj) * np.sqrt(e.v[k] + link_jk) - s[j] * s[k]
+    return RankOnePlusSparse(s, s, j, k, c)
 
 
 def _links(g: DirectedGraph, alpha: float) -> RankOnePlusSparse:
@@ -155,10 +162,17 @@ def build_structured_google(g: DirectedGraph, alpha: float) -> GoogleMatrix:
     return GoogleMatrix(g.n, alpha, _links(g, alpha))
 
 
+def keeps_structure(n: int, links: int) -> bool:
+    """Whether an operator on n states with ``links`` sparse entries is
+    applied in structured form: above DENSE_MAX_NODES states and with at most
+    STRUCTURED_MAX_DENSITY links per ordered pair of them."""
+    return n > DENSE_MAX_NODES and links <= STRUCTURED_MAX_DENSITY * n * n
+
+
 def google_from_graph(g: DirectedGraph, alpha: float) -> GoogleMatrix:
     """The Google matrix of ``g``: structured when ``g`` is large and sparse,
     else the dense array of the same entries."""
-    if g.n > DENSE_MAX_NODES and g.num_edges <= STRUCTURED_MAX_DENSITY * g.n * g.n:
+    if keeps_structure(g.n, g.num_edges):
         return build_structured_google(g, alpha)
     return GoogleMatrix(g.n, alpha, _links(g, alpha).toarray())
 

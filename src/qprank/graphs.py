@@ -54,10 +54,11 @@ class DirectedGraph:
                         if not all(isinstance(u, (int, np.integer)) for u in pair)), None)
             if bad is not None:
                 raise ParameterError(f"edge ({bad[0]}, {bad[1]}) has a non-integer endpoint")
-        pairs = pairs.astype(np.int64, copy=False)
+        # checked before the cast, which would wrap uint64 endpoints >= 2**63
         if pairs.size and (pairs.min() < 0 or pairs.max() >= n):
             s, t = pairs[((pairs < 0) | (pairs >= n)).any(axis=1)][0]
             raise ParameterError(f"edge ({s}, {t}) out of range for n={n}")
+        pairs = pairs.astype(np.int64, copy=False)
         loops = pairs[:, 0] == pairs[:, 1]
         if loops.any() and not allow_self_loops:
             raise ParameterError(f"self-loop at node {pairs[loops][0, 0]} not allowed here")

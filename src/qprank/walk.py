@@ -15,32 +15,37 @@ of the state gives the node distribution
 
     p_i = (G (a*a))_i + 2 b_i (D a)_i + b_i**2.
 
+A structured G first goes to its twin classes: nodes with the same in- and
+out-neighbour sets have equal rows and columns of G, so the walk from the
+uniform state stays constant on each class and runs on q <= n class
+coefficients (see ``SzegedyWalk``). A dense G keeps q = n.
 ``SzegedyWalk`` is the production simulator built on that recursion and
 runs its Cesaro average with one of two engines:
 
-* **closed form** (dense G with n <= google.DENSE_MAX_NODES): D = V diag(lam)
-  V^T is diagonalized once. In mode k, with theta_k = arccos lam_k and w =
-  V^T a_0, the coefficients after t double-steps are
+* **closed form** (dense D on q <= google.DENSE_MAX_NODES states): D = V
+  diag(lam) V^T is diagonalized once. In mode k, with theta_k = arccos lam_k
+  and w = V^T a_0, the coefficients after t double-steps are
   a_k(t) = -w_k sin((2t - 1) theta_k) / sin theta_k and
   b_k(t) = w_k sin(2 t theta_k) / sin theta_k (Szegedy, FOCS 2004; for
   Google matrices, Paparo & Martin-Delgado, Sci. Rep. 2, 444, 2012), so the
   time average of every product of two modes is a Dirichlet kernel in
   theta_k +- theta_l and
 
-      p_avg = G diag(V A V^T) + diag(V (2 C lam^T + B) V^T)
+      p_avg = G diag(V A V^T) + diag(V (2 C lam^T + B) V^T) / w
 
-  with A, B, C the averaged products a_k a_l, b_k b_l, b_k a_l. The cost is
-  O(n**3) whatever the horizon, in O(n**2) memory. ``average`` evaluates
-  the kernels at the horizon only; ``average_with_convergence`` evaluates
-  them again at horizon // 2 for the half-horizon gap.
-* **iteration** (every G above DENSE_MAX_NODES, structured when sparse, and
-  dense G with a mode within NEAR_UNIT_GAP of |lam| = 1, as at damping near
+  with A, B, C the averaged products a_k a_l, b_k b_l, b_k a_l and w the
+  class sizes. The cost is O(q**3) whatever the horizon, in O(q**2)
+  memory. ``average`` evaluates the kernels at the horizon only;
+  ``average_with_convergence`` evaluates them again at horizon // 2 for the
+  half-horizon gap.
+* **iteration** (every q above DENSE_MAX_NODES, structured when sparse, and
+  dense D with a mode within NEAR_UNIT_GAP of |lam| = 1, as at damping near
   0): the coefficients follow the three-term recurrence
-  b_{k+1} = 2 D b_k - b_{k-1}, with a_k = -b_{k-1}, a_0 = 1/sqrt(n) and
+  b_{k+1} = 2 D b_k - b_{k-1}, with a_k = -b_{k-1}, a_0 = sqrt(w / n) and
   b_0 = 0. Since 2 D b_{2t-1} = b_{2t} + b_{2t-2}, the measurement after t
   double-steps is
 
-      p_t = G (b_{2t-1}**2) - b_{2t} * b_{2t-2},
+      p_t = G (b_{2t-1}**2) - b_{2t} * b_{2t-2} / w,
 
   so a double-step costs two products with 2 D and six elementwise
   operations, and G, being linear, is applied to the summed squares once
@@ -55,13 +60,16 @@ google.DENSE_MAX_NODES, the one size constant of the form, the engine and
 google.classical_pagerank's solve, is measured. Per ranking at T = 1000
 (build, classical PageRank and the quantum average with its constructor; sf
 and er at p = 0.125, three seeds each, one pinned CPU, one BLAS thread), two
-sweeps over n = 128-256 gave the closed form's time over that of the
-iterating form that takes the graph above the constant (structured for sf,
-dense for er) as 0.58-0.61 on sf and 0.72-0.81 on er at n = 128. At 144 sf
-gave 0.67-0.71 but er 0.93-1.12; sf crossed 1 at 192 (1.05-1.14), and at
-240-256 the ratios were 1.64-1.94 on sf and 1.37-1.91 on er. The constant is
-the largest swept size at which the closed form was at least as fast on
-every graph; CHANGES.md has both sweeps.
+sweeps over n = 128-256 before the twin reduction gave the closed form's
+time over that of the iterating form that takes the graph above the
+constant (structured for sf, dense for er) as 0.58-0.61 on sf and 0.72-0.81
+on er at n = 128. At 144 er gave 0.93-1.12, and at 240-256 1.37-1.91. The
+constant is the largest swept size at which the closed form was at least as
+fast on every graph; CHANGES.md has both sweeps. Timing the engines alone
+on twin classes (one pinned CPU, the reduction not timed), the closed form
+took 0.26-0.84 of the reduced iteration's time on sf graphs of 144-256
+nodes (q = 70-159), and on er, which is not reduced, 0.53-0.88 up to 176
+nodes and 0.88-1.30 from 192 on.
 """
 
 from __future__ import annotations
@@ -69,7 +77,13 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ParameterError
-from .google import DENSE_MAX_NODES, GoogleMatrix
+from .google import (
+    DENSE_MAX_NODES,
+    GoogleMatrix,
+    RankOnePlusSparse,
+    keeps_structure,
+    structured_overlap,
+)
 
 DEFAULT_HORIZON = 1000
 
@@ -105,6 +119,63 @@ NEAR_UNIT_GAP = 1e-3
 G_BLOCK = 32
 
 
+def _node_hashes(count: int) -> np.ndarray:
+    """The first ``count`` outputs of splitmix64 from state 0: well-mixed
+    64-bit values, none 0, whose wrapping sums over two different sets of ids
+    almost never agree."""
+    x = np.arange(1, count + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return x ^ (x >> np.uint64(31))
+
+
+def twin_classes(e: RankOnePlusSparse) -> tuple[np.ndarray, np.ndarray, RankOnePlusSparse,
+                                                 RankOnePlusSparse] | None:
+    """The classes of nodes with equal in-neighbour and out-neighbour sets
+    (a self-loop counts as both) of the structured G = 1 c^T + S, and the
+    walk's operators on them: each node's class index, the class sizes w, G
+    restricted to one representative (the lowest node) per class, and D
+    restricted the same way and scaled by sqrt(w_J) sqrt(w_K), which keeps it
+    symmetric bit for bit. None when every class is one node.
+
+    Every block of G between two classes is constant, so the walk from the
+    uniform state stays constant on each class (exact lumping; Kemeny and
+    Snell, Finite Markov Chains, 1960, sec. 6.3). Nodes are grouped by a hash
+    of their two neighbour sets, and the grouping is then checked exactly:
+    each block of S must hold one value on all of its w_K w_L positions or
+    on none, and c one value per class. A hash collision fails the check and
+    leaves G unreduced.
+    """
+    n = len(e.v)
+    h = _node_hashes(2 * n)
+    key = np.zeros(n, dtype=np.uint64)
+    np.add.at(key, e.rows, h[2 * e.cols])  # in-neighbours
+    np.add.at(key, e.cols, h[2 * e.rows + 1])  # out-neighbours
+    _, first, node_class = np.unique(key, return_index=True, return_inverse=True)
+    q = len(first)
+    if q == n:
+        return None
+    order = np.argsort(first)  # number the classes by their lowest node
+    relabel = np.empty(q, dtype=np.intp)
+    relabel[order] = np.arange(q)
+    node_class, reps = relabel[node_class], first[order]
+    sizes = np.bincount(node_class, minlength=q)
+    pairs, at, block, count = np.unique(node_class[e.rows] * q + node_class[e.cols],
+                                        return_index=True, return_inverse=True,
+                                        return_counts=True)
+    rows, cols = np.divmod(pairs, q)
+    vals = e.vals[at]
+    if not (np.array_equal(count, sizes[rows] * sizes[cols])
+            and np.array_equal(vals[block], e.vals)
+            and np.array_equal(e.v[reps][node_class], e.v)):
+        return None
+    g = RankOnePlusSparse(e.u[reps], e.v[reps], rows, cols, vals)
+    d, root = structured_overlap(g), np.sqrt(sizes)
+    scaled = root * d.u
+    d = RankOnePlusSparse(scaled, scaled, d.rows, d.cols, root[d.rows] * root[d.cols] * d.vals)
+    return node_class, sizes.astype(float), g, d
+
+
 def dirichlet_kernel(phi: np.ndarray, horizon: int) -> np.ndarray:
     """mean over t = 0 .. horizon - 1 of exp(2 i t phi), elementwise.
 
@@ -120,7 +191,9 @@ def dirichlet_kernel(phi: np.ndarray, horizon: int) -> np.ndarray:
 
 
 class CesaroModes:
-    """Closed-form Cesaro average of the walk on a dense G, from eigh(D).
+    """Closed-form Cesaro average of the walk on dense G and D, from eigh(D),
+    over states of ``sizes`` nodes each (twin classes; all 1 unreduced) out
+    of ``n`` nodes.
 
     Each mode's coefficients are written 2 Re[x_k exp(2 i t theta_k)], so the
     time average of x_k(t) y_l(t) is 2 Re[x_k y_l K(theta_k + theta_l) +
@@ -134,13 +207,13 @@ class CesaroModes:
     average exact there.
     """
 
-    def __init__(self, g: np.ndarray, d: np.ndarray):
-        n = len(d)
-        self.g = g
+    def __init__(self, g: np.ndarray, d: np.ndarray, sizes: np.ndarray, n: int):
+        self.g, self.sizes = g, sizes
         lam, self.v = np.linalg.eigh(d)
-        w = self.v.sum(axis=0) / np.sqrt(n)  # V^T a_0 for a_0 = 1 / sqrt(n)
+        # V^T a_0 for a_0 = sqrt(sizes / n), the uniform state on n nodes
+        w = (self.v * np.sqrt(sizes)[:, None]).sum(axis=0) / np.sqrt(n)
         gap = 1.0 - np.abs(lam)
-        unit = gap <= UNIT_MODE_ULPS * n * np.finfo(np.float64).eps
+        unit = gap <= UNIT_MODE_ULPS * len(d) * np.finfo(np.float64).eps
         self.conditioned = bool(np.all(unit | (gap >= NEAR_UNIT_GAP)))
         lam = np.where(unit, np.sign(lam), lam)
         theta = np.where(unit, 0.0, np.arccos(lam))
@@ -158,48 +231,75 @@ class CesaroModes:
         self.angles = np.stack([theta[:, None] + theta[None, :], theta[:, None] - theta[None, :]])
 
     def average(self, horizon: int) -> np.ndarray:
-        """Node distribution averaged over double-steps 0 .. horizon - 1."""
+        """Distribution averaged over double-steps 0 .. horizon - 1, one
+        value per state (per node of each class)."""
         k = dirichlet_kernel(self.angles, horizon)
         a = 2.0 * (self.through_g * k).real.sum(axis=0)
         m = 2.0 * (self.direct * k).real.sum(axis=0)
         v = self.v
-        p = self.g @ ((v @ a) * v).sum(axis=1) + ((v @ m) * v).sum(axis=1)
+        p = self.g @ ((v @ a) * v).sum(axis=1) + ((v @ m) * v).sum(axis=1) / self.sizes
         return np.maximum(p, 0.0)
 
 
 class SzegedyWalk:
-    """Reduced-subspace simulator: O(n) state; a step costs one product with
-    D, O(n**2) for a dense G and O(n + m) for a structured one.
+    """Reduced-subspace simulator: O(q) state for q twin classes (q = n for
+    a dense G); a step costs one product with D, O(q**2) dense and O(q + m)
+    structured.
 
-    ``modes`` holds the closed-form engine's spectrum when G is dense with at
-    most DENSE_MAX_NODES nodes and no mode within NEAR_UNIT_GAP of
+    A structured G is first reduced to its twin classes (``twin_classes``).
+    In the orthonormal class coordinates e_K = 1_K / sqrt(w_K), w_K the size
+    of class K (``sizes``), the walk keeps its form with G restricted to one
+    representative per class (``g``), D restricted the same way and scaled
+    by sqrt(w_J w_K) (``d``) and a_0 = sqrt(w / n); a node of class K
+    measures p_K = (G (a*a))_K + (2 b_K (D a)_K + b_K**2) / w_K. A dense G,
+    and a structured one without twins, keep q = n, w = 1 and their own G
+    and D. The reduced operators are dense up to DENSE_MAX_NODES classes, and
+    above it structured or dense by google.keeps_structure on q and the
+    stored entries of the reduced D (the class pairs linked either way), the
+    operator an iterated double-step multiplies by.
+
+    ``modes`` holds the closed-form engine's spectrum when D is dense with at
+    most DENSE_MAX_NODES classes and no mode within NEAR_UNIT_GAP of
     |lam| = 1 short of a unit mode; else it is None and averages iterate the
     three-term recurrence of the module docstring, which ``_double_steps``
     steps for both ``trajectory`` and the iterated average. ``average`` is
     the Cesaro average alone, and ``average_with_convergence`` adds the
-    half-horizon gap. ``measure`` and ``norm_sq`` act on the coefficients
-    (a, b) of one state.
+    half-horizon gap; both, ``trajectory`` and ``measure`` give one value per
+    node, twins bit-equal. ``measure`` and ``norm_sq`` act on the class
+    coefficients (a, b) of one state.
     """
 
     def __init__(self, gm: GoogleMatrix):
         self.n = gm.n
         self.g = gm.entries
-        self.d = gm.overlap()
+        twins = None if isinstance(self.g, np.ndarray) else twin_classes(self.g)
+        if twins is None:
+            self.node_class, self.sizes = np.arange(self.n), np.ones(self.n)
+            self.d = gm.overlap()
+        else:
+            self.node_class, self.sizes, self.g, self.d = twins
+            if not keeps_structure(len(self.sizes), len(self.d.vals)):
+                self.g, self.d = self.g.toarray(), self.d.toarray()
         self.modes = None
-        if isinstance(self.d, np.ndarray) and self.n <= DENSE_MAX_NODES:
-            modes = CesaroModes(self.g, self.d)
+        if isinstance(self.d, np.ndarray) and len(self.sizes) <= DENSE_MAX_NODES:
+            modes = CesaroModes(self.g, self.d, self.sizes, self.n)
             if modes.conditioned:
                 self.modes = modes
 
+    def _initial(self) -> np.ndarray:
+        """a_0 of the uniform state, sqrt(w / n) per class."""
+        return np.sqrt(self.sizes) / np.sqrt(self.n)
+
     def measure(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Second-register outcome distribution of the state with coefficients
-        (a, b).
+        """Second-register outcome distribution of the state with class
+        coefficients (a, b), one value per node.
 
         Rounding can push individual entries a few ulp below zero; those are
         clamped to 0 so downstream consumers see a valid distribution.
         """
-        p = self.g @ (a * a) + 2.0 * b * (self.d @ a) + b * b
-        return np.maximum(p, 0.0)
+        bw = b / self.sizes
+        p = self.g @ (a * a) + 2.0 * bw * (self.d @ a) + bw * b
+        return np.maximum(p, 0.0)[self.node_class]
 
     def norm_sq(self, a: np.ndarray, b: np.ndarray) -> float:
         """Conserved squared norm a.a + b.b + 2 a.(D b)."""
@@ -212,8 +312,8 @@ class SzegedyWalk:
         After t double-steps the state is (a, b) = (-b_{2t-1}, b_{2t}).
         """
         d2 = 2.0 * self.d  # exact: the same bits as 2 (D x)
-        prev = np.full(self.n, -1.0 / np.sqrt(self.n))  # b_{-1}
-        cur = np.zeros(self.n)  # b_0
+        prev = -self._initial()  # b_{-1}
+        cur = np.zeros(len(self.sizes))  # b_0
         for _ in range(1, horizon):
             mid = d2 @ cur - prev
             nxt = d2 @ mid - cur
@@ -225,31 +325,31 @@ class SzegedyWalk:
         double-steps of the unitary (row 0 is the initial state)."""
         if horizon < 1:
             raise ParameterError("horizon must be >= 1")
-        rows = [self.measure(np.full(self.n, 1.0 / np.sqrt(self.n)), np.zeros(self.n))]
+        rows = [self.measure(self._initial(), np.zeros(len(self.sizes)))]
         rows += [self.measure(-mid, after) for _, mid, after in self._double_steps(horizon)]
         return np.array(rows)
 
     def _iterated_averages(self, horizon: int) -> tuple[np.ndarray, np.ndarray | None]:
-        """The averages over ``horizon`` and ``horizon // 2`` double-steps
-        (None when that is 0) from the recurrence's double-steps.
+        """The class averages over ``horizon`` and ``horizon // 2``
+        double-steps (None when that is 0) from the recurrence's double-steps.
 
-        Row t is G (b_{2t-1}**2) - b_{2t} b_{2t-2}, so the loop sums the two
-        terms over a block of at most G_BLOCK rows and applies G once per
-        block.
+        Row t is G (b_{2t-1}**2) - b_{2t} b_{2t-2} / w, so the loop sums the
+        two terms over a block of at most G_BLOCK rows and applies G and the
+        weights once per block.
         """
-        half = horizon // 2
-        a0 = np.full(self.n, 1.0 / np.sqrt(self.n))
-        squares, cross, total = a0 * a0, np.zeros(self.n), np.zeros(self.n)
+        half, q = horizon // 2, len(self.sizes)
+        a0 = self._initial()
+        squares, cross, total = a0 * a0, np.zeros(q), np.zeros(q)
         half_avg = None
         for t, (before, mid, after) in enumerate(self._double_steps(horizon), 1):
             if t % G_BLOCK == 0 or t == half:
-                total += self.g @ squares - cross
-                squares, cross = np.zeros(self.n), np.zeros(self.n)
+                total += self.g @ squares - cross / self.sizes
+                squares, cross = np.zeros(q), np.zeros(q)
                 if t == half:
                     half_avg = np.maximum(total / half, 0.0)
             squares += mid * mid
             cross += after * before
-        total += self.g @ squares - cross
+        total += self.g @ squares - cross / self.sizes
         return np.maximum(total / horizon, 0.0), half_avg
 
     def average_with_convergence(self, horizon: int = DEFAULT_HORIZON) -> tuple[np.ndarray, float]:
@@ -267,9 +367,8 @@ class SzegedyWalk:
             half_avg = self.modes.average(half) if half else None
         else:
             avg, half_avg = self._iterated_averages(horizon)
-        if half_avg is None:
-            return avg, float("nan")
-        return avg, float(np.abs(avg - half_avg).max())
+        gap = float("nan") if half_avg is None else float(np.abs(avg - half_avg).max())
+        return avg[self.node_class], gap
 
     def average(self, horizon: int = DEFAULT_HORIZON) -> np.ndarray:
         """The first value of ``average_with_convergence``, bit for bit,
@@ -278,4 +377,4 @@ class SzegedyWalk:
             return self.average_with_convergence(horizon)[0]
         if horizon < 1:
             raise ParameterError("horizon must be >= 1")
-        return self.modes.average(horizon)
+        return self.modes.average(horizon)[self.node_class]

@@ -127,29 +127,39 @@ class DenseWalk:
 
 
 class ReducedWalk:
-    """The walk's reduced coefficients (a, b) stepped literally, one unitary
-    at a time: the independent reference for the three-term recurrence that
-    ``SzegedyWalk`` iterates. A state is the pair (a, b); ``walk`` supplies
-    D and the measurement."""
+    """The walk's coefficients (a, b) on all n nodes, stepped literally, one
+    unitary at a time, with D and the measurement built from the full,
+    unreduced G: the independent reference for the three-term recurrence and
+    the twin-class reduction that ``SzegedyWalk`` runs. A state is the pair
+    (a, b)."""
 
-    def __init__(self, walk):
-        self.walk = walk
+    def __init__(self, gm: GoogleMatrix):
+        self.n = gm.n
+        self.g = gm.entries
+        self.d = gm.overlap()
 
     def initial_state(self) -> tuple[np.ndarray, np.ndarray]:
         """Uniform superposition of the per-node vectors; unit norm by construction."""
-        n = self.walk.n
-        return np.full(n, 1.0 / np.sqrt(n)), np.zeros(n)
+        return np.full(self.n, 1.0 / np.sqrt(self.n)), np.zeros(self.n)
 
     def step(self, state: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
         """One application of the walk unitary: (a, b) -> (-b, a + 2 D b)."""
         a, b = state
-        return -b, a + 2.0 * (self.walk.d @ b)
+        return -b, a + 2.0 * (self.d @ b)
+
+    def measure(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """p = G (a*a) + 2 b (D a) + b*b, clamped at 0."""
+        return np.maximum(self.g @ (a * a) + 2.0 * b * (self.d @ a) + b * b, 0.0)
+
+    def norm_sq(self, a: np.ndarray, b: np.ndarray) -> float:
+        """The conserved a.a + b.b + 2 a.(D b)."""
+        return float(a @ a + b @ b + 2.0 * (a @ (self.d @ b)))
 
     def rows(self, horizon: int) -> np.ndarray:
-        """Row t is the walk's measurement after t double-steps."""
+        """Row t is the measurement after t double-steps."""
         state, rows = self.initial_state(), []
         for _ in range(horizon):
-            rows.append(self.walk.measure(*state))
+            rows.append(self.measure(*state))
             state = self.step(self.step(state))
         return np.array(rows)
 

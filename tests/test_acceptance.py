@@ -70,8 +70,8 @@ def test_criterion_02_conservation_suite():
         "hier-ternary": gen_hierarchical_ternary(4),
     }
     for name, g in families.items():
-        walk = SzegedyWalk(google_from_graph(g, 0.85))
-        oracle = ReducedWalk(walk)
+        gm = google_from_graph(g, 0.85)
+        walk, oracle = SzegedyWalk(gm), ReducedWalk(gm)
         state = oracle.initial_state()
         worst_norm = 0.0
         worst_sum = 0.0

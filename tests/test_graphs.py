@@ -48,6 +48,11 @@ class TestDirectedGraph:
         assert g.src.dtype == g.dst.dtype == np.int64
         assert g.edge_list() == ([(0, 1), (2, 0)] if len(edges) else [])
 
+    @pytest.mark.parametrize("big", [2**63, 2**64 - 1])
+    def test_out_of_range_uint64_endpoint_is_named_unwrapped(self, big):
+        with pytest.raises(ParameterError, match=rf"edge \({big}, 1\) out of range for n=3"):
+            DirectedGraph(3, np.array([(0, 1), (big, 1)], dtype=np.uint64))
+
     def test_rejects_self_loop_by_default(self):
         with pytest.raises(ParameterError):
             DirectedGraph(2, frozenset({(1, 1)}))

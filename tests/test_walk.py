@@ -5,6 +5,7 @@ import pytest
 
 from qprank import (
     DirectedGraph,
+    GoogleMatrix,
     ParameterError,
     SzegedyWalk,
     gen_erdos_renyi,
@@ -12,10 +13,11 @@ from qprank import (
     gen_hierarchical_ternary,
     gen_scale_free,
     google_from_graph,
+    ranking_order,
     walk,
 )
 from qprank.google import DENSE_MAX_NODES, RankOnePlusSparse, build_structured_google
-from qprank.walk import G_BLOCK, dirichlet_kernel
+from qprank.walk import G_BLOCK, CesaroModes, dirichlet_kernel
 
 from conftest import (
     DenseWalk,
@@ -43,15 +45,36 @@ def iterated(gm):
 HORIZONS = (1, 2, 3, 50, 1000)
 
 
+def leaves_on_cycle(k, leaves):
+    """A k-cycle and ``leaves`` more nodes that each link to node 0 only: the
+    leaves are one twin class and every cycle node its own, so q = k + 1."""
+    edges = [(i, (i + 1) % k) for i in range(k)] + [(k + j, 0) for j in range(leaves)]
+    return DirectedGraph(k + leaves, edges)
+
+
+def twin_groups(g):
+    """The nodes grouped by their (in-neighbour set, out-neighbour set),
+    built edge by edge."""
+    ins, outs = [set() for _ in range(g.n)], [set() for _ in range(g.n)]
+    for s, t in g.edge_list():
+        outs[s].add(t)
+        ins[t].add(s)
+    groups = {}
+    for node, key in enumerate(zip(map(frozenset, ins), map(frozenset, outs))):
+        groups.setdefault(key, []).append(node)
+    return list(groups.values())
+
+
 class TestInitialState:
     def test_two_node_values(self):
-        a, b = ReducedWalk(walk_for(DirectedGraph(2, frozenset({(0, 1)})))).initial_state()
+        gm = google_from_graph(DirectedGraph(2, frozenset({(0, 1)})), 0.85)
+        a, b = ReducedWalk(gm).initial_state()
         assert np.allclose(a, 0.7071067811865475, atol=0, rtol=0)
         assert np.array_equal(b, np.zeros(2))
 
     def test_unit_norm_exactly_from_b_zero(self):
-        w = walk_for(gen_scale_free(17, seed=1))
-        a, b = ReducedWalk(w).initial_state()
+        gm = google_from_graph(gen_scale_free(17, seed=1), 0.85)
+        w, (a, b) = SzegedyWalk(gm), ReducedWalk(gm).initial_state()
         assert b @ b == 0.0
         assert abs(w.norm_sq(a, b) - 1.0) < 1e-15
 
@@ -71,7 +94,7 @@ class TestStep:
     def test_projector_fixed_point(self):
         # A state with b = 0 lies inside the projected span, so one step just
         # swaps the two families: (a, 0) -> (0, a).
-        oracle = ReducedWalk(walk_for(gen_scale_free(8, seed=2)))
+        oracle = ReducedWalk(google_from_graph(gen_scale_free(8, seed=2), 0.85))
         a = np.random.default_rng(0).normal(size=8)
         out_a, out_b = oracle.step((a, np.zeros(8)))
         assert np.array_equal(out_a, -np.zeros(8))
@@ -80,7 +103,7 @@ class TestStep:
     def test_double_step_closed_form(self):
         g = random_graph(np.random.default_rng(5), 7)
         gm = google_from_graph(g, 0.6)
-        oracle = ReducedWalk(SzegedyWalk(gm))
+        oracle = ReducedWalk(gm)
         r = np.sqrt(gm.entries)
         d = r * r.T
         a = np.random.default_rng(1).normal(size=7)
@@ -89,9 +112,8 @@ class TestStep:
         assert np.allclose(out_b, 2 * d @ a, atol=1e-14)
 
     def test_norm_conserved_on_random_state(self):
-        g = random_graph(np.random.default_rng(8), 8)
-        w = walk_for(g)
-        oracle = ReducedWalk(w)
+        gm = google_from_graph(random_graph(np.random.default_rng(8), 8), 0.85)
+        w, oracle = SzegedyWalk(gm), ReducedWalk(gm)
         rng = np.random.default_rng(4)
         s = rng.normal(size=8), rng.normal(size=8)
         before = w.norm_sq(*s)
@@ -190,15 +212,17 @@ class TestDenseOracle:
 
 class TestTrajectory:
     def test_rows_match_manual_evolution(self):
-        g = gen_scale_free(10, seed=3)
-        for gm in (google_from_graph(g, 0.85), build_structured_google(g, 0.85)):
+        # G and D unreduced: a dense G, and a structured one without twins
+        for gm in (google_from_graph(gen_scale_free(10, seed=3), 0.85),
+                   build_structured_google(cycle(10), 0.85)):
             w = SzegedyWalk(gm)
-            assert np.array_equal(w.trajectory(5), ReducedWalk(w).rows(5))
+            assert np.array_equal(w.trajectory(5), ReducedWalk(gm).rows(5))
 
     def test_rows_give_average_and_half_horizon_gap(self):
-        w = walk_for(gen_scale_free(12, seed=4))
+        gm = google_from_graph(gen_scale_free(12, seed=4), 0.85)
+        w = SzegedyWalk(gm)
         for horizon in (2, 3, 50):
-            traj = ReducedWalk(w).rows(horizon)
+            traj = ReducedWalk(gm).rows(horizon)
             avg, gap = w.average_with_convergence(horizon)
             assert np.abs(traj.sum(axis=0) / horizon - avg).max() < 1e-14
             half_avg = traj[: horizon // 2].mean(axis=0)
@@ -226,7 +250,10 @@ class TestIteratedAverage:
     reduced-walk oracle."""
 
     GRAPHS = {
-        "sf300-structured": (gen_scale_free(300, seed=0), 0.85),
+        # 301 twin classes, whose D is sparse enough to stay structured
+        "sf512-structured": (gen_scale_free(512, seed=2), 0.85),
+        # 143 twin classes, whose D is too dense to stay structured
+        "sf256-reduced-dense": (gen_scale_free(256, seed=1), 0.85),
         "er300-dense": (gen_erdos_renyi(300, 0.125, seed=0), 0.85),
         # the top mode sits about 1e-8 below 1: the closed form declines it
         "sf16-near-unit": (gen_scale_free(16, seed=0), 1e-4),
@@ -235,10 +262,12 @@ class TestIteratedAverage:
     @pytest.mark.parametrize("name", sorted(GRAPHS))
     def test_equals_mean_of_trajectory_rows(self, name):
         g, alpha = self.GRAPHS[name]
-        w = walk_for(g, alpha)
+        gm = google_from_graph(g, alpha)
+        w = SzegedyWalk(gm)
         assert w.modes is None
         assert isinstance(w.d, RankOnePlusSparse) == name.endswith("structured")
-        rows = ReducedWalk(w).rows(max(HORIZONS))
+        assert (len(w.sizes) < g.n) == (name.startswith("sf") and g.n > DENSE_MAX_NODES)
+        rows = ReducedWalk(gm).rows(max(HORIZONS))
         for horizon in HORIZONS:
             avg, gap = w.average_with_convergence(horizon)
             ref = rows[:horizon].mean(axis=0)
@@ -255,7 +284,7 @@ class TestIteratedAverage:
                 ref_gap = np.abs(ref - rows[: horizon // 2].mean(axis=0)).max()
                 assert abs(gap - ref_gap) < tol * np.abs(ref).max()
 
-    @pytest.mark.parametrize("name", ["sf300-structured", "er300-dense"])
+    @pytest.mark.parametrize("name", ["sf512-structured", "sf256-reduced-dense", "er300-dense"])
     def test_two_products_per_double_step(self, name):
         g, alpha = self.GRAPHS[name]
         w = walk_for(g, alpha)
@@ -299,9 +328,10 @@ class TestStructuredWalk:
         g = operator_graphs()[name]
         dense = dense_google(g, 0.85)
         r = np.sqrt(dense.entries)
-        walk = SzegedyWalk(build_structured_google(g, 0.85))
+        gm = build_structured_google(g, 0.85)
         x = np.random.default_rng(1).normal(size=g.n)
-        assert rel_err(walk.d @ x, (r * r.T) @ x) < 1e-13
+        assert rel_err(gm.overlap() @ x, (r * r.T) @ x) < 1e-13
+        walk = SzegedyWalk(gm)
         # On the edgeless graph D = J/n has eigenvalue 1, so the coefficients
         # grow linearly in t and both forms' rounding as t**2: at T = 100 they
         # are each ~1e-12 off the exact uniform average, hence T = 50 here.
@@ -392,6 +422,18 @@ class TestClosedForm:
         assert isinstance(w.g, form) and isinstance(w.d, form)
         assert (w.modes is not None) == closed
 
+    @pytest.mark.parametrize("classes, closed", [(DENSE_MAX_NODES, True),
+                                                 (DENSE_MAX_NODES + 1, False)],
+                             ids=["q-at", "q-above"])
+    def test_engine_chosen_by_the_class_count(self, classes, closed):
+        # a structured G of more than DENSE_MAX_NODES nodes takes the closed
+        # form when its twin classes number at most DENSE_MAX_NODES
+        g = leaves_on_cycle(classes - 1, 100)
+        w = walk_for(g)
+        assert isinstance(google_from_graph(g, 0.85).entries, RankOnePlusSparse)
+        assert len(w.sizes) == classes
+        assert (w.modes is not None) == closed
+
     def test_structured_form_iterates(self):
         assert SzegedyWalk(build_structured_google(cycle(8), 0.85)).modes is None
 
@@ -430,3 +472,114 @@ class TestClosedForm:
         # a loop over T, or a T x n array (128 GB here), would not finish
         avg = walk_for(gen_scale_free(16, seed=5)).average(10**9)
         assert abs(avg.sum() - 1.0) < 1e-12
+
+
+class TestTwinClasses:
+    """The walk on twin classes against the literal walk on the full,
+    unreduced G."""
+
+    # (n, seed): q twin classes and the engine the walk picks at alpha = 0.85
+    GRAPHS = {
+        "sf129": (129, 0),  # q = 70, closed form
+        "sf176": (176, 0),  # q = 96, closed form
+        "sf256-closed": (256, 3),  # q = 119, closed form
+        "sf256-dense": (256, 1),  # q = 143, dense iteration
+        "sf512-structured": (512, 2),  # q = 301, structured iteration
+    }
+
+    @pytest.mark.parametrize("alpha", [0.01, 0.5, 0.85, 0.98])
+    @pytest.mark.parametrize("name", sorted(GRAPHS))
+    def test_average_matches_the_unreduced_walk(self, name, alpha):
+        n, seed = self.GRAPHS[name]
+        gm = google_from_graph(gen_scale_free(n, seed=seed), alpha)
+        ref = ReducedWalk(gm).rows(1000).mean(axis=0)
+        w = SzegedyWalk(gm)
+        q = len(w.sizes)
+        assert q < n
+        assert (w.modes is not None) == (q <= DENSE_MAX_NODES)
+        assert isinstance(w.d, RankOnePlusSparse) == name.endswith("structured")
+        # both engines on the reduced operators, whichever the walk picked
+        dense = [m if isinstance(m, np.ndarray) else m.toarray() for m in (w.g, w.d)]
+        closed = CesaroModes(*dense, w.sizes, n)
+        assert closed.conditioned
+        for avg in (w.average(1000), iterated(gm).average(1000),
+                    closed.average(1000)[w.node_class]):
+            assert rel_err(avg, ref) <= 1e-12
+            assert ranking_order(avg) == ranking_order(ref)
+
+    @pytest.mark.parametrize("name", ["sf256-closed", "sf256-dense", "sf512-structured"])
+    def test_twins_get_bit_equal_values(self, name):
+        n, seed = self.GRAPHS[name]
+        g = gen_scale_free(n, seed=seed)
+        w = walk_for(g)
+        groups = twin_groups(g)
+        assert len(groups) == len(w.sizes)
+        avg, gap_avg = w.average(100), w.average_with_convergence(100)[0]
+        traj = w.trajectory(5)
+        for nodes in groups:
+            assert len(set(w.node_class[nodes])) == 1
+            for values in (avg, gap_avg, traj.T):
+                assert all(np.array_equal(values[v], values[nodes[0]]) for v in nodes)
+
+    def test_near_twins_stay_apart_and_self_loop_twins_merge(self):
+        edges = [
+            (1, 0), (2, 0), (7, 1),  # 1, 2: the same out-list, other in-lists
+            (0, 3), (0, 4), (3, 7),  # 3, 4: the same in-list, other out-lists
+            (5, 5), (5, 6), (6, 5), (6, 6), (5, 0), (6, 0),  # 5, 6: twins by their loops
+            (8, 9), (9, 8), (8, 0), (9, 0),  # 8, 9: mutual but loop-free, so apart
+        ]
+        g = DirectedGraph(10, edges, allow_self_loops=True)
+        gm = build_structured_google(g, 0.85)
+        w = SzegedyWalk(gm)
+        classes = [int(c) for c in w.node_class]
+        assert classes[5] == classes[6]
+        assert len(set(classes)) == 9 == len(twin_groups(g))
+        ref = ReducedWalk(gm).rows(1000).mean(axis=0)
+        assert rel_err(w.average(1000), ref) <= 1e-12
+
+    @pytest.mark.parametrize("g", [cycle(300), gen_erdos_renyi(300, 0.01, seed=0)],
+                             ids=["cycle", "er"])
+    def test_twin_free_graph_keeps_its_operators(self, g):
+        gm = google_from_graph(g, 0.85)
+        assert isinstance(gm.entries, RankOnePlusSparse)
+        assert walk.twin_classes(gm.entries) is None
+        w = SzegedyWalk(gm)
+        assert w.g is gm.entries
+        d = gm.overlap()
+        assert all(np.array_equal(getattr(w.d, f), getattr(d, f))
+                   for f in ("u", "v", "rows", "cols", "vals"))
+        assert np.array_equal(w.trajectory(20), ReducedWalk(gm).rows(20))
+
+    def test_hash_collision_leaves_the_graph_unreduced(self, monkeypatch):
+        # all nodes hashing alike form one class, which the exact check rejects
+        monkeypatch.setattr(walk, "_node_hashes", lambda count: np.zeros(count, np.uint64))
+        gm = google_from_graph(gen_scale_free(256, seed=1), 0.85)
+        assert walk.twin_classes(gm.entries) is None
+        w = SzegedyWalk(gm)
+        assert len(w.sizes) == 256 and isinstance(w.d, RankOnePlusSparse)
+
+    def test_unequal_link_weights_are_not_lumped(self):
+        # 1 and 2 have the same neighbour sets, but 0 sends them 30% and 70%
+        # of its links, so their rows of G differ
+        n, alpha = 4, 0.85
+        hop, dangling = (1 - alpha) / n, alpha / n + (1 - alpha) / n
+        e = RankOnePlusSparse(np.ones(n), np.array([hop, dangling, dangling, dangling]),
+                              np.array([1, 2]), np.array([0, 0]), alpha * np.array([0.3, 0.7]))
+        gm = GoogleMatrix(n, alpha, e)
+        assert walk.twin_classes(e) is None
+        ref = ReducedWalk(gm).rows(50).mean(axis=0)
+        assert rel_err(SzegedyWalk(gm).average(50), ref) <= 1e-12
+
+    @pytest.mark.parametrize("name", ["sf256-closed", "sf256-dense", "sf512-structured"])
+    def test_trajectory_and_norm_match_the_oracle(self, name):
+        n, seed = self.GRAPHS[name]
+        gm = google_from_graph(gen_scale_free(n, seed=seed), 0.85)
+        w, oracle = SzegedyWalk(gm), ReducedWalk(gm)
+        horizon = 50
+        assert rel_err(w.trajectory(horizon), oracle.rows(horizon)) <= 1e-12
+        state = oracle.initial_state()
+        for _ in range(2 * (horizon - 1)):
+            state = oracle.step(state)
+        *_, (_, mid, after) = w._double_steps(horizon)
+        assert abs(w.norm_sq(-mid, after) - oracle.norm_sq(*state)) <= 1e-12
+        assert abs(w.norm_sq(-mid, after) - 1.0) <= 1e-12
