@@ -22,11 +22,10 @@ DEFAULT_MAX_ITER = 100_000
 # size. Up to DENSE_MAX_NODES every graph is dense, where classical_pagerank
 # solves for its fixed point. SzegedyWalk counts states, not nodes: it reduces
 # a structured G to its q twin classes and applies the same two constants to
-# q, so it averages in closed form whenever q <= DENSE_MAX_NODES, whatever n.
-# The size is the crossover of that closed form against the iterating form
-# that takes the graph above it, measured as in the walk.py docstring
-# (re-measured once the iteration went to two products per double-step, and
-# on twin classes). At alpha = 0.85 the solve
+# q for the form of its operators, while its closed form has a cap on q of
+# its own (walk.CLOSED_FORM_MAX_STATES). The size was the crossover of the
+# dense closed form against the iterating form that takes the graph above it,
+# measured as in the walk.py docstring. At alpha = 0.85 the solve
 # beat power iteration on the same dense G by 0.05-0.92 ms on sf graphs of
 # 16-128 nodes and er (p = 0.125) graphs of 16-64; on er graphs of 96-128
 # nodes, which the iteration settles in the fewest sweeps, the two were
@@ -180,8 +179,8 @@ def google_from_graph(g: DirectedGraph, alpha: float) -> GoogleMatrix:
 def classical_pagerank(gm: GoogleMatrix) -> np.ndarray:
     """Stationary distribution of the transition matrix; it sums to 1.
 
-    A dense G of at most DENSE_MAX_NODES nodes, the regime where the quantum
-    average has its closed form, gets the fixed point from one linear solve:
+    A dense G of at most DENSE_MAX_NODES nodes gets the fixed point from one
+    linear solve:
     with G = alpha P + (1 - alpha) / n 1 1^T, the fixed point summing to 1
     solves (I - alpha P) x = (1 - alpha) / n 1, and I - alpha P = I - G +
     (1 - alpha) / n 1 1^T is nonsingular for alpha < 1. Every other G is

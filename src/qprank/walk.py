@@ -22,9 +22,10 @@ coefficients (see ``SzegedyWalk``). A dense G keeps q = n.
 ``SzegedyWalk`` is the production simulator built on that recursion and
 runs its Cesaro average with one of two engines:
 
-* **closed form** (dense D on q <= google.DENSE_MAX_NODES states): D = V
-  diag(lam) V^T is diagonalized once. In mode k, with theta_k = arccos lam_k
-  and w = V^T a_0, the coefficients after t double-steps are
+* **closed form** (q <= CLOSED_FORM_MAX_STATES states, G and D densified
+  if they are structured): D = V diag(lam) V^T is diagonalized once. In
+  mode k, with theta_k = arccos lam_k and w = V^T a_0, the coefficients
+  after t double-steps are
   a_k(t) = -w_k sin((2t - 1) theta_k) / sin theta_k and
   b_k(t) = w_k sin(2 t theta_k) / sin theta_k (Szegedy, FOCS 2004; for
   Google matrices, Paparo & Martin-Delgado, Sci. Rep. 2, 444, 2012), so the
@@ -34,16 +35,18 @@ runs its Cesaro average with one of two engines:
       p_avg = G diag(V A V^T) + diag(V (2 C lam^T + B) V^T) / w
 
   with A, B, C the averaged products a_k a_l, b_k b_l, b_k a_l and w the
-  class sizes. The cost is O(q**3) whatever the horizon, in O(q**2)
+  class sizes. The kernels' phases factor into one phase per mode, so
+  A, B and C come from real q x q arrays and two sines per angle pair
+  (``CesaroModes``). The cost is O(q**3) whatever the horizon, in O(q**2)
   memory. ``average`` evaluates the kernels at the horizon only;
   ``average_with_convergence`` evaluates them again at horizon // 2 for the
   half-horizon gap.
-* **iteration** (every q above DENSE_MAX_NODES, structured when sparse, and
-  dense D with a mode within NEAR_UNIT_GAP of |lam| = 1, as at damping near
-  0): the coefficients follow the three-term recurrence
-  b_{k+1} = 2 D b_k - b_{k-1}, with a_k = -b_{k-1}, a_0 = sqrt(w / n) and
-  b_0 = 0. Since 2 D b_{2t-1} = b_{2t} + b_{2t-2}, the measurement after t
-  double-steps is
+* **iteration** (every q above CLOSED_FORM_MAX_STATES, on D structured or
+  dense by google.keeps_structure, and every q with a mode within
+  NEAR_UNIT_GAP of |lam| = 1, as at damping near 0): the coefficients
+  follow the three-term recurrence b_{k+1} = 2 D b_k - b_{k-1}, with
+  a_k = -b_{k-1}, a_0 = sqrt(w / n) and b_0 = 0. Since
+  2 D b_{2t-1} = b_{2t} + b_{2t-2}, the measurement after t double-steps is
 
       p_t = G (b_{2t-1}**2) - b_{2t} * b_{2t-2} / w,
 
@@ -56,29 +59,26 @@ runs its Cesaro average with one of two engines:
   ``trajectory`` steps the same recurrence and measures the state
   (a, b) = (-b_{2t-1}, b_{2t}) row by row, G applied to each.
 
-google.DENSE_MAX_NODES, the one size constant of the form, the engine and
-google.classical_pagerank's solve, is measured. Per ranking at T = 1000
-(build, classical PageRank and the quantum average with its constructor; sf
-and er at p = 0.125, three seeds each, one pinned CPU, one BLAS thread), two
-sweeps over n = 128-256 before the twin reduction gave the closed form's
-time over that of the iterating form that takes the graph above the
-constant (structured for sf, dense for er) as 0.58-0.61 on sf and 0.72-0.81
-on er at n = 128. At 144 er gave 0.93-1.12, and at 240-256 1.37-1.91. The
-constant is the largest swept size at which the closed form was at least as
-fast on every graph; CHANGES.md has both sweeps. Timing the engines alone
-on twin classes (one pinned CPU, the reduction not timed), the closed form
-took 0.26-0.84 of the reduced iteration's time on sf graphs of 144-256
-nodes (q = 70-159), and on er, which is not reduced, 0.53-0.88 up to 176
-nodes and 0.88-1.30 from 192 on.
+google.DENSE_MAX_NODES and google.STRUCTURED_MAX_DENSITY pick the form of G
+and D (google.keeps_structure, applied to q), and CLOSED_FORM_MAX_STATES
+picks the engine; all three are measured. DENSE_MAX_NODES comes from two
+sweeps over n = 128-256 before the twin reduction (per ranking at T = 1000:
+build, classical PageRank and the quantum average with its constructor; sf
+and er at p = 0.125, three seeds each, one pinned CPU, one BLAS thread): the
+dense closed form, then with a complex kernel, took 0.58-0.61 (sf) and
+0.72-0.81 (er) of the time of the iterating form that takes the graph above
+the constant at n = 128, and er 0.93-1.12 at 144; CHANGES.md has both
+sweeps. CLOSED_FORM_MAX_STATES has its sweep at its comment.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
 from .errors import ParameterError
 from .google import (
-    DENSE_MAX_NODES,
     GoogleMatrix,
     RankOnePlusSparse,
     keeps_structure,
@@ -87,10 +87,10 @@ from .google import (
 
 DEFAULT_HORIZON = 1000
 
-# |lam| this close to 1, in units of n * machine epsilon, is a unit mode. On
-# edgeless, complete and 2-cycle graphs up to n = 256 eigh puts the exact unit
-# eigenvalue at most 0.63 n eps off; other sf and er graphs up to n =
-# DENSE_MAX_NODES keep |lam| at least 0.016 below 1.
+# |lam| this close to 1, in units of q * machine epsilon, is a unit mode. On
+# edgeless, complete and 2-cycle graphs of up to 256 states eigh puts the
+# exact unit eigenvalue at most 0.63 q eps off; other sf and er graphs of up
+# to CLOSED_FORM_MAX_STATES states keep |lam| at least 0.016 below 1.
 UNIT_MODE_ULPS = 4.0
 
 # A mode closer than this to |lam| = 1 without being a unit mode costs the
@@ -98,10 +98,16 @@ UNIT_MODE_ULPS = 4.0
 # Against a long-double iteration at T = 1000 (sf n = 16, 64 and 128, alpha
 # from 1e-5 to 0.98, which sets the gap), the closed form was 2-80x less
 # accurate than the iteration and up to 3.5e-10 off where the gap was below
-# 1e-3, and at most 6e-14 off elsewhere. At alpha = 0.85 the gap of sf
-# graphs up to n = 128, hub-removed ones included, is at least 0.016, and
-# that of er graphs (p = 0.125, seeds 0-4) of 16 to DENSE_MAX_NODES nodes at
-# least 0.28 (0.069 after up to five hub removals).
+# 1e-3, and at most 6e-14 off elsewhere; on the reduced sf 256 (seed 2,
+# q = 159) and sf 512 (seed 1, q = 256), 3-280x less accurate, up to 2.2e-8
+# off where the gap was below 1e-3 (3.6e-9 at alpha = 1e-5) and at most
+# 1.5e-13 off elsewhere. At alpha = 0.85 the gap of sf graphs up to n = 128,
+# hub-removed ones included, is at least 0.016, and that of er graphs
+# (p = 0.125, seeds 0-4) of 16 to 128 nodes at least 0.28 (0.069 after up
+# to five hub removals); up to q = CLOSED_FORM_MAX_STATES it is at least 0.40
+# on sf graphs of 129-512 nodes (0.062 after up to five removals of the
+# highest in-degree node) and 0.53 on er graphs of 144-256 nodes, removals
+# included (seeds 0-4).
 NEAR_UNIT_GAP = 1e-3
 
 # Where a mode sits near |lam| = 1 the coefficients grow linearly in t, and
@@ -117,6 +123,19 @@ NEAR_UNIT_GAP = 1e-3
 # alpha = 0.01. A block costs one product with G beside its 2 G_BLOCK
 # products with 2 D.
 G_BLOCK = 32
+
+# The closed form takes every walk of at most this many states (twin classes,
+# or nodes when G is not reduced) with no mode near |lam| = 1; more states
+# iterate. Timing the engines alone at T = 1000 (alpha = 0.85, seeds 0-2, one
+# pinned CPU, one BLAS thread; the build and the reduction not timed), the
+# closed form with its eigh took 0.25-0.30 of the reduced iteration's time on
+# sf graphs of 256 nodes (q = 131-159), 0.31-0.41 at 384 (q = 193-223),
+# 0.47-0.48 at 512 (q = 256-258) but 0.60 at q = 301, 0.65-0.86 at 640
+# (q = 324-364) and 0.95-1.18 at 768 (q = 385-444); on er graphs, dense and
+# not reduced, 0.33-0.47 at 192-256 and 0.51-0.78 at 320-384. The cap is the
+# largest swept size at which it took at most half the iteration's time on
+# every graph.
+CLOSED_FORM_MAX_STATES = 256
 
 
 def _node_hashes(count: int) -> np.ndarray:
@@ -176,18 +195,25 @@ def twin_classes(e: RankOnePlusSparse) -> tuple[np.ndarray, np.ndarray, RankOneP
     return node_class, sizes.astype(float), g, d
 
 
-def dirichlet_kernel(phi: np.ndarray, horizon: int) -> np.ndarray:
-    """mean over t = 0 .. horizon - 1 of exp(2 i t phi), elementwise.
+def dirichlet_ratio(phi: np.ndarray, horizon: int) -> np.ndarray:
+    """The real factor R of the mean over t = 0 .. horizon - 1 of
+    exp(2 i t phi), elementwise, for phi in [-pi, pi].
 
-    The mean has period pi in phi, so phi is first reduced to r in
-    [-pi/2, pi/2]: an angle pair summing to pi then gives 1, where the raw
-    formula's phase would give (-1)**(horizon - 1). The value at r = 0 is 1.
+    The mean has period pi in phi, so phi is first reduced to r = phi - m pi
+    in [-pi/2, pi/2] (m is -1, 0 or 1), and the mean is
+    exp(i (horizon - 1) phi) R with
+    R = (-1)**((horizon - 1) m) sin(horizon r) / (horizon sin r). The ratio
+    at r = 0 is 1, so phi = +-pi gives a mean of exactly 1, where the raw
+    formula's phase would give (-1)**(horizon - 1).
     """
-    r = phi - np.pi * np.round(phi / np.pi)
+    m = np.round(phi / np.pi)
+    r = phi - np.pi * m
     zero = r == 0.0
-    safe = np.where(zero, 1.0, r)
-    ratio = np.where(zero, 1.0, np.sin(horizon * safe) / (horizon * np.sin(safe)))
-    return np.exp(1j * (horizon - 1) * r) * ratio
+    ratio = np.sin(horizon * r) / (horizon * np.sin(np.where(zero, 1.0, r)))
+    ratio[zero] = 1.0
+    if horizon % 2 == 0:
+        ratio[m != 0.0] *= -1.0
+    return ratio
 
 
 class CesaroModes:
@@ -197,14 +223,25 @@ class CesaroModes:
 
     Each mode's coefficients are written 2 Re[x_k exp(2 i t theta_k)], so the
     time average of x_k(t) y_l(t) is 2 Re[x_k y_l K(theta_k + theta_l) +
-    x_k conj(y_l) K(theta_k - theta_l)] with K the Dirichlet kernel.
+    x_k conj(y_l) K(theta_k - theta_l)] with K the Dirichlet kernel. K has
+    period pi, so it is taken at the angles psi = theta - pi/2 (``psi``),
+    which puts a pair summing to pi at psi_k + psi_l = 0. With
+    K(phi) = exp(i (T - 1) phi) R(phi) (``dirichlet_ratio``), the phase
+    factors into f_k = exp(i (T - 1) psi_k) per mode, and with y = x_a f,
+    u = x_b f and x = (2 lam x_a + x_b) f the averaged products are real:
+
+        A = 2 [(R+ + R-) (y_r y_r^T) + (R- - R+) (y_i y_i^T)]
+        2 C lam^T + B = 2 [(R+ + R-) (u_r x_r^T) + (R- - R+) (u_i x_i^T)]
+
+    elementwise, R+ and R- the ratios at psi_k + psi_l and psi_k - psi_l.
 
     A unit mode (|lam| = 1, as on edgeless or reversible graphs) has a
     vector sum_j V[j, k] |psi_j> that the swap S maps to lam times itself, so
     the state depends on a_k + lam_k b_k only, and that stays at its initial
     value w_k. The mode is folded to a_k = w_k, b_k = 0, theta_k = 0, rather
     than carried with coefficients that grow linearly in t, which keeps the
-    average exact there.
+    average exact there; its psi is -pi/2, and its phase (-i)**(T - 1) is
+    taken exactly.
     """
 
     def __init__(self, g: np.ndarray, d: np.ndarray, sizes: np.ndarray, n: int):
@@ -213,32 +250,77 @@ class CesaroModes:
         # V^T a_0 for a_0 = sqrt(sizes / n), the uniform state on n nodes
         w = (self.v * np.sqrt(sizes)[:, None]).sum(axis=0) / np.sqrt(n)
         gap = 1.0 - np.abs(lam)
-        unit = gap <= UNIT_MODE_ULPS * len(d) * np.finfo(np.float64).eps
-        self.conditioned = bool(np.all(unit | (gap >= NEAR_UNIT_GAP)))
-        lam = np.where(unit, np.sign(lam), lam)
-        theta = np.where(unit, 0.0, np.arccos(lam))
-        sin = np.where(unit, 1.0, np.sqrt((1.0 - lam) * (1.0 + lam)))
-        xa = np.where(unit, w / 2, 0.5j * np.exp(-1j * theta) * w / sin)
-        xb = np.where(unit, 0.0, -0.5j * w / sin)
-        # weights of K(theta_k + theta_l) and K(theta_k - theta_l) in A (the
-        # part measured through G) and in 2 C lam^T + B (measured directly)
-        xb_lam = 2.0 * xb[:, None] * lam[None, :]
-        self.through_g = np.stack([np.outer(xa, xa), np.outer(xa, xa.conj())])
-        self.direct = np.stack([
-            xb_lam * xa[None, :] + np.outer(xb, xb),
-            xb_lam * xa.conj()[None, :] + np.outer(xb, xb.conj()),
-        ])
-        self.angles = np.stack([theta[:, None] + theta[None, :], theta[:, None] - theta[None, :]])
+        self.unit = gap <= UNIT_MODE_ULPS * len(d) * np.finfo(np.float64).eps
+        self.conditioned = bool(np.all(self.unit | (gap >= NEAR_UNIT_GAP)))
+        lam = np.where(self.unit, np.sign(lam), lam)
+        theta = np.where(self.unit, 0.0, np.arccos(lam))
+        self.psi = theta - np.pi / 2
+        sin = np.where(self.unit, 1.0, np.sqrt((1.0 - lam) * (1.0 + lam)))
+        self.xa = np.where(self.unit, w / 2, 0.5j * np.exp(-1j * theta) * w / sin)
+        self.xb = np.where(self.unit, 0.0, -0.5j * w / sin)
+        self.xl = 2.0 * lam * self.xa + self.xb
+
+    def _ratios(self, horizon: int) -> np.ndarray:
+        """R+ + R- and R- - R+, stacked as two q x q arrays. Both are
+        symmetric, R being even in phi, so they are evaluated for k <= l
+        only."""
+        q = len(self.psi)
+        k, l, upper, lower = _upper_triangle(q)
+        first, second = self.psi[k], self.psi[l]
+        at_sum = dirichlet_ratio(first + second, horizon)
+        at_diff = dirichlet_ratio(first - second, horizon)
+        del first, second
+        square = np.empty((2, q * q))
+        plus, minus = square
+        plus[upper] = plus[lower] = at_sum + at_diff
+        minus[upper] = minus[lower] = at_diff - at_sum
+        return square.reshape(2, q, q)
 
     def average(self, horizon: int) -> np.ndarray:
         """Distribution averaged over double-steps 0 .. horizon - 1, one
         value per state (per node of each class)."""
-        k = dirichlet_kernel(self.angles, horizon)
-        a = 2.0 * (self.through_g * k).real.sum(axis=0)
-        m = 2.0 * (self.direct * k).real.sum(axis=0)
-        v = self.v
-        p = self.g @ ((v @ a) * v).sum(axis=1) + ((v @ m) * v).sum(axis=1) / self.sizes
+        turn = (1, -1j, -1, 1j)[(horizon - 1) % 4]  # (-i)**(T - 1), exactly
+        f = np.where(self.unit, turn, np.exp(1j * (horizon - 1) * self.psi))
+        y, u, x = self.xa * f, self.xb * f, self.xl * f
+        plus, minus = self._ratios(horizon)
+        a = np.outer(y.real, y.real)
+        a *= plus
+        m = np.outer(u.real, x.real)
+        m *= plus
+        term = np.outer(y.imag, y.imag, out=plus)  # R+ + R- is spent
+        term *= minus
+        a += term
+        np.outer(u.imag, x.imag, out=term)
+        term *= minus
+        m += term
+        del plus, minus, term
+        p = self.g @ _diagonal(self.v, a) + _diagonal(self.v, m) / self.sizes
+        p *= 2.0
         return np.maximum(p, 0.0)
+
+
+@functools.lru_cache(maxsize=8)
+def _upper_triangle(q: int) -> tuple[np.ndarray, ...]:
+    """Row k, column l, flat position k q + l and mirrored position l q + k
+    of each entry k <= l of a q x q array; read-only, since calls share them.
+    The walks of a damping grid share one q, and those of a hub attack a few
+    (building them took 15 us of a 150 us quantum ranking at q = 16)."""
+    k, l = np.triu_indices(q)
+    arrays = (k, l, k * q + l, l * q + k)
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+def _dense(m: np.ndarray | RankOnePlusSparse) -> np.ndarray:
+    return m if isinstance(m, np.ndarray) else m.toarray()
+
+
+def _diagonal(v: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """diag(V A V^T)."""
+    va = v @ a
+    va *= v
+    return va.sum(axis=1)
 
 
 class SzegedyWalk:
@@ -258,9 +340,10 @@ class SzegedyWalk:
     stored entries of the reduced D (the class pairs linked either way), the
     operator an iterated double-step multiplies by.
 
-    ``modes`` holds the closed-form engine's spectrum when D is dense with at
-    most DENSE_MAX_NODES classes and no mode within NEAR_UNIT_GAP of
-    |lam| = 1 short of a unit mode; else it is None and averages iterate the
+    ``modes`` holds the closed-form engine's spectrum, from G and D densified
+    if they are structured, when there are at most CLOSED_FORM_MAX_STATES
+    states and no mode within NEAR_UNIT_GAP of |lam| = 1 short of a unit
+    mode; else it is None and averages iterate the
     three-term recurrence of the module docstring, which ``_double_steps``
     steps for both ``trajectory`` and the iterated average. ``average`` is
     the Cesaro average alone, and ``average_with_convergence`` adds the
@@ -281,8 +364,8 @@ class SzegedyWalk:
             if not keeps_structure(len(self.sizes), len(self.d.vals)):
                 self.g, self.d = self.g.toarray(), self.d.toarray()
         self.modes = None
-        if isinstance(self.d, np.ndarray) and len(self.sizes) <= DENSE_MAX_NODES:
-            modes = CesaroModes(self.g, self.d, self.sizes, self.n)
+        if len(self.sizes) <= CLOSED_FORM_MAX_STATES:
+            modes = CesaroModes(_dense(self.g), _dense(self.d), self.sizes, self.n)
             if modes.conditioned:
                 self.modes = modes
 

@@ -12,6 +12,7 @@ from qprank import (
     gen_hierarchical_ternary,
     gen_scale_free,
 )
+from qprank.walk import NEAR_UNIT_GAP, UNIT_MODE_ULPS
 
 # Locations searched for the real-world Pajek dataset used by the regression
 # tests; absent file -> those tests skip with a warning.
@@ -162,6 +163,64 @@ class ReducedWalk:
             rows.append(self.measure(*state))
             state = self.step(self.step(state))
         return np.array(rows)
+
+
+def dirichlet_kernel(phi: np.ndarray, horizon: int) -> np.ndarray:
+    """mean over t = 0 .. horizon - 1 of exp(2 i t phi), elementwise.
+
+    The mean has period pi in phi, so phi is first reduced to r in
+    [-pi/2, pi/2]: an angle pair summing to pi then gives 1, where the raw
+    formula's phase would give (-1)**(horizon - 1). The value at r = 0 is 1.
+    """
+    r = phi - np.pi * np.round(phi / np.pi)
+    zero = r == 0.0
+    safe = np.where(zero, 1.0, r)
+    ratio = np.where(zero, 1.0, np.sin(horizon * safe) / (horizon * np.sin(safe)))
+    return np.exp(1j * (horizon - 1) * r) * ratio
+
+
+class ComplexCesaroModes:
+    """The closed-form Cesaro average in complex arithmetic, one complex
+    Dirichlet kernel per angle pair theta_k +- theta_l with theta = arccos
+    lam: the reference for the real-arithmetic ``walk.CesaroModes``, which
+    takes the same arguments and gives the same ``conditioned`` and
+    ``average``.
+
+    Each mode's coefficients are written 2 Re[x_k exp(2 i t theta_k)], so the
+    time average of x_k(t) y_l(t) is 2 Re[x_k y_l K(theta_k + theta_l) +
+    x_k conj(y_l) K(theta_k - theta_l)] with K the Dirichlet kernel. A unit
+    mode is folded to a_k = w_k, b_k = 0, theta_k = 0.
+    """
+
+    def __init__(self, g: np.ndarray, d: np.ndarray, sizes: np.ndarray, n: int):
+        self.g, self.sizes = g, sizes
+        lam, self.v = np.linalg.eigh(d)
+        w = (self.v * np.sqrt(sizes)[:, None]).sum(axis=0) / np.sqrt(n)
+        gap = 1.0 - np.abs(lam)
+        unit = gap <= UNIT_MODE_ULPS * len(d) * np.finfo(np.float64).eps
+        self.conditioned = bool(np.all(unit | (gap >= NEAR_UNIT_GAP)))
+        lam = np.where(unit, np.sign(lam), lam)
+        theta = np.where(unit, 0.0, np.arccos(lam))
+        sin = np.where(unit, 1.0, np.sqrt((1.0 - lam) * (1.0 + lam)))
+        xa = np.where(unit, w / 2, 0.5j * np.exp(-1j * theta) * w / sin)
+        xb = np.where(unit, 0.0, -0.5j * w / sin)
+        # weights of K(theta_k + theta_l) and K(theta_k - theta_l) in A (the
+        # part measured through G) and in 2 C lam^T + B (measured directly)
+        xb_lam = 2.0 * xb[:, None] * lam[None, :]
+        self.through_g = np.stack([np.outer(xa, xa), np.outer(xa, xa.conj())])
+        self.direct = np.stack([
+            xb_lam * xa[None, :] + np.outer(xb, xb),
+            xb_lam * xa.conj()[None, :] + np.outer(xb, xb.conj()),
+        ])
+        self.angles = np.stack([theta[:, None] + theta[None, :], theta[:, None] - theta[None, :]])
+
+    def average(self, horizon: int) -> np.ndarray:
+        k = dirichlet_kernel(self.angles, horizon)
+        a = 2.0 * (self.through_g * k).real.sum(axis=0)
+        m = 2.0 * (self.direct * k).real.sum(axis=0)
+        v = self.v
+        p = self.g @ ((v @ a) * v).sum(axis=1) + ((v @ m) * v).sum(axis=1) / self.sizes
+        return np.maximum(p, 0.0)
 
 
 def classical_fidelity(p: np.ndarray, q: np.ndarray) -> float:

@@ -53,6 +53,12 @@ class TestDirectedGraph:
         with pytest.raises(ParameterError, match=rf"edge \({big}, 1\) out of range for n=3"):
             DirectedGraph(3, np.array([(0, 1), (big, 1)], dtype=np.uint64))
 
+    def test_python_int_endpoint_beyond_int64_is_named(self):
+        # numpy builds an object array for it, whose range check comes
+        # before the int64 cast, so no OverflowError escapes
+        with pytest.raises(ParameterError, match=rf"edge \({2**70}, 1\) out of range for n=3"):
+            DirectedGraph(3, [(0, 1), (2**70, 1)])
+
     def test_rejects_self_loop_by_default(self):
         with pytest.raises(ParameterError):
             DirectedGraph(2, frozenset({(1, 1)}))

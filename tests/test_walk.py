@@ -17,9 +17,10 @@ from qprank import (
     walk,
 )
 from qprank.google import DENSE_MAX_NODES, RankOnePlusSparse, build_structured_google
-from qprank.walk import G_BLOCK, CesaroModes, dirichlet_kernel
+from qprank.walk import CLOSED_FORM_MAX_STATES, G_BLOCK, CesaroModes, dirichlet_ratio
 
 from conftest import (
+    ComplexCesaroModes,
     DenseWalk,
     ReducedWalk,
     complete,
@@ -252,7 +253,8 @@ class TestIteratedAverage:
     GRAPHS = {
         # 301 twin classes, whose D is sparse enough to stay structured
         "sf512-structured": (gen_scale_free(512, seed=2), 0.85),
-        # 143 twin classes, whose D is too dense to stay structured
+        # 143 twin classes, whose D is too dense to stay structured; the walk
+        # takes the closed form on them, so these tests force the iteration
         "sf256-reduced-dense": (gen_scale_free(256, seed=1), 0.85),
         "er300-dense": (gen_erdos_renyi(300, 0.125, seed=0), 0.85),
         # the top mode sits about 1e-8 below 1: the closed form declines it
@@ -264,7 +266,8 @@ class TestIteratedAverage:
         g, alpha = self.GRAPHS[name]
         gm = google_from_graph(g, alpha)
         w = SzegedyWalk(gm)
-        assert w.modes is None
+        assert (w.modes is None) == (name != "sf256-reduced-dense")
+        w.modes = None
         assert isinstance(w.d, RankOnePlusSparse) == name.endswith("structured")
         assert (len(w.sizes) < g.n) == (name.startswith("sf") and g.n > DENSE_MAX_NODES)
         rows = ReducedWalk(gm).rows(max(HORIZONS))
@@ -287,7 +290,7 @@ class TestIteratedAverage:
     @pytest.mark.parametrize("name", ["sf512-structured", "sf256-reduced-dense", "er300-dense"])
     def test_two_products_per_double_step(self, name):
         g, alpha = self.GRAPHS[name]
-        w = walk_for(g, alpha)
+        w = iterated(google_from_graph(g, alpha))
         for horizon in (1, 2, 50, 1000):
             counts = {}
             w.d, w.g = Counted(w.d, counts, "D"), Counted(w.g, counts, "G")
@@ -362,6 +365,8 @@ class TestClosedForm:
         "er16": gen_erdos_renyi(16, 0.125, seed=1),
         "er64": gen_erdos_renyi(64, 0.125, seed=2),
         f"er{DENSE_MAX_NODES}": gen_erdos_renyi(DENSE_MAX_NODES, 0.125, seed=3),
+        "er192": gen_erdos_renyi(192, 0.125, seed=4),
+        f"er{CLOSED_FORM_MAX_STATES}": gen_erdos_renyi(CLOSED_FORM_MAX_STATES, 0.125, seed=5),
         "hier3-2": gen_hierarchical_ternary(2),
         "hier3-4": gen_hierarchical_ternary(4),
         "hier2-3": gen_hierarchical_outerplanar(3),
@@ -379,11 +384,45 @@ class TestClosedForm:
             assert np.abs(avg - ref).max() < 1e-12
             assert np.isnan(gap) if horizon == 1 else abs(gap - ref_gap) < 1e-12
 
+    @pytest.mark.parametrize("alpha", [0.01, 0.5, 0.98])
+    @pytest.mark.parametrize("name", ["er192", f"er{CLOSED_FORM_MAX_STATES}"])
+    def test_dense_graphs_above_the_node_constant(self, name, alpha):
+        # dense and unreduced, q = n (alpha = 0.85 is in test_matches_iteration):
+        # closed form up to CLOSED_FORM_MAX_STATES, but at alpha = 0.01 the top
+        # mode sits 1.7e-4 below 1, where a forced closed form was 1.8e-11 off
+        # the iteration, so the walk iterates
+        g = self.GRAPHS[name]
+        gm = google_from_graph(g, alpha)
+        closed, loop = SzegedyWalk(gm), iterated(gm)
+        assert isinstance(closed.d, np.ndarray) and len(closed.sizes) == g.n > DENSE_MAX_NODES
+        assert (closed.modes is None) == (alpha == 0.01)
+        for horizon in HORIZONS:
+            assert rel_err(closed.average(horizon), loop.average(horizon)) <= 1e-12
+
     def test_graph_with_angle_pairs_at_pi_is_covered(self):
-        # modes with lam = 0 (theta = pi/2) pair up to theta_k + theta_l = pi,
-        # where the kernel is 1, not (-1)**(T - 1)
-        w = walk_for(self.GRAPHS["sf32-seed2"])
-        assert (np.abs(w.modes.angles[0] - np.pi) < 1e-12).any()
+        # modes with lam = 0 (theta = pi/2, psi = 0) pair up to
+        # theta_k + theta_l = pi, where the kernel is 1, not (-1)**(T - 1)
+        psi = walk_for(self.GRAPHS["sf32-seed2"]).modes.psi
+        assert (np.abs(np.add.outer(psi, psi)) < 1e-12).any()
+
+    @pytest.mark.parametrize("g", [gen_scale_free(32, seed=2), gen_scale_free(128, seed=0),
+                                   gen_scale_free(256, seed=1), gen_erdos_renyi(192, 0.125, seed=4),
+                                   gen_hierarchical_outerplanar(6)]
+                             + [DirectedGraph(n, []) for n in (1, 5, 30)]
+                             + [cycle(n) for n in (2, 3, 64, 256)]
+                             + [complete(n) for n in (3, 16, 256)],
+                             ids=lambda g: f"n{g.n}-m{g.num_edges}")
+    def test_matches_the_complex_kernel(self, g):
+        # sf 32 seed 2 has angle pairs at pi; edgeless and complete graphs a
+        # unit mode; odd and even horizons, up to one where any rounding of
+        # the phase (T - 1) theta would show
+        w = walk_for(g)
+        args = ([m if isinstance(m, np.ndarray) else m.toarray() for m in (w.g, w.d)]
+                + [w.sizes, g.n])
+        real, ref = CesaroModes(*args), ComplexCesaroModes(*args)
+        assert real.conditioned and ref.conditioned
+        for horizon in (1, 2, 3, 7, 500, 1000, 10**9):
+            assert rel_err(real.average(horizon), ref.average(horizon)) <= 1e-12
 
     @pytest.mark.parametrize("g", [DirectedGraph(n, []) for n in (1, 2, 5, 30)]
                              + [cycle(n) for n in (2, 3, 7, 64)]
@@ -411,31 +450,57 @@ class TestClosedForm:
 
     @pytest.mark.parametrize("make, n, form, closed", [
         (cycle, DENSE_MAX_NODES, np.ndarray, True),
-        (cycle, DENSE_MAX_NODES + 1, RankOnePlusSparse, False),
+        (cycle, DENSE_MAX_NODES + 1, RankOnePlusSparse, True),
+        (cycle, CLOSED_FORM_MAX_STATES, RankOnePlusSparse, True),
+        (cycle, CLOSED_FORM_MAX_STATES + 1, RankOnePlusSparse, False),
         (complete, DENSE_MAX_NODES, np.ndarray, True),
-        (complete, DENSE_MAX_NODES + 1, np.ndarray, False),
-    ], ids=["cycle-at", "cycle-above", "complete-at", "complete-above"])
+        (complete, DENSE_MAX_NODES + 1, np.ndarray, True),
+        (complete, CLOSED_FORM_MAX_STATES, np.ndarray, True),
+        (complete, CLOSED_FORM_MAX_STATES + 1, np.ndarray, False),
+    ], ids=["cycle-at", "cycle-above", "cycle-at-cap", "cycle-above-cap",
+            "complete-at", "complete-above", "complete-at-cap", "complete-above-cap"])
     def test_form_and_engine_chosen_at_the_constant(self, make, n, form, closed):
-        # up to the constant: dense and closed form; above it: iteration, on
-        # the structured form when sparse (a cycle) and dense otherwise
+        # the form changes above DENSE_MAX_NODES nodes: structured when sparse
+        # (a cycle, twin-free) and dense otherwise; the engine above
+        # CLOSED_FORM_MAX_STATES states, from the closed form to iteration
         w = walk_for(make(n))
         assert isinstance(w.g, form) and isinstance(w.d, form)
         assert (w.modes is not None) == closed
 
-    @pytest.mark.parametrize("classes, closed", [(DENSE_MAX_NODES, True),
-                                                 (DENSE_MAX_NODES + 1, False)],
+    @pytest.mark.parametrize("classes, closed", [(CLOSED_FORM_MAX_STATES, True),
+                                                 (CLOSED_FORM_MAX_STATES + 1, False)],
                              ids=["q-at", "q-above"])
     def test_engine_chosen_by_the_class_count(self, classes, closed):
-        # a structured G of more than DENSE_MAX_NODES nodes takes the closed
-        # form when its twin classes number at most DENSE_MAX_NODES
+        # a structured G of 100 nodes more takes the closed form when its twin
+        # classes number at most CLOSED_FORM_MAX_STATES
         g = leaves_on_cycle(classes - 1, 100)
         w = walk_for(g)
         assert isinstance(google_from_graph(g, 0.85).entries, RankOnePlusSparse)
         assert len(w.sizes) == classes
         assert (w.modes is not None) == closed
 
-    def test_structured_form_iterates(self):
-        assert SzegedyWalk(build_structured_google(cycle(8), 0.85)).modes is None
+    def test_structured_form_takes_the_closed_form(self):
+        # the engine follows the state count, not the form: a structured G
+        # and D are densified for it
+        w = SzegedyWalk(build_structured_google(cycle(8), 0.85))
+        assert isinstance(w.d, RankOnePlusSparse) and w.modes is not None
+        assert rel_err(w.average(1000), walk_for(cycle(8)).average(1000)) < 1e-14
+
+    def test_memory_at_the_cap_stays_a_few_square_arrays(self):
+        # a structured G of q = CLOSED_FORM_MAX_STATES twin classes: the
+        # build densifies the reduced G and D and diagonalizes D, the average
+        # evaluates two q x q ratio arrays and the two averaged products
+        q = CLOSED_FORM_MAX_STATES
+        gm = google_from_graph(leaves_on_cycle(q - 1, 100), 0.85)
+        tracemalloc.start()
+        try:
+            w = SzegedyWalk(gm)
+            w.average(1000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(w.sizes) == q and w.modes is not None
+        assert peak < 12 * q * q * 8
 
     def test_modes_near_unit_iterate(self):
         # at alpha = 0.001 the top mode sits 1.6e-6 below 1, where the closed
@@ -454,19 +519,20 @@ class TestClosedForm:
                 assert np.array_equal(w.average(horizon), w.average_with_convergence(horizon)[0])
 
     def test_average_evaluates_one_kernel(self, monkeypatch):
-        # the half-horizon gap's second kernel is for average_with_convergence
+        # one kernel is the ratios at the sums and the differences of the
+        # angles; the half-horizon gap's second is for average_with_convergence
         calls = []
 
         def counted(phi, horizon):
             calls.append(horizon)
-            return dirichlet_kernel(phi, horizon)
+            return dirichlet_ratio(phi, horizon)
 
-        monkeypatch.setattr(walk, "dirichlet_kernel", counted)
+        monkeypatch.setattr(walk, "dirichlet_ratio", counted)
         w = walk_for(self.GRAPHS["sf16"])
         w.average(1000)
-        assert calls == [1000]
+        assert calls == [1000] * 2
         w.average_with_convergence(1000)
-        assert calls == [1000, 1000, 500]
+        assert calls == [1000] * 4 + [500] * 2
 
     def test_cost_does_not_grow_with_horizon(self):
         # a loop over T, or a T x n array (128 GB here), would not finish
@@ -483,7 +549,8 @@ class TestTwinClasses:
         "sf129": (129, 0),  # q = 70, closed form
         "sf176": (176, 0),  # q = 96, closed form
         "sf256-closed": (256, 3),  # q = 119, closed form
-        "sf256-dense": (256, 1),  # q = 143, dense iteration
+        "sf256-dense": (256, 1),  # q = 143, closed form on the densified D
+        "sf512-dense": (512, 0),  # q = 258, dense iteration
         "sf512-structured": (512, 2),  # q = 301, structured iteration
     }
 
@@ -496,7 +563,7 @@ class TestTwinClasses:
         w = SzegedyWalk(gm)
         q = len(w.sizes)
         assert q < n
-        assert (w.modes is not None) == (q <= DENSE_MAX_NODES)
+        assert (w.modes is not None) == (q <= CLOSED_FORM_MAX_STATES)
         assert isinstance(w.d, RankOnePlusSparse) == name.endswith("structured")
         # both engines on the reduced operators, whichever the walk picked
         dense = [m if isinstance(m, np.ndarray) else m.toarray() for m in (w.g, w.d)]
