@@ -157,13 +157,14 @@ def coarse_alpha_grid(points: int = 20) -> np.ndarray:
 
 def pairwise_stability(vectors: list[np.ndarray]) -> StabilityGrid:
     """Fidelity sum_j sqrt(p_j q_j) and distance max_j |p_j - q_j| of every
-    pair of vectors (p, q), a row at a time."""
+    pair of vectors (p, q). Both are symmetric bit for bit, so row i is
+    computed against the vectors from i on and mirrored into column i."""
     stacked = np.asarray(vectors, dtype=np.float64)
     fid = np.empty((len(stacked), len(stacked)))
     dist = np.empty_like(fid)
     for i, v in enumerate(stacked):
-        fid[i] = np.sqrt(stacked * v).sum(axis=1)
-        dist[i] = np.abs(stacked - v).max(axis=1)
+        fid[i, i:] = fid[i:, i] = np.sqrt(stacked[i:] * v).sum(axis=1)
+        dist[i, i:] = dist[i:, i] = np.abs(stacked[i:] - v).max(axis=1)
     return StabilityGrid(fid, dist)
 
 
@@ -401,4 +402,5 @@ def degeneracy_resolution(p: np.ndarray) -> int:
     of lumping them.
     """
     classes = np.sort(tie_classes(p))  # class of each rank position
-    return len(np.unique(classes[len(classes) - len(classes) // 2 :]))
+    low = classes[len(classes) - len(classes) // 2 :]
+    return int(np.count_nonzero(np.diff(low))) + int(len(low) > 0)

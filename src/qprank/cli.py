@@ -28,7 +28,8 @@ import numpy as np
 
 from . import __version__, analysis, graphs, walk
 from .errors import ConvergenceError, ParameterError, ParseError
-from .google import DEFAULT_ALPHA, classical_pagerank, format_dense_matrix, google_from_graph
+from .google import (DEFAULT_ALPHA, classical_pagerank, format_dense_matrix, format_values,
+                     google_from_graph)
 
 EXIT_OK = 0
 EXIT_PARAMETER = 2
@@ -36,11 +37,6 @@ EXIT_PARSE = 3
 EXIT_CONVERGENCE = 4
 
 OUT_ENV_VAR = "QPRANK_OUT"
-
-
-def _fmt(x) -> str:
-    """One table cell: text as it is, a number with 17 significant digits."""
-    return x if isinstance(x, str) else format(float(x), ".17g")
 
 
 def _make_parent(path: Path) -> None:
@@ -55,17 +51,31 @@ def _write_text(path: Path, text: str) -> None:
     path.write_text(text)
 
 
-def _write_table(path: Path, header, rows, sep: str = ",") -> None:
-    """Write the header, then each row as ``rows`` yields it, cells joined by ``sep``.
+# The writer formats and writes a table this many rows at a time, so that the
+# text of a long table is never held whole (a 98-point grid's .dat has 9604).
+TABLE_BLOCK_ROWS = 1024
 
-    Every cell, the header's too, goes through ``_fmt``. A ``.dat`` header
-    starts with a "#" cell, so that gnuplot skips it.
+
+def _write_table(path: Path, header, columns, sep: str = ",") -> None:
+    """Write the header, then one line per row of ``columns``, the table's
+    columns of equal length, cells joined by ``sep``.
+
+    A column of str is written as it is; every other column is numeric, and
+    its cells are ``format(float(x), ".17g")`` (17 significant digits; an
+    integer up to 2**53 exactly). The header is text, a ``.dat`` header
+    starting with a "#" cell so that gnuplot skips it. Rows go out a block of
+    TABLE_BLOCK_ROWS at a time, each distinct value among a block's numeric
+    cells formatted once (``google.format_values``).
     """
+    columns = [np.asarray(column) for column in columns]
     _make_parent(path)
     with open(path, "w") as fh:
-        fh.write(sep.join(map(_fmt, header)) + "\n")
-        for row in rows:
-            fh.write(sep.join(map(_fmt, row)) + "\n")
+        fh.write(sep.join(header) + "\n")
+        for start in range(0, len(columns[0]), TABLE_BLOCK_ROWS):
+            block = [column[start:start + TABLE_BLOCK_ROWS] for column in columns]
+            numbers = iter(format_values([c for c in block if c.dtype.kind != "U"]))
+            cells = [c.tolist() if c.dtype.kind == "U" else next(numbers) for c in block]
+            fh.writelines(sep.join(row) + "\n" for row in zip(*cells))
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -173,13 +183,10 @@ def cmd_generate(args) -> tuple[str, None]:
     label = _prefix(args, args.family, n=g.n)
     _write_text(outdir / f"{label}.edges", graphs.write_edge_list(g))
     _write_text(outdir / f"{label}.net", graphs.write_pajek(g))
-    in_hist, out_hist = graphs.degree_distribution(g)
-    _write_table(
-        outdir / f"{label}_degrees.csv",
-        ("degree", "in_count", "out_count"),
-        ((k, in_hist[k] if k < len(in_hist) else 0, out_hist[k] if k < len(out_hist) else 0)
-         for k in range(max(len(in_hist), len(out_hist)))),
-    )
+    hists = graphs.degree_distribution(g)
+    k = max(map(len, hists))
+    _write_table(outdir / f"{label}_degrees.csv", ("degree", "in_count", "out_count"),
+                 (np.arange(k), *(np.pad(h, (0, k - len(h))) for h in hists)))
     print(f"wrote {label}.edges / .net / _degrees.csv to {outdir} ({g.n} nodes, {g.num_edges} edges)")
     return label, None
 
@@ -198,12 +205,12 @@ def cmd_rank(args) -> tuple[str, dict]:
     _write_table(
         outdir / f"{prefix}.csv",
         ("node", "classical_importance", "quantum_importance", "classical_rank", "quantum_rank"),
-        zip(range(g.n), classical, quantum, cl_ranks, q_ranks),
+        (np.arange(g.n), classical, quantum, cl_ranks, q_ranks),
     )
     _write_table(
         outdir / f"{prefix}_bars.dat",
         ("#", "node", "classical_importance", "quantum_importance"),
-        zip(range(g.n), classical, quantum),
+        (np.arange(g.n), classical, quantum),
         sep=" ",
     )
     summary = {
@@ -222,7 +229,7 @@ def cmd_rank(args) -> tuple[str, dict]:
         _write_table(
             outdir / f"{prefix}_trajectory{args.trajectory}.csv",
             ("t", "node", "instantaneous_qpr"),
-            ((t, node, traj[t, node]) for t in range(args.trajectory) for node in range(g.n)),
+            (*divmod(np.arange(traj.size), g.n), traj.ravel()),
         )
     if args.dump_matrix:
         _write_text(outdir / f"{prefix}_google.txt", format_dense_matrix(gm.toarray()))
@@ -266,11 +273,11 @@ def cmd_ipr(args) -> tuple[str, dict]:
         _write_table(
             outdir / f"{prefix}_{mode}.dat",
             ("#", "log_n", "log_xi"),
-            ((np.log(s.n), np.log(s.xi)) for s in samples),
+            ([np.log(s.n) for s in samples], [np.log(s.xi) for s in samples]),
             sep=" ",
         )
         print(f"{mode}: slope {fit.slope:.4f} -> {fit.label}")
-    _write_table(outdir / f"{prefix}.csv", ("n", *(f"xi_{m}" for m in modes)), zip(sizes, *xis))
+    _write_table(outdir / f"{prefix}.csv", ("n", *(f"xi_{m}" for m in modes)), (sizes, *xis))
     return prefix, summary
 
 
@@ -288,20 +295,20 @@ def cmd_stability(args) -> tuple[str, dict]:
     grid = analysis.pairwise_stability(parallel_map(importance_item, items, args.jobs))
 
     if sweep:
-        rows = list(zip(alphas[1:], grid.fidelity[0, 1:], grid.distance[0, 1:]))
+        columns = (alphas[1:], grid.fidelity[0, 1:], grid.distance[0, 1:])
         _write_table(outdir / f"{prefix}.csv",
-                     ("alpha", "fidelity_vs_ref", "distance_vs_ref"), rows)
+                     ("alpha", "fidelity_vs_ref", "distance_vs_ref"), columns)
         _write_table(outdir / f"{prefix}.dat",
-                     ("#", "alpha", f"fidelity_vs_{args.alpha:g}", "distance"), rows, sep=" ")
+                     ("#", "alpha", f"fidelity_vs_{args.alpha:g}", "distance"), columns, sep=" ")
         summary = {"alpha_ref": args.alpha, "n": g.n, "mode": args.mode}
     else:
         for name, table in (("fidelity", grid.fidelity), ("distance", grid.distance)):
-            _write_table(outdir / f"{prefix}_{name}.csv", ("alpha", *alphas),
-                         ((a, *row) for a, row in zip(alphas, table)))
+            _write_table(outdir / f"{prefix}_{name}.csv", ("alpha", *format_values(alphas)),
+                         (alphas, *table.T))
         _write_table(
             outdir / f"{prefix}_fidelity.dat",
             ("#", "alpha", "alpha_prime", "fidelity"),
-            ((a, b, f) for a, row in zip(alphas, grid.fidelity) for b, f in zip(alphas, row)),
+            (np.repeat(alphas, len(alphas)), np.tile(alphas, len(alphas)), grid.fidelity.ravel()),
             sep=" ",
         )
         summary = {
@@ -359,7 +366,7 @@ def cmd_powerlaw(args) -> tuple[str, dict]:
             _write_table(
                 outdir / f"{prefix}_{mode}.dat",
                 ("#", "log_rank_index", "log_importance"),
-                ((np.log(i), np.log(imp)) for i, imp in enumerate(ranked, start=1) if imp > 0),
+                (np.log(np.flatnonzero(ranked > 0) + 1), np.log(ranked[ranked > 0])),
                 sep=" ",
             )
             print(f"{mode}: beta {fit.beta:.4f}  c {fit.c:.4g}  residual {fit.residual:.4f}")
@@ -371,7 +378,7 @@ def cmd_powerlaw(args) -> tuple[str, dict]:
     _write_table(
         outdir / f"{prefix}.csv",
         ("metric", "mean", "stddev"),
-        ((key, report.means[key], report.stds[key]) for key in report.means),
+        (list(report.means), list(report.means.values()), list(report.stds.values())),
     )
     for mode in modes:
         print(f"{mode}: mean beta {report.means[f'beta_{mode}']:.4f} "
@@ -392,15 +399,15 @@ def cmd_attack(args) -> tuple[str, dict]:
     _write_table(
         outdir / f"{prefix}.csv",
         ("removals", *(f"kendall_{mode}_{stat}" for mode in modes for stat in ("mean", "std"))),
-        ((r, *(stats[f"kendall_{mode}_{r}"] for mode in modes
-               for stats in (report.means, report.stds))) for r in removals),
+        (removals, *([stats[f"kendall_{mode}_{r}"] for r in removals] for mode in modes
+                     for stats in (report.means, report.stds))),
     )
     for mode in modes:
         _write_table(
             outdir / f"{prefix}_{mode}.dat",
             ("#", "removals", "kendall_mean", "kendall_std"),
-            ((r, report.means[f"kendall_{mode}_{r}"], report.stds[f"kendall_{mode}_{r}"])
-             for r in removals),
+            (removals, *([stats[f"kendall_{mode}_{r}"] for r in removals]
+                         for stats in (report.means, report.stds))),
             sep=" ",
         )
     print(f"wrote {prefix}.csv to {outdir} ({report.failures} failed runs)")

@@ -257,3 +257,16 @@ def operator_graphs() -> dict[str, DirectedGraph]:
 def rel_err(x: np.ndarray, ref: np.ndarray) -> float:
     """Largest absolute difference relative to the reference's largest entry."""
     return float(np.abs(x - ref).max() / np.abs(ref).max())
+
+
+def oracle_cell(x) -> str:
+    """One table cell written on its own: text as it is, a number as
+    format(float(x), ".17g")."""
+    return x if isinstance(x, str) else format(float(x), ".17g")
+
+
+def oracle_table(header, columns, sep: str = ",") -> str:
+    """The text of a table formatted cell by cell and row by row: the
+    reference for ``cli._write_table``, which takes the same arguments."""
+    lines = [sep.join(header), *(sep.join(map(oracle_cell, row)) for row in zip(*columns))]
+    return "\n".join(lines) + "\n"

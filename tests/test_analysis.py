@@ -259,6 +259,9 @@ class TestStabilityGrid:
             for j, q in enumerate(vectors):
                 assert grid.fidelity[i, j] == classical_fidelity(p, q)
                 assert grid.distance[i, j] == qpr_distance(p, q)
+        # computed for i <= j only and mirrored
+        assert np.array_equal(grid.fidelity, grid.fidelity.T)
+        assert np.array_equal(grid.distance, grid.distance.T)
 
     def test_coarse_grid_span(self):
         grid = coarse_alpha_grid()
@@ -494,6 +497,13 @@ class TestHierarchyPreservation:
 
 
 class TestDegeneracyResolution:
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 9, 40])
+    def test_is_the_distinct_classes_of_the_low_half(self, n):
+        rng = np.random.default_rng(n)
+        p = rng.integers(1, 4, n) / 7  # ties among few values
+        low = sorted(tie_classes(p))[n - n // 2:]
+        assert degeneracy_resolution(p) == len(set(low))
+
     def test_counts_distinct_bottom_values(self):
         p = np.array([0.4, 0.3, 0.1, 0.1, 0.05, 0.05])
         # bottom half: (0.1, 0.05, 0.05) -> 2 tie classes

@@ -88,3 +88,20 @@ def test_item_hooks_see_their_items(passes):
     (ensemble, _), (damping, _) = passes
     assert [key for key, _, _ in ensemble["items"]] == [3, 4]  # ensemble seeds
     assert [key for key, _, _ in damping["items"]] == pytest.approx([0.01, 0.495, 0.98])
+
+
+@pytest.fixture(scope="module")
+def structured_grid(tmp_path_factory):
+    """A damping grid on a structured G with twin classes (sf n = 160)."""
+    out = tmp_path_factory.mktemp("bench_child_structured")
+    return run_child(out, "damping_value", [
+        ["stability", "--family", "sf", "--n", "160", "--grid", "coarse", "--points", "3",
+         "--T", "100"],
+    ])
+
+
+def test_structured_grid_times_one_item_and_one_walk_per_damping_value(structured_grid):
+    result, spans = structured_grid
+    assert [key for key, _, _ in result["items"]] == pytest.approx([0.01, 0.495, 0.98])
+    assert sum(span["name"] == "walk.init" for span in spans) == 3
+    assert sum(span["name"] == "analysis.pairwise_stability" for span in spans) == 1

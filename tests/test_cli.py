@@ -19,7 +19,8 @@ from qprank.cli import build_parser, main
 from qprank.errors import ParameterError
 from qprank.google import DENSE_MAX_NODES, RankOnePlusSparse, google_from_graph
 
-from conftest import classical_fidelity, dense_google, epa_path, qpr_distance
+from conftest import (classical_fidelity, dense_google, epa_path, oracle_cell, oracle_table,
+                      qpr_distance)
 from test_acceptance import ATTACK_ER_ARGVS, STABILITY_CLASSICAL_ARGV, STABILITY_QUANTUM_ARGV
 
 
@@ -158,6 +159,66 @@ class TestRank:
         dumped = np.array([[float(x) for x in line.split()] for line in text.splitlines()])
         # 17 significant digits carry every bit of a float64
         assert np.array_equal(dumped, dense_google(load_edge_list(edges.read_text()), 0.85).entries)
+
+    def test_rank_does_not_import_numpy_ma(self, tmp_path):
+        # numpy 2.4's np.unique without indices or counts imports numpy.ma on first use
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        code = ("import sys; from qprank import cli; "
+                f"code = cli.main(['rank', '--family', 'sf', '--n', '16', '--T', '10', "
+                f"'--out', {str(tmp_path)!r}]); print(code, 'numpy.ma' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src}, timeout=60)
+        assert proc.stdout.splitlines()[-1] == "0 False", proc.stderr
+
+
+class TestWriteTable:
+    """``cli._write_table`` against conftest's cell-by-cell oracle."""
+
+    @staticmethod
+    def written(tmp_path, header, columns, sep=","):
+        path = tmp_path / "table.txt"
+        cli._write_table(path, header, columns, sep)
+        return path.read_text()
+
+    def test_signed_zeros_nan_infinities_and_subnormals(self, tmp_path):
+        values = np.array([-0.0, 0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324,
+                           0.1, 1 / 3, -0.0, 5e-324])
+        columns = (values, values[::-1], -values)
+        text = self.written(tmp_path, ("#", "a", "b", "c"), columns, sep=" ")
+        assert text == oracle_table(("#", "a", "b", "c"), columns, sep=" ")
+        assert text.splitlines()[1].split() == ["-0", "4.9406564584124654e-324", "0"]
+
+    def test_integers_up_to_2_53(self, tmp_path):
+        ints = np.array([0, 1, 7, 2**31, 2**53 - 1, 2**53, 2**53 - 1])
+        columns = (ints, range(len(ints)), ints / 4, list(ints))
+        text = self.written(tmp_path, ("node", "i", "x", "rank"), columns)
+        assert text == oracle_table(("node", "i", "x", "rank"), columns)
+        assert text.splitlines()[-2].split(",")[::3] == ["9007199254740992"] * 2
+
+    def test_empty_table_is_its_header(self, tmp_path):
+        assert self.written(tmp_path, ("#", "x", "y"), (np.empty(0), []), sep=" ") == "# x y\n"
+
+    def test_table_longer_than_one_block(self, tmp_path):
+        rows = 2 * cli.TABLE_BLOCK_ROWS + 3
+        rng = np.random.default_rng(5)
+        repeated = rng.integers(0, 40, rows) / 7  # values recur within and across blocks
+        repeated[cli.TABLE_BLOCK_ROWS - 1 : cli.TABLE_BLOCK_ROWS + 1] = -0.0, 0.0
+        columns = ([f"r{i % 5}" for i in range(rows)], np.arange(rows), repeated,
+                   rng.random(rows))
+        text = self.written(tmp_path, ("key", "i", "x", "y"), columns)
+        assert text == oracle_table(("key", "i", "x", "y"), columns)
+        assert len(text.splitlines()) == rows + 1
+
+    def test_text_column_of_the_powerlaw_ensemble(self, tmp_path):
+        assert run(["powerlaw", "--family", "sf", "--n", 24, "--ensemble", 3, "--T", 40,
+                    "--out", tmp_path]) == 0
+        prefix = "powerlaw_sf_n24_a0.85_T40_seed0_ens3"
+        text = (tmp_path / f"{prefix}.csv").read_text()
+        summary = json.loads((tmp_path / f"{prefix}_summary.json").read_text())
+        keys = [line.split(",")[0] for line in text.splitlines()[1:]]
+        assert sorted(keys) == sorted(summary["means"]) and len(keys) == 6
+        columns = (keys, [summary["means"][k] for k in keys], [summary["stddevs"][k] for k in keys])
+        assert text == oracle_table(("metric", "mean", "stddev"), columns)
 
 
 @pytest.mark.parametrize("argv, flag, values", [
@@ -670,8 +731,39 @@ class TestStabilityCommand:
         assert "stability_g_n3_T10_points3_coarse_quantum_summary.json" in names[0]
         assert not any("seed" in name for name in names[0])
 
+    @pytest.mark.parametrize("n, grid, extra, alphas", [
+        (40, "coarse", ["--points", 6], analysis.coarse_alpha_grid(6)),
+        (40, "fine", [], analysis.coarse_alpha_grid(98)),
+        (40, "sweep", ["--alpha", 0.6], [0.6, *analysis.coarse_alpha_grid(98)]),
+        (160, "coarse", ["--points", 3], analysis.coarse_alpha_grid(3)),  # structured G, twins
+    ], ids=["coarse", "fine", "sweep", "structured-coarse"])
+    def test_artifacts_are_the_oracle_writers(self, tmp_path, n, grid, extra, alphas):
+        assert run(["stability", "--family", "sf", "--n", n, "--grid", grid, *extra, "--T", 100,
+                    "--seed", 2, "--out", tmp_path]) == 0
+        g = graphs.generate(graphs.GeneratorSpec(family="sf", n=n, seed=2))
+        vectors = [analysis.importance_vector(g, "quantum", alpha=float(a), horizon=100)
+                   for a in alphas]
+        fid = [[classical_fidelity(p, q) for q in vectors] for p in vectors]
+        dist = [[qpr_distance(p, q) for q in vectors] for p in vectors]
+        if grid == "sweep":
+            sweep = (alphas[1:], fid[0][1:], dist[0][1:])
+            header = ("alpha", "fidelity_vs_ref", "distance_vs_ref")
+            expected = {".csv": oracle_table(header, sweep),
+                        ".dat": oracle_table(("#", "alpha", "fidelity_vs_0.6", "distance"), sweep,
+                                             sep=" ")}
+        else:
+            header = ("alpha", *map(oracle_cell, alphas))
+            rows = [(a, b, f) for a, row in zip(alphas, fid) for b, f in zip(alphas, row)]
+            expected = {"_fidelity.csv": oracle_table(header, (alphas, *zip(*fid))),
+                        "_distance.csv": oracle_table(header, (alphas, *zip(*dist))),
+                        "_fidelity.dat": oracle_table(("#", "alpha", "alpha_prime", "fidelity"),
+                                                      zip(*rows), sep=" ")}
+        for suffix, text in expected.items():
+            (path,) = tmp_path.glob(f"stability_*_{grid}_quantum{suffix}")
+            assert path.read_text() == text, suffix
+
     def test_fine_grid_output_is_streamed(self, tmp_path):
-        # the 98 x 98 tables are written row by row, not built in memory first;
+        # the 98 x 98 tables' text is written a block of rows at a time, not built whole;
         # an untraced first run takes the one-time allocations of a fresh process
         argv = ["stability", "--family", "sf", "--n", 256, "--grid", "fine",
                 "--mode", "classical", "--out", tmp_path]
