@@ -140,8 +140,8 @@ def structured_overlap(e: RankOnePlusSparse) -> RankOnePlusSparse:
     return RankOnePlusSparse(s, s, j, k, c)
 
 
-def _links(g: DirectedGraph, alpha: float) -> RankOnePlusSparse:
-    """The entries of ``g``'s Google matrix in structured form, unchecked.
+def _columns(g: DirectedGraph, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """Column background values and link values of ``g``'s Google matrix, unchecked.
 
     Column j holds alpha / out_j + (1 - alpha) / n on each of j's links and
     the column's background value elsewhere: (1 - alpha) / n, plus alpha / n
@@ -152,13 +152,13 @@ def _links(g: DirectedGraph, alpha: float) -> RankOnePlusSparse:
         raise ParameterError("graph must have at least one node")
     out = g.out_degrees()
     hop = (1.0 - alpha) / n
-    background = np.where(out == 0, alpha * (1.0 / n) + hop, hop)
-    return RankOnePlusSparse(np.ones(n), background, g.dst, g.src, alpha * (1.0 / out[g.src]))
+    return np.where(out == 0, alpha * (1.0 / n) + hop, hop), alpha * (1.0 / out[g.src])
 
 
 def build_structured_google(g: DirectedGraph, alpha: float) -> GoogleMatrix:
     """The Google matrix of ``g`` in structured form, in O(n + m) memory."""
-    return GoogleMatrix(g.n, alpha, _links(g, alpha))
+    background, link = _columns(g, alpha)
+    return GoogleMatrix(g.n, alpha, RankOnePlusSparse(np.ones(g.n), background, g.dst, g.src, link))
 
 
 def keeps_structure(n: int, links: int) -> bool:
@@ -173,7 +173,11 @@ def google_from_graph(g: DirectedGraph, alpha: float) -> GoogleMatrix:
     else the dense array of the same entries."""
     if keeps_structure(g.n, g.num_edges):
         return build_structured_google(g, alpha)
-    return GoogleMatrix(g.n, alpha, _links(g, alpha).toarray())
+    background, link = _columns(g, alpha)
+    dense = np.empty((g.n, g.n))
+    dense[...] = background  # the rows of outer(1, c), filled in place
+    dense[g.dst, g.src] += link
+    return GoogleMatrix(g.n, alpha, dense)
 
 
 def classical_pagerank(gm: GoogleMatrix) -> np.ndarray:

@@ -159,11 +159,12 @@ def generate(spec: GeneratorSpec) -> DirectedGraph:
 
 
 # Uniforms are drawn in blocks: rng.random(k) gives the same numbers as k
-# calls of rng.random(), at one call per block.
+# calls of rng.random(), at one call per block (the first ``first`` long).
 _DRAW_BLOCK = 1024
 
 
-def _uniforms(rng: np.random.Generator):
+def _uniforms(rng: np.random.Generator, first: int):
+    yield from rng.random(first).tolist()
     while True:
         yield from rng.random(_DRAW_BLOCK).tolist()
 
@@ -243,7 +244,7 @@ def gen_scale_free(
     """
     _check_scale_free(n, alpha, beta, delta_in, delta_out)
 
-    draw = _uniforms(np.random.default_rng(seed)).__next__
+    draw = _uniforms(np.random.default_rng(seed), min(_DRAW_BLOCK, 8 * n)).__next__
     in_tree, out_tree = [0] * (2 * n), [0] * (2 * n)
     src, dst = [0, 1, 2], [1, 2, 0]  # the seed cycle: one link in and one out per node
     for i in range(3):

@@ -137,6 +137,11 @@ G_BLOCK = 32
 # every graph.
 CLOSED_FORM_MAX_STATES = 256
 
+# Up to this many states a kernel takes its angle sums and differences to
+# dirichlet_ratio in one flat array, above it in one call each: the one call took
+# 0.68-0.91 of two calls' time at q = 16-64, 1.2-1.6 at q = 80-128 (sf, T = 1000).
+FLAT_KERNEL_MAX_STATES = 64
+
 
 def _node_hashes(count: int) -> np.ndarray:
     """The first ``count`` outputs of splitmix64 from state 0: well-mixed
@@ -251,25 +256,30 @@ class CesaroModes:
         w = (self.v * np.sqrt(sizes)[:, None]).sum(axis=0) / np.sqrt(n)
         gap = 1.0 - np.abs(lam)
         self.unit = gap <= UNIT_MODE_ULPS * len(d) * np.finfo(np.float64).eps
-        self.conditioned = bool(np.all(self.unit | (gap >= NEAR_UNIT_GAP)))
-        lam = np.where(self.unit, np.sign(lam), lam)
-        theta = np.where(self.unit, 0.0, np.arccos(lam))
+        self.conditioned = bool((self.unit | (gap >= NEAR_UNIT_GAP)).all())
+        unit = np.flatnonzero(self.unit)  # every mode is computed, then these are overwritten
+        lam[unit] = np.sign(lam[unit])
+        theta, sin = np.arccos(lam), np.sqrt((1.0 - lam) * (1.0 + lam))
+        theta[unit], sin[unit] = 0.0, 1.0
         self.psi = theta - np.pi / 2
-        sin = np.where(self.unit, 1.0, np.sqrt((1.0 - lam) * (1.0 + lam)))
-        self.xa = np.where(self.unit, w / 2, 0.5j * np.exp(-1j * theta) * w / sin)
-        self.xb = np.where(self.unit, 0.0, -0.5j * w / sin)
+        self.xa, self.xb = 0.5j * np.exp(-1j * theta) * w / sin, -0.5j * w / sin
+        self.xa[unit], self.xb[unit] = w[unit] / 2, 0.0
         self.xl = 2.0 * lam * self.xa + self.xb
 
     def _ratios(self, horizon: int) -> np.ndarray:
         """R+ + R- and R- - R+, stacked as two q x q arrays. Both are
         symmetric, R being even in phi, so they are evaluated for k <= l
-        only."""
+        only, in one ``dirichlet_ratio`` call on a flat array of the angle
+        sums and differences up to FLAT_KERNEL_MAX_STATES states."""
         q = len(self.psi)
-        k, l, upper, lower = _upper_triangle(q)
+        k, l, upper, lower = upper_triangle(q)
         first, second = self.psi[k], self.psi[l]
-        at_sum = dirichlet_ratio(first + second, horizon)
-        at_diff = dirichlet_ratio(first - second, horizon)
+        angles = (first + second, first - second)
         del first, second
+        if q <= FLAT_KERNEL_MAX_STATES:
+            at_sum, at_diff = dirichlet_ratio(np.concatenate(angles), horizon).reshape(2, -1)
+        else:
+            at_sum, at_diff = (dirichlet_ratio(phi, horizon) for phi in angles)
         square = np.empty((2, q * q))
         plus, minus = square
         plus[upper] = plus[lower] = at_sum + at_diff
@@ -300,11 +310,11 @@ class CesaroModes:
 
 
 @functools.lru_cache(maxsize=8)
-def _upper_triangle(q: int) -> tuple[np.ndarray, ...]:
+def upper_triangle(q: int) -> tuple[np.ndarray, ...]:
     """Row k, column l, flat position k q + l and mirrored position l q + k
     of each entry k <= l of a q x q array; read-only, since calls share them.
-    The walks of a damping grid share one q, and those of a hub attack a few
-    (building them took 15 us of a 150 us quantum ranking at q = 16)."""
+    The walks of a damping grid share one q; a hub attack's walks and Kendall
+    counts a few (building them took 15 us of a 150 us ranking at q = 16)."""
     k, l = np.triu_indices(q)
     arrays = (k, l, k * q + l, l * q + k)
     for a in arrays:

@@ -12,6 +12,7 @@ from qprank import (
     gen_hierarchical_ternary,
     gen_scale_free,
 )
+from qprank.analysis import tie_classes
 from qprank.walk import NEAR_UNIT_GAP, UNIT_MODE_ULPS
 
 # Locations searched for the real-world Pajek dataset used by the regression
@@ -239,6 +240,12 @@ def qpr_distance(p: np.ndarray, q: np.ndarray) -> float:
     if p.shape != q.shape:
         raise ParameterError("vectors must have the same length")
     return float(np.abs(p - q).max())
+
+
+def lexsort_order(p: np.ndarray) -> list[int]:
+    """Nodes by tie class, each class by ascending id, from the class of
+    every node: the reference for ``ranking_order``."""
+    return np.lexsort((np.arange(len(p)), tie_classes(p))).tolist()
 
 
 def operator_graphs() -> dict[str, DirectedGraph]:

@@ -29,6 +29,7 @@ from qprank import (
     remove_node,
 )
 from qprank.analysis import (
+    _KENDALL_PAIRS_MAX,
     MODES,
     TIE_RTOL,
     attack_metrics,
@@ -38,9 +39,9 @@ from qprank.analysis import (
     ranking_order,
     tie_classes,
 )
-from qprank.google import build_structured_google
+from qprank.google import RankOnePlusSparse, build_structured_google
 
-from conftest import classical_fidelity, complete, cycle, qpr_distance
+from conftest import classical_fidelity, complete, cycle, lexsort_order, qpr_distance
 
 
 def normalized_vectors(min_size=2, max_size=12):
@@ -91,6 +92,19 @@ class TestTieRule:
         p = np.array([0.5, 0.5 * (1 + 2 * TIE_RTOL), 1.0 - TIE_RTOL / 2, 1.0])
         assert list(tie_classes(p)) == [2, 1, 0, 0]
         assert ranking_order(p) == [2, 3, 1, 0]
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 16, 300])
+    def test_order_equals_the_lexsort_oracle(self, n):
+        # exact ties, and chains of near-ties just inside and just outside
+        # TIE_RTOL of one base value, on either side of it
+        rng = np.random.default_rng(n)
+        steps = np.array([-2.0, -1.001, -0.999, -0.5, 0.0, 0.5, 0.999, 1.001, 2.0]) * TIE_RTOL
+        for _ in range(40):
+            p = rng.random(n)
+            for _ in range(min(n, 3)):
+                at = rng.choice(n, size=min(n, len(steps)), replace=False)
+                p[at] = p[at[0]] * (1.0 + rng.choice(steps, size=len(at)))
+            assert ranking_order(p) == lexsort_order(p)
 
     def test_rounding_noise_ties_but_node_ranks_stay_exact(self):
         p = np.array([0.3, np.nextafter(0.3, 1.0), 0.4])
@@ -383,6 +397,24 @@ class TestKendall:
         a, b = ["x", "y", "z", "w"], ["y", "x", "z", "w"]
         assert kendall_coefficient(a, b) == row_loop_kendall(a, b) == 5 / 6
 
+    def test_pairs_form_equals_row_loop_across_its_boundary(self):
+        rng = np.random.default_rng(5)
+        for k in range(2, _KENDALL_PAIRS_MAX + 9):
+            a, b = rng.permutation(k).tolist(), rng.permutation(k).tolist()
+            assert kendall_coefficient(a, b) == row_loop_kendall(a, b)
+            assert kendall_coefficient(a, a) == 1.0 and kendall_coefficient(a, a[::-1]) == 0.0
+
+    @pytest.mark.parametrize("k", [3, _KENDALL_PAIRS_MAX])
+    def test_pairs_form_strings_and_errors(self, k):
+        rng = np.random.default_rng(k)
+        a = [f"node{i}" for i in rng.permutation(k)]
+        b = [f"node{i}" for i in rng.permutation(k)]
+        assert kendall_coefficient(a, b) == row_loop_kendall(a, b)
+        with pytest.raises(ParameterError, match="duplicates"):
+            kendall_coefficient(a[:-1] + a[:1], b)
+        with pytest.raises(ParameterError, match="same element set"):
+            kendall_coefficient(a[:-1] + ["other"], b)
+
     def test_memory_bounded_in_blocks(self):
         # one unblocked k x k comparison would take k**2 bytes, 400 MB here
         rng = np.random.default_rng(0)
@@ -422,6 +454,32 @@ class TestAttack:
         run = attack_experiment(g, 4, mode="classical")
         assert len(set(run.removed)) == 4
         assert all(0 <= v < n for v in run.removed)
+
+    def test_small_rounds_build_no_structure_and_no_triangle_mask(self, monkeypatch):
+        # A guard that reads no clock: ranking and attacking a 16-node graph
+        # fill its dense G in place and compare through cached index pairs,
+        # so they construct no structured matrix and no k x k triangle mask.
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(RankOnePlusSparse, "__init__",
+                            counted("RankOnePlusSparse", RankOnePlusSparse.__init__))
+        monkeypatch.setattr(np, "triu", counted("triu", np.triu))
+        monkeypatch.setattr(np, "tri", counted("tri", np.tri))
+        g = gen_scale_free(16, seed=3)
+        for mode in MODES:
+            assert len(ranking_order(importance_vector(g, mode))) == 16
+            assert len(attack_experiment(g, 5, mode=mode).kendall) == 5
+        assert calls == []
+        # the counters see the calls they guard against
+        kendall_coefficient(range(_KENDALL_PAIRS_MAX + 1), range(_KENDALL_PAIRS_MAX + 1))
+        build_structured_google(g, 0.85)
+        assert set(calls) == {"triu", "RankOnePlusSparse"}
 
     def test_metrics_dict_shape(self):
         g = DirectedGraph(6, frozenset((j, i) for j in range(6) for i in range(j)))

@@ -15,6 +15,7 @@ from qprank import (
     gen_scale_free,
     google,
     google_from_graph,
+    load_edge_list,
     ranking_order,
 )
 from qprank.google import (
@@ -100,6 +101,28 @@ class TestBuildGoogle:
         entries = google_from_graph(g, 0.85).entries
         assert np.abs(entries[:, dangling] - 1 / 64).max() < 1e-16
         assert (entries.max(axis=0) > 0).all()
+
+    @pytest.mark.parametrize("alpha", [0.01, 0.85, 0.98])
+    def test_dense_fill_equals_the_densified_structure_bit_for_bit(self, alpha):
+        graphs = [
+            gen_scale_free(40, seed=1),
+            gen_erdos_renyi(30, 0.125, seed=2),
+            gen_hierarchical_ternary(3),
+            TWO_NODE,  # node 1 dangles
+            load_edge_list("0 0\n0 1\n1 1\n2 0\n2 3\n"),  # self-loops; node 3 dangles
+            DirectedGraph(1, frozenset()),
+            DirectedGraph(5, frozenset()),
+        ]
+        for g in graphs:
+            entries = google_from_graph(g, alpha).entries
+            oracle = build_structured_google(g, alpha).toarray()  # outer(1, c) + S
+            assert isinstance(entries, np.ndarray)
+            assert entries.tobytes() == oracle.tobytes()
+
+    def test_no_nodes_rejected(self):
+        # the CLI maps this to exit 2 (test_cli's empty-graph case)
+        with pytest.raises(ParameterError, match="at least one node"):
+            google_from_graph(DirectedGraph(0, frozenset()), 0.85)
 
 
 class TestClassicalPagerank:

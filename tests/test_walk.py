@@ -519,8 +519,9 @@ class TestClosedForm:
                 assert np.array_equal(w.average(horizon), w.average_with_convergence(horizon)[0])
 
     def test_average_evaluates_one_kernel(self, monkeypatch):
-        # one kernel is the ratios at the sums and the differences of the
-        # angles; the half-horizon gap's second is for average_with_convergence
+        # one kernel is one evaluation of the ratios at the sums and the
+        # differences of the angles (q = 16 <= FLAT_KERNEL_MAX_STATES); the
+        # half-horizon gap's second is for average_with_convergence
         calls = []
 
         def counted(phi, horizon):
@@ -530,9 +531,27 @@ class TestClosedForm:
         monkeypatch.setattr(walk, "dirichlet_ratio", counted)
         w = walk_for(self.GRAPHS["sf16"])
         w.average(1000)
-        assert calls == [1000] * 2
+        assert calls == [1000]
         w.average_with_convergence(1000)
-        assert calls == [1000] * 4 + [500] * 2
+        assert calls == [1000] * 2 + [500]
+
+    @pytest.mark.parametrize("flat_max", [0, CLOSED_FORM_MAX_STATES], ids=["per-sign", "flat"])
+    @pytest.mark.parametrize("horizon", [999, 1000])
+    @pytest.mark.parametrize("graph", [gen_scale_free(16, seed=3), gen_scale_free(256, seed=2)],
+                             ids=["q16", "q159"])
+    def test_ratios_equal_the_per_sign_evaluations(self, graph, horizon, flat_max, monkeypatch):
+        # both forms, whichever FLAT_KERNEL_MAX_STATES gives each size
+        monkeypatch.setattr(walk, "FLAT_KERNEL_MAX_STATES", flat_max)
+        modes = SzegedyWalk(google_from_graph(graph, 0.85)).modes
+        q = len(modes.psi)
+        assert q in (16, 159)
+        k, l = np.triu_indices(q)
+        at_sum = dirichlet_ratio(modes.psi[k] + modes.psi[l], horizon)
+        at_diff = dirichlet_ratio(modes.psi[k] - modes.psi[l], horizon)
+        expected = np.empty((2, q, q))
+        expected[0, k, l] = expected[0, l, k] = at_sum + at_diff
+        expected[1, k, l] = expected[1, l, k] = at_diff - at_sum
+        assert modes._ratios(horizon).tobytes() == expected.tobytes()
 
     def test_cost_does_not_grow_with_horizon(self):
         # a loop over T, or a T x n array (128 GB here), would not finish
