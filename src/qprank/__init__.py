@@ -22,7 +22,6 @@ from .errors import ConvergenceError, ParameterError, ParseError
 from .google import (
     GoogleMatrix,
     classical_pagerank,
-    format_dense_matrix,
     google_from_graph,
 )
 from .graphs import (

@@ -2,7 +2,7 @@
 
 Subcommands cover graph generation, combined classical/quantum ranking, and
 the experiment suite (ipr, stability, powerlaw, attack). Every run writes
-CSV/JSON reports plus gnuplot-ready `.dat` tables into the output
+each of its tables once, as CSV, and its summary as JSON into the output
 directory, alongside an echo of the exact run configuration, so identical
 invocations produce byte-identical outputs.
 
@@ -28,8 +28,7 @@ import numpy as np
 
 from . import __version__, analysis, graphs, walk
 from .errors import ConvergenceError, ParameterError, ParseError
-from .google import (DEFAULT_ALPHA, classical_pagerank, format_dense_matrix, format_values,
-                     google_from_graph)
+from .google import DEFAULT_ALPHA, classical_pagerank, format_values, google_from_graph
 
 EXIT_OK = 0
 EXIT_PARAMETER = 2
@@ -52,30 +51,29 @@ def _write_text(path: Path, text: str) -> None:
 
 
 # The writer formats and writes a table this many rows at a time, so that the
-# text of a long table is never held whole (a 98-point grid's .dat has 9604).
+# text of a long table is never held whole (rank's has n rows, --trajectory's t * n).
 TABLE_BLOCK_ROWS = 1024
 
 
-def _write_table(path: Path, header, columns, sep: str = ",") -> None:
-    """Write the header, then one line per row of ``columns``, the table's
-    columns of equal length, cells joined by ``sep``.
+def _write_table(path: Path, header, columns) -> None:
+    """Write the header, then one comma-separated line per row of
+    ``columns``, the table's columns of equal length.
 
     A column of str is written as it is; every other column is numeric, and
     its cells are ``format(float(x), ".17g")`` (17 significant digits; an
-    integer up to 2**53 exactly). The header is text, a ``.dat`` header
-    starting with a "#" cell so that gnuplot skips it. Rows go out a block of
-    TABLE_BLOCK_ROWS at a time, each distinct value among a block's numeric
-    cells formatted once (``google.format_values``).
+    integer up to 2**53 exactly). Rows go out a block of TABLE_BLOCK_ROWS at
+    a time, each distinct value among a block's numeric cells formatted once
+    (``google.format_values``).
     """
     columns = [np.asarray(column) for column in columns]
     _make_parent(path)
     with open(path, "w") as fh:
-        fh.write(sep.join(header) + "\n")
+        fh.write(",".join(header) + "\n")
         for start in range(0, len(columns[0]), TABLE_BLOCK_ROWS):
             block = [column[start:start + TABLE_BLOCK_ROWS] for column in columns]
             numbers = iter(format_values([c for c in block if c.dtype.kind != "U"]))
             cells = [c.tolist() if c.dtype.kind == "U" else next(numbers) for c in block]
-            fh.writelines(sep.join(row) + "\n" for row in zip(*cells))
+            fh.writelines(",".join(row) + "\n" for row in zip(*cells))
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -83,15 +81,17 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def parallel_map(fn, items, jobs: int) -> list:
-    """Order-preserving map, optionally over a bounded process pool.
+    """Order-preserving map over a process pool of at most ``jobs`` workers,
+    one per item and per usable CPU, or in this process when that is one.
 
     Results are assembled in input order, so outputs do not depend on jobs.
     """
     items = list(items)
-    if jobs <= 1 or len(items) <= 1:
+    workers = min(jobs, len(items), len(os.sched_getaffinity(0)))
+    if workers <= 1:
         return [fn(item) for item in items]
     from concurrent.futures import ProcessPoolExecutor  # imported on use: it pulls in multiprocessing
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
 
 
@@ -207,12 +207,6 @@ def cmd_rank(args) -> tuple[str, dict]:
         ("node", "classical_importance", "quantum_importance", "classical_rank", "quantum_rank"),
         (np.arange(g.n), classical, quantum, cl_ranks, q_ranks),
     )
-    _write_table(
-        outdir / f"{prefix}_bars.dat",
-        ("#", "node", "classical_importance", "quantum_importance"),
-        (np.arange(g.n), classical, quantum),
-        sep=" ",
-    )
     summary = {
         "nodes": g.n,
         "edges": g.num_edges,
@@ -231,8 +225,6 @@ def cmd_rank(args) -> tuple[str, dict]:
             ("t", "node", "instantaneous_qpr"),
             (*divmod(np.arange(traj.size), g.n), traj.ravel()),
         )
-    if args.dump_matrix:
-        _write_text(outdir / f"{prefix}_google.txt", format_dense_matrix(gm.toarray()))
     print(f"wrote {prefix}.csv to {outdir}")
     return prefix, summary
 
@@ -270,12 +262,6 @@ def cmd_ipr(args) -> tuple[str, dict]:
             "classification": fit.label,
         }
         xis.append([s.xi for s in samples])
-        _write_table(
-            outdir / f"{prefix}_{mode}.dat",
-            ("#", "log_n", "log_xi"),
-            ([np.log(s.n) for s in samples], [np.log(s.xi) for s in samples]),
-            sep=" ",
-        )
         print(f"{mode}: slope {fit.slope:.4f} -> {fit.label}")
     _write_table(outdir / f"{prefix}.csv", ("n", *(f"xi_{m}" for m in modes)), (sizes, *xis))
     return prefix, summary
@@ -295,22 +281,13 @@ def cmd_stability(args) -> tuple[str, dict]:
     grid = analysis.pairwise_stability(parallel_map(importance_item, items, args.jobs))
 
     if sweep:
-        columns = (alphas[1:], grid.fidelity[0, 1:], grid.distance[0, 1:])
-        _write_table(outdir / f"{prefix}.csv",
-                     ("alpha", "fidelity_vs_ref", "distance_vs_ref"), columns)
-        _write_table(outdir / f"{prefix}.dat",
-                     ("#", "alpha", f"fidelity_vs_{args.alpha:g}", "distance"), columns, sep=" ")
+        _write_table(outdir / f"{prefix}.csv", ("alpha", "fidelity_vs_ref", "distance_vs_ref"),
+                     (alphas[1:], grid.fidelity[0, 1:], grid.distance[0, 1:]))
         summary = {"alpha_ref": args.alpha, "n": g.n, "mode": args.mode}
     else:
         for name, table in (("fidelity", grid.fidelity), ("distance", grid.distance)):
             _write_table(outdir / f"{prefix}_{name}.csv", ("alpha", *format_values(alphas)),
                          (alphas, *table.T))
-        _write_table(
-            outdir / f"{prefix}_fidelity.dat",
-            ("#", "alpha", "alpha_prime", "fidelity"),
-            (np.repeat(alphas, len(alphas)), np.tile(alphas, len(alphas)), grid.fidelity.ravel()),
-            sep=" ",
-        )
         summary = {
             "n": g.n,
             "mode": args.mode,
@@ -364,10 +341,9 @@ def cmd_powerlaw(args) -> tuple[str, dict]:
                 "rms_residual": fit.residual,
             }
             _write_table(
-                outdir / f"{prefix}_{mode}.dat",
-                ("#", "log_rank_index", "log_importance"),
+                outdir / f"{prefix}_{mode}.csv",
+                ("log_rank_index", "log_importance"),
                 (np.log(np.flatnonzero(ranked > 0) + 1), np.log(ranked[ranked > 0])),
-                sep=" ",
             )
             print(f"{mode}: beta {fit.beta:.4f}  c {fit.c:.4g}  residual {fit.residual:.4f}")
         return prefix, summary
@@ -402,14 +378,6 @@ def cmd_attack(args) -> tuple[str, dict]:
         (removals, *([stats[f"kendall_{mode}_{r}"] for r in removals] for mode in modes
                      for stats in (report.means, report.stds))),
     )
-    for mode in modes:
-        _write_table(
-            outdir / f"{prefix}_{mode}.dat",
-            ("#", "removals", "kendall_mean", "kendall_std"),
-            (removals, *([stats[f"kendall_{mode}_{r}"] for r in removals]
-                         for stats in (report.means, report.stds))),
-            sep=" ",
-        )
     print(f"wrote {prefix}.csv to {outdir} ({report.failures} failed runs)")
     return prefix, summary
 
@@ -508,8 +476,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     _add_common(sp)
     sp.add_argument("--trajectory", type=_checked(int, ">= 0", lambda v: v >= 0), default=0,
                     help="also dump instantaneous distributions for this many steps")
-    sp.add_argument("--dump-matrix", action="store_true",
-                    help="also write the dense transition matrix at full precision")
 
     sp = subcommand("ipr", cmd_ipr, "inverse participation ratio across graph sizes")
     _add_generator(sp)

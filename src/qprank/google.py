@@ -215,16 +215,10 @@ def format_values(m) -> list:
     """The entries of ``m`` as float64 text with 17 significant digits,
     ``format(float(x), ".17g")``, in nested lists of m's shape.
 
-    Each distinct value (by bit pattern) is formatted once: a Google matrix
-    has at most n + m of them among its n**2 entries, a symmetric grid about
-    half its entries.
+    Each distinct value (by bit pattern) is formatted once: a symmetric
+    stability grid holds about half as many as it has entries.
     """
     m = np.ascontiguousarray(m, dtype=np.float64)
     bits, index = np.unique(m.view(np.int64), return_inverse=True)
     text = np.array([format(v, ".17g") for v in bits.view(np.float64).tolist()], dtype=object)
     return text[index.reshape(m.shape)].tolist()
-
-
-def format_dense_matrix(m: np.ndarray) -> str:
-    """Plain-text dump: one row per line, space-separated, 17 significant digits."""
-    return "\n".join(map(" ".join, format_values(m))) + "\n"

@@ -272,8 +272,9 @@ def oracle_cell(x) -> str:
     return x if isinstance(x, str) else format(float(x), ".17g")
 
 
-def oracle_table(header, columns, sep: str = ",") -> str:
-    """The text of a table formatted cell by cell and row by row: the
-    reference for ``cli._write_table``, which takes the same arguments."""
-    lines = [sep.join(header), *(sep.join(map(oracle_cell, row)) for row in zip(*columns))]
+def oracle_table(header, columns) -> str:
+    """The text of a table formatted cell by cell and row by row, cells
+    joined by commas: the reference for ``cli._write_table``, which takes
+    the same arguments."""
+    lines = [",".join(header), *(",".join(map(oracle_cell, row)) for row in zip(*columns))]
     return "\n".join(lines) + "\n"

@@ -1,4 +1,5 @@
 import argparse
+import concurrent.futures
 import csv
 import importlib
 import json
@@ -19,8 +20,7 @@ from qprank.cli import build_parser, main
 from qprank.errors import ParameterError
 from qprank.google import DENSE_MAX_NODES, RankOnePlusSparse, google_from_graph
 
-from conftest import (classical_fidelity, dense_google, epa_path, oracle_cell, oracle_table,
-                      qpr_distance)
+from conftest import classical_fidelity, epa_path, oracle_cell, oracle_table, qpr_distance
 from test_acceptance import ATTACK_ER_ARGVS, STABILITY_CLASSICAL_ARGV, STABILITY_QUANTUM_ARGV
 
 
@@ -119,9 +119,6 @@ class TestRank:
             assert line.startswith(f"{i},0.33333333333333331,")
             assert line.split(",")[3] == str(i + 1)
         assert len(lines) == 4
-        bars = Path(f"{prefix}_bars.dat").read_text()
-        assert bars.startswith("# node classical_importance quantum_importance\n"
-                               "0 0.33333333333333331 ")
 
     def test_two_node_classical_value(self, tmp_path):
         net = tmp_path / "pair.net"
@@ -151,15 +148,6 @@ class TestRank:
             by_t[int(r["t"])] += float(r["instantaneous_qpr"])
         assert all(abs(total - 1.0) < 1e-9 for total in by_t.values())
 
-    def test_dump_matrix_round_trips(self, tmp_path):
-        edges = tmp_path / "c3.edges"
-        edges.write_text("0 1\n1 2\n1 0\n")
-        assert run(["rank", "--input", edges, "--T", 10, "--dump-matrix", "--out", tmp_path]) == 0
-        text = (tmp_path / "rank_c3_n3_a0.85_T10_google.txt").read_text()
-        dumped = np.array([[float(x) for x in line.split()] for line in text.splitlines()])
-        # 17 significant digits carry every bit of a float64
-        assert np.array_equal(dumped, dense_google(load_edge_list(edges.read_text()), 0.85).entries)
-
     def test_rank_does_not_import_numpy_ma(self, tmp_path):
         # numpy 2.4's np.unique without indices or counts imports numpy.ma on first use
         src = str(Path(__file__).resolve().parent.parent / "src")
@@ -175,18 +163,18 @@ class TestWriteTable:
     """``cli._write_table`` against conftest's cell-by-cell oracle."""
 
     @staticmethod
-    def written(tmp_path, header, columns, sep=","):
+    def written(tmp_path, header, columns):
         path = tmp_path / "table.txt"
-        cli._write_table(path, header, columns, sep)
+        cli._write_table(path, header, columns)
         return path.read_text()
 
     def test_signed_zeros_nan_infinities_and_subnormals(self, tmp_path):
         values = np.array([-0.0, 0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324,
                            0.1, 1 / 3, -0.0, 5e-324])
         columns = (values, values[::-1], -values)
-        text = self.written(tmp_path, ("#", "a", "b", "c"), columns, sep=" ")
-        assert text == oracle_table(("#", "a", "b", "c"), columns, sep=" ")
-        assert text.splitlines()[1].split() == ["-0", "4.9406564584124654e-324", "0"]
+        text = self.written(tmp_path, ("a", "b", "c"), columns)
+        assert text == oracle_table(("a", "b", "c"), columns)
+        assert text.splitlines()[1].split(",") == ["-0", "4.9406564584124654e-324", "0"]
 
     def test_integers_up_to_2_53(self, tmp_path):
         ints = np.array([0, 1, 7, 2**31, 2**53 - 1, 2**53, 2**53 - 1])
@@ -196,7 +184,7 @@ class TestWriteTable:
         assert text.splitlines()[-2].split(",")[::3] == ["9007199254740992"] * 2
 
     def test_empty_table_is_its_header(self, tmp_path):
-        assert self.written(tmp_path, ("#", "x", "y"), (np.empty(0), []), sep=" ") == "# x y\n"
+        assert self.written(tmp_path, ("x", "y"), (np.empty(0), [])) == "x,y\n"
 
     def test_table_longer_than_one_block(self, tmp_path):
         rows = 2 * cli.TABLE_BLOCK_ROWS + 3
@@ -583,7 +571,6 @@ class TestConfigFile:
         ("ipr", "mode=bogus"),
         ("stability", "mode=both"),
         ("rank", "self_loops=maybe"),
-        ("rank", "dump_matrix=on"),
         ("rank", "T=0"),  # wrong even where the command line's --T overrides it
     ])
     def test_bad_value_exits_2(self, tmp_path, capsys, generated, command, entry):
@@ -625,6 +612,44 @@ def test_every_record_is_strict_json(tmp_path, argv):
     if argv[0] == "rank":
         summary = strict_json(next(tmp_path.glob("*_summary.json")).read_text())
         assert summary["quantum_convergence_sup_gap"] is None
+
+
+@pytest.mark.parametrize("argv, artifacts", [
+    (["generate", "--family", "er", "--n", 8],
+     {".edges", ".net", "_degrees.csv", "_run_config.json"}),
+    (["rank", "--family", "sf", "--n", 8, "--T", 10, "--trajectory", 2],
+     {".csv", "_trajectory2.csv", "_summary.json", "_run_config.json"}),
+    (["ipr", "--family", "er", "--sizes", "8,16", "--mode", "both", "--T", 10],
+     {".csv", "_summary.json", "_run_config.json"}),
+    (["stability", "--family", "sf", "--n", 8, "--points", 3, "--T", 10],
+     {"_fidelity.csv", "_distance.csv", "_summary.json", "_run_config.json"}),
+    (["stability", "--family", "sf", "--n", 8, "--grid", "sweep", "--T", 10],
+     {".csv", "_summary.json", "_run_config.json"}),
+    (["powerlaw", "--family", "sf", "--n", 16, "--ensemble", 1, "--T", 10],
+     {"_quantum.csv", "_classical.csv", "_summary.json", "_run_config.json"}),
+    (["powerlaw", "--family", "sf", "--n", 16, "--ensemble", 2, "--T", 10],
+     {".csv", "_summary.json", "_run_config.json"}),
+    (["attack", "--family", "sf", "--n", 8, "--ensemble", 2, "--removals", 1, "--T", 10],
+     {".csv", "_summary.json", "_run_config.json"}),
+], ids=["generate", "rank", "ipr", "stability-coarse", "stability-sweep", "powerlaw-single",
+        "powerlaw-ensemble", "attack"])
+def test_each_table_is_written_once(tmp_path, argv, artifacts):
+    # every table is one CSV: no gnuplot .dat copy and no text dump of G
+    assert run([*argv, "--out", tmp_path]) == 0
+    (config,) = tmp_path.glob("*_run_config.json")
+    prefix = config.name.removesuffix("_run_config.json")
+    names = {path.name for path in tmp_path.iterdir()}
+    assert names == {prefix + suffix for suffix in artifacts}
+    assert not any(name.endswith((".dat", "_google.txt")) for name in names)
+    if argv[0] == "powerlaw" and "_quantum.csv" in artifacts:
+        g = graphs.generate(graphs.GeneratorSpec(family="sf", n=16))
+        for mode in analysis.MODES:
+            p = analysis.importance_vector(g, mode, alpha=0.85, horizon=10)
+            ranked = p[analysis.ranking_order(p)]
+            positive = ranked > 0
+            expected = oracle_table(("log_rank_index", "log_importance"),
+                                    (np.log(np.flatnonzero(positive) + 1), np.log(ranked[positive])))
+            assert (tmp_path / f"{prefix}_{mode}.csv").read_text() == expected
 
 
 class TestIprCommand:
@@ -676,8 +701,7 @@ class TestStabilityCommand:
         assert run(["stability", "--family", "sf", "--n", 10, "--grid", "sweep", "--alpha", 0.3,
                     "--T", 30, "--seed", 1, "--out", tmp_path]) == 0
         prefix = "stability_sf_n10_a0.3_T30_seed1_sweep_quantum"
-        header = (tmp_path / f"{prefix}.dat").read_text().splitlines()[0]
-        assert header == "# alpha fidelity_vs_0.3 distance"
+        assert json.loads((tmp_path / f"{prefix}_summary.json").read_text())["alpha_ref"] == 0.3
         rows = read_rows(tmp_path / f"{prefix}.csv")
         ref_row = min(rows, key=lambda r: abs(float(r["alpha"]) - 0.3))
         assert float(ref_row["fidelity_vs_ref"]) == pytest.approx(1.0, abs=1e-12)
@@ -748,23 +772,18 @@ class TestStabilityCommand:
         if grid == "sweep":
             sweep = (alphas[1:], fid[0][1:], dist[0][1:])
             header = ("alpha", "fidelity_vs_ref", "distance_vs_ref")
-            expected = {".csv": oracle_table(header, sweep),
-                        ".dat": oracle_table(("#", "alpha", "fidelity_vs_0.6", "distance"), sweep,
-                                             sep=" ")}
+            expected = {".csv": oracle_table(header, sweep)}
         else:
             header = ("alpha", *map(oracle_cell, alphas))
-            rows = [(a, b, f) for a, row in zip(alphas, fid) for b, f in zip(alphas, row)]
             expected = {"_fidelity.csv": oracle_table(header, (alphas, *zip(*fid))),
-                        "_distance.csv": oracle_table(header, (alphas, *zip(*dist))),
-                        "_fidelity.dat": oracle_table(("#", "alpha", "alpha_prime", "fidelity"),
-                                                      zip(*rows), sep=" ")}
+                        "_distance.csv": oracle_table(header, (alphas, *zip(*dist)))}
         for suffix, text in expected.items():
             (path,) = tmp_path.glob(f"stability_*_{grid}_quantum{suffix}")
             assert path.read_text() == text, suffix
 
     def test_fine_grid_output_is_streamed(self, tmp_path):
-        # the 98 x 98 tables' text is written a block of rows at a time, not built whole;
-        # an untraced first run takes the one-time allocations of a fresh process
+        # the two 98 x 99 grid tables' text is written a block of rows at a time, not
+        # built whole; an untraced first run takes the one-time allocations of a fresh process
         argv = ["stability", "--family", "sf", "--n", 256, "--grid", "fine",
                 "--mode", "classical", "--out", tmp_path]
         assert run(argv) == 0
@@ -835,6 +854,35 @@ class TestAttackCommand:
             assert serial[name] == parallel[name]
 
 
+@pytest.mark.parametrize("jobs, items, workers", [
+    (10**6, 20, 8),  # never more processes than usable CPUs
+    (5, 3, 3),  # nor than items
+    (3, 20, 3),
+    (2, 1, None),  # one item, or one worker, runs in this process
+    (1, 20, None),
+])
+def test_pool_is_capped_at_the_machine(monkeypatch, jobs, items, workers):
+    # a recorder stands in for the pool, so no process is started
+    pools = []
+
+    class Recorder:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        map = staticmethod(map)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+    assert cli.parallel_map(abs, range(-items, 0), jobs) == list(range(items, 0, -1))
+    assert pools == ([] if workers is None else [workers])
+
+
 # Flags a subcommand defines but does not read, and why they stay.
 UNREAD_ALLOWED = {
     "rank.jobs": "bench/run.py passes --jobs 1 to every workload, rank_sf2048's included",
@@ -843,8 +891,7 @@ UNREAD_ALLOWED = {
 # Runs that between them take every branch that reads a flag.
 FLAG_RUNS = [
     ["generate", "--family", "sf", "--n", 8],
-    ["rank", "--family", "sf", "--n", 8, "--T", 10, "--trajectory", 3, "--dump-matrix",
-     "--jobs", 1],
+    ["rank", "--family", "sf", "--n", 8, "--T", 10, "--trajectory", 3, "--jobs", 1],
     ["ipr", "--family", "sf", "--sizes", "8,16", "--T", 10],
     ["stability", "--family", "sf", "--n", 8, "--points", 3, "--T", 10],
     ["stability", "--family", "sf", "--n", 8, "--grid", "sweep", "--T", 10],

@@ -9,7 +9,6 @@ from qprank import (
     GoogleMatrix,
     ParameterError,
     classical_pagerank,
-    format_dense_matrix,
     gen_erdos_renyi,
     gen_hierarchical_ternary,
     gen_scale_free,
@@ -212,14 +211,6 @@ class TestClassicalPagerank:
                 oracle = m[:, 0]
                 pr = classical_pagerank(gm)
                 assert np.abs(pr - oracle).max() < 1e-8
-
-
-class TestExport:
-    def test_full_precision_roundtrip(self):
-        gm = google_from_graph(gen_scale_free(12, seed=5), 0.85)
-        text = format_dense_matrix(gm.entries)
-        parsed = np.array([[float(v) for v in line.split()] for line in text.splitlines()])
-        assert np.array_equal(parsed, gm.entries)
 
 
 class TestStructuredGoogle:
