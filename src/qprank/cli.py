@@ -28,7 +28,7 @@ import numpy as np
 
 from . import __version__, analysis, graphs, walk
 from .errors import ConvergenceError, ParameterError, ParseError
-from .google import DEFAULT_ALPHA, classical_pagerank, format_values, google_from_graph
+from .google import DEFAULT_ALPHA, classical_pagerank, google_from_graph
 
 EXIT_OK = 0
 EXIT_PARAMETER = 2
@@ -50,6 +50,19 @@ def _write_text(path: Path, text: str) -> None:
     path.write_text(text)
 
 
+def format_values(m) -> list:
+    """The entries of ``m`` as float64 text with 17 significant digits,
+    ``format(float(x), ".17g")``, in nested lists of m's shape.
+
+    Each distinct value (by bit pattern) is formatted once: a symmetric
+    stability grid holds about half as many as it has entries.
+    """
+    m = np.ascontiguousarray(m, dtype=np.float64)
+    bits, index = np.unique(m.view(np.int64), return_inverse=True)
+    text = np.array([format(v, ".17g") for v in bits.view(np.float64).tolist()], dtype=object)
+    return text[index.reshape(m.shape)].tolist()
+
+
 # The writer formats and writes a table this many rows at a time, so that the
 # text of a long table is never held whole (rank's has n rows, --trajectory's t * n).
 TABLE_BLOCK_ROWS = 1024
@@ -63,7 +76,7 @@ def _write_table(path: Path, header, columns) -> None:
     its cells are ``format(float(x), ".17g")`` (17 significant digits; an
     integer up to 2**53 exactly). Rows go out a block of TABLE_BLOCK_ROWS at
     a time, each distinct value among a block's numeric cells formatted once
-    (``google.format_values``).
+    (``format_values``).
     """
     columns = [np.asarray(column) for column in columns]
     _make_parent(path)
@@ -248,13 +261,10 @@ def cmd_ipr(args) -> tuple[str, dict]:
     prefix = _prefix(args, args.family, "sizes", "mode", a=args.alpha, r=args.r, T=args.T)
     summary: dict = {"sizes": sizes, "alpha": args.alpha, "r": args.r}
     modes = _modes(args.mode)
-    samples_by_mode = []  # every mode's before any file, so that an underflow writes nothing
+    xis = []
     for mode in modes:
         items = [(g, mode, args.alpha, args.T) for g in graphs_by_size]
-        vectors = parallel_map(importance_item, items, args.jobs)
-        samples_by_mode.append([analysis.ipr(p, args.r) for p in vectors])
-    xis = []
-    for mode, samples in zip(modes, samples_by_mode):
+        samples = [analysis.ipr(p, args.r) for p in parallel_map(importance_item, items, args.jobs)]
         fit = analysis.ipr_scaling(samples)
         summary[mode] = {
             "slope": fit.slope,
@@ -270,11 +280,11 @@ def cmd_ipr(args) -> tuple[str, dict]:
 def cmd_stability(args) -> tuple[str, dict]:
     g, label = _graph_from_args(args)
     outdir = Path(args.out)
-    alphas = analysis.coarse_alpha_grid(args.points if args.grid == "coarse" else 98)
+    alphas = analysis.coarse_alpha_grid(98 if args.grid == "fine" else args.points)
     sweep = args.grid == "sweep"
     if sweep:  # the reference --alpha is ranked first, as row 0 of the grid
         alphas = np.concatenate(([args.alpha], alphas))
-    points = ("points",) if args.grid == "coarse" else ()
+    points = () if args.grid == "fine" else ("points",)
     prefix = _prefix(args, label, *points, n=g.n, a=args.alpha if sweep else None, T=args.T)
     prefix += f"_{args.grid}_{args.mode}"
     items = [(g, args.mode, float(a), args.T) for a in alphas]
@@ -488,7 +498,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     _add_generator(sp, "input", "n")
     _add_common(sp)
     sp.add_argument("--grid", choices=("coarse", "fine", "sweep"), default="coarse")
-    sp.add_argument("--points", type=_positive, default=20, help="coarse grid size")
+    sp.add_argument("--points", type=_positive, default=20, help="coarse grid and sweep size")
     sp.add_argument("--mode", choices=("quantum", "classical"), default="quantum")
 
     sp = subcommand("powerlaw", cmd_powerlaw, "power-law fit of the sorted ranking")

@@ -108,37 +108,6 @@ class GoogleMatrix:
         if low < floor:
             raise ParameterError("entries fall below the random-hopping floor")
 
-    def toarray(self) -> np.ndarray:
-        """The dense n x n matrix; the entries themselves in dense form."""
-        e = self.entries
-        return e if isinstance(e, np.ndarray) else e.toarray()
-
-    def overlap(self) -> np.ndarray | RankOnePlusSparse:
-        """D[j, k] = sqrt(G[k, j] G[j, k]), in the form of the entries (see
-        structured_overlap for the structured one)."""
-        e = self.entries
-        if isinstance(e, np.ndarray):
-            r = np.sqrt(e)
-            return r * r.T
-        return structured_overlap(e)
-
-
-def structured_overlap(e: RankOnePlusSparse) -> RankOnePlusSparse:
-    """D[j, k] = sqrt(M[k, j] M[j, k]) for M = 1 c^T + S in structured form:
-    D = s s^T + C with s = sqrt(c), where C is symmetric bit for bit and
-    non-zero only on the pairs joined by an entry of S either way, where it
-    corrects the background s_j s_k."""
-    n, m = len(e.v), len(e.vals)
-    keys, inv = np.unique(
-        np.concatenate([e.rows * n + e.cols, e.cols * n + e.rows]), return_inverse=True
-    )
-    j, k = np.divmod(keys, n)
-    link_jk = np.bincount(inv[:m], e.vals, minlength=len(keys))
-    link_kj = np.bincount(inv[m:], e.vals, minlength=len(keys))
-    s = np.sqrt(e.v)
-    c = np.sqrt(e.v[j] + link_kj) * np.sqrt(e.v[k] + link_jk) - s[j] * s[k]
-    return RankOnePlusSparse(s, s, j, k, c)
-
 
 def _columns(g: DirectedGraph, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     """Column background values and link values of ``g``'s Google matrix, unchecked.
@@ -209,16 +178,3 @@ def classical_pagerank(gm: GoogleMatrix) -> np.ndarray:
         f"power iteration stalled at residual {residual:.3e} after {DEFAULT_MAX_ITER} sweeps",
         residual=residual,
     )
-
-
-def format_values(m) -> list:
-    """The entries of ``m`` as float64 text with 17 significant digits,
-    ``format(float(x), ".17g")``, in nested lists of m's shape.
-
-    Each distinct value (by bit pattern) is formatted once: a symmetric
-    stability grid holds about half as many as it has entries.
-    """
-    m = np.ascontiguousarray(m, dtype=np.float64)
-    bits, index = np.unique(m.view(np.int64), return_inverse=True)
-    text = np.array([format(v, ".17g") for v in bits.view(np.float64).tolist()], dtype=object)
-    return text[index.reshape(m.shape)].tolist()

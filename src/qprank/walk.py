@@ -78,12 +78,7 @@ import functools
 import numpy as np
 
 from .errors import ParameterError
-from .google import (
-    GoogleMatrix,
-    RankOnePlusSparse,
-    keeps_structure,
-    structured_overlap,
-)
+from .google import GoogleMatrix, RankOnePlusSparse, keeps_structure
 
 DEFAULT_HORIZON = 1000
 
@@ -153,14 +148,11 @@ def _node_hashes(count: int) -> np.ndarray:
     return x ^ (x >> np.uint64(31))
 
 
-def twin_classes(e: RankOnePlusSparse) -> tuple[np.ndarray, np.ndarray, RankOnePlusSparse,
-                                                 RankOnePlusSparse] | None:
+def twin_classes(e: RankOnePlusSparse) -> tuple[np.ndarray, np.ndarray, RankOnePlusSparse] | None:
     """The classes of nodes with equal in-neighbour and out-neighbour sets
-    (a self-loop counts as both) of the structured G = 1 c^T + S, and the
-    walk's operators on them: each node's class index, the class sizes w, G
-    restricted to one representative (the lowest node) per class, and D
-    restricted the same way and scaled by sqrt(w_J) sqrt(w_K), which keeps it
-    symmetric bit for bit. None when every class is one node.
+    (a self-loop counts as both) of the structured G = 1 c^T + S: each node's
+    class index, the class sizes w, and G restricted to one representative
+    (the lowest node) per class. None when every class is one node.
 
     Every block of G between two classes is constant, so the walk from the
     uniform state stays constant on each class (exact lumping; Kemeny and
@@ -193,11 +185,33 @@ def twin_classes(e: RankOnePlusSparse) -> tuple[np.ndarray, np.ndarray, RankOneP
             and np.array_equal(vals[block], e.vals)
             and np.array_equal(e.v[reps][node_class], e.v)):
         return None
-    g = RankOnePlusSparse(e.u[reps], e.v[reps], rows, cols, vals)
-    d, root = structured_overlap(g), np.sqrt(sizes)
-    scaled = root * d.u
-    d = RankOnePlusSparse(scaled, scaled, d.rows, d.cols, root[d.rows] * root[d.cols] * d.vals)
-    return node_class, sizes.astype(float), g, d
+    return node_class, sizes.astype(float), RankOnePlusSparse(e.u[reps], e.v[reps], rows, cols, vals)
+
+
+def overlap(g: np.ndarray | RankOnePlusSparse, sizes: np.ndarray) -> np.ndarray | RankOnePlusSparse:
+    """The walk's D on states of ``sizes`` nodes each, in the form of its G:
+    D[J, K] = sqrt(G[K, J] G[J, K]) sqrt(w_J w_K).
+
+    A dense G is never reduced, and gives r r^T elementwise for r = sqrt(G).
+    A structured G = 1 c^T + S gives D = s s^T + C with s = sqrt(w c), where
+    C is symmetric bit for bit and non-zero only on the pairs joined by an
+    entry of S either way, where it corrects the background. Unreduced,
+    sqrt(w) = 1 exactly, and the scaling leaves every bit as it was.
+    """
+    if isinstance(g, np.ndarray):
+        r = np.sqrt(g)
+        return r * r.T
+    n, m = len(g.v), len(g.vals)
+    keys, inv = np.unique(
+        np.concatenate([g.rows * n + g.cols, g.cols * n + g.rows]), return_inverse=True
+    )
+    j, k = np.divmod(keys, n)
+    link_jk = np.bincount(inv[:m], g.vals, minlength=len(keys))
+    link_kj = np.bincount(inv[m:], g.vals, minlength=len(keys))
+    s, root = np.sqrt(g.v), np.sqrt(sizes)
+    c = np.sqrt(g.v[j] + link_kj) * np.sqrt(g.v[k] + link_jk) - s[j] * s[k]
+    scaled = root * s
+    return RankOnePlusSparse(scaled, scaled, j, k, root[j] * root[k] * c)
 
 
 def dirichlet_ratio(phi: np.ndarray, horizon: int) -> np.ndarray:
@@ -364,17 +378,15 @@ class SzegedyWalk:
 
     def __init__(self, gm: GoogleMatrix):
         self.n = gm.n
-        self.g = gm.entries
-        twins = None if isinstance(self.g, np.ndarray) else twin_classes(self.g)
-        if twins is None:
-            self.node_class, self.sizes = np.arange(self.n), np.ones(self.n)
-            self.d = gm.overlap()
-        else:
-            self.node_class, self.sizes, self.g, self.d = twins
-            if not keeps_structure(len(self.sizes), len(self.d.vals)):
-                self.g, self.d = self.g.toarray(), self.d.toarray()
+        twins = None if isinstance(gm.entries, np.ndarray) else twin_classes(gm.entries)
+        self.node_class, self.sizes, self.g = twins or (np.arange(self.n), np.ones(self.n),
+                                                        gm.entries)
+        self.d = overlap(self.g, self.sizes)
+        q = len(self.sizes)
+        if q < self.n and not keeps_structure(q, len(self.d.vals)):  # reduced: form picked on q
+            self.g, self.d = self.g.toarray(), self.d.toarray()
         self.modes = None
-        if len(self.sizes) <= CLOSED_FORM_MAX_STATES:
+        if q <= CLOSED_FORM_MAX_STATES:
             modes = CesaroModes(_dense(self.g), _dense(self.d), self.sizes, self.n)
             if modes.conditioned:
                 self.modes = modes

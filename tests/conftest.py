@@ -13,7 +13,7 @@ from qprank import (
     gen_scale_free,
 )
 from qprank.analysis import tie_classes
-from qprank.walk import NEAR_UNIT_GAP, UNIT_MODE_ULPS
+from qprank.walk import NEAR_UNIT_GAP, UNIT_MODE_ULPS, overlap
 
 # Locations searched for the real-world Pajek dataset used by the regression
 # tests; absent file -> those tests skip with a warning.
@@ -82,6 +82,11 @@ def dense_google(g: DirectedGraph, alpha: float) -> GoogleMatrix:
     return GoogleMatrix(g.n, alpha, alpha * patched_connectivity(g) + (1.0 - alpha) / g.n)
 
 
+def densified(m) -> np.ndarray:
+    """The entries of a dense or structured operator as a dense array."""
+    return m if isinstance(m, np.ndarray) else m.toarray()
+
+
 # The dense simulator's unitary is n**2 x n**2, O(n**4) memory.
 DENSE_NODE_LIMIT = 64
 
@@ -101,7 +106,7 @@ class DenseWalk:
             raise ParameterError(f"dense simulator limited to n <= {DENSE_NODE_LIMIT}")
         n = gm.n
         self.n = n
-        r = np.sqrt(gm.toarray())
+        r = np.sqrt(densified(gm.entries))
         # Column j holds |psi_j>: amplitude R[k, j] at pair index j*n + k.
         cols = np.zeros((n * n, n))
         for j in range(n):
@@ -138,7 +143,7 @@ class ReducedWalk:
     def __init__(self, gm: GoogleMatrix):
         self.n = gm.n
         self.g = gm.entries
-        self.d = gm.overlap()
+        self.d = overlap(self.g, np.ones(self.n))
 
     def initial_state(self) -> tuple[np.ndarray, np.ndarray]:
         """Uniform superposition of the per-node vectors; unit norm by construction."""

@@ -140,7 +140,7 @@ class TestTieRule:
         # classical and up to 2 quantum nodes per n = 400 graph
         for n, seed in [(400, 0), (400, 1), (400, 2), (256, 0)]:
             structured = build_structured_google(gen_scale_free(n, seed=seed), 0.85)
-            dense = GoogleMatrix(n, 0.85, structured.toarray())
+            dense = GoogleMatrix(n, 0.85, structured.entries.toarray())
             for rank in (classical_pagerank, lambda gm: SzegedyWalk(gm).average(1000)):
                 assert ranking_order(rank(structured)) == ranking_order(rank(dense))
 

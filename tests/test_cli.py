@@ -690,17 +690,24 @@ class TestStabilityCommand:
         assert 0.0 <= summary["min_fidelity"] <= 1.0
 
     def test_sweep_mode(self, tmp_path):
-        assert run(["stability", "--family", "sf", "--n", 10, "--grid", "sweep",
+        assert run(["stability", "--family", "sf", "--n", 10, "--grid", "sweep", "--points", 98,
                     "--T", 30, "--seed", 1, "--out", tmp_path]) == 0
-        rows = read_rows(tmp_path / "stability_sf_n10_a0.85_T30_seed1_sweep_quantum.csv")
+        rows = read_rows(tmp_path / "stability_sf_n10_a0.85_T30_seed1_points98_sweep_quantum.csv")
         assert len(rows) == 98
         ref_row = min(rows, key=lambda r: abs(float(r["alpha"]) - 0.85))
         assert float(ref_row["fidelity_vs_ref"]) == pytest.approx(1.0, abs=1e-12)
 
-    def test_sweep_reference_is_alpha(self, tmp_path):
-        assert run(["stability", "--family", "sf", "--n", 10, "--grid", "sweep", "--alpha", 0.3,
+    def test_sweep_takes_its_size_from_points(self, tmp_path):
+        assert run(["stability", "--family", "sf", "--n", 10, "--grid", "sweep", "--points", 5,
                     "--T", 30, "--seed", 1, "--out", tmp_path]) == 0
-        prefix = "stability_sf_n10_a0.3_T30_seed1_sweep_quantum"
+        rows = read_rows(tmp_path / "stability_sf_n10_a0.85_T30_seed1_points5_sweep_quantum.csv")
+        assert [float(row["alpha"]) for row in rows] == list(analysis.coarse_alpha_grid(5))
+
+    def test_sweep_reference_is_alpha(self, tmp_path):
+        # the 98-point grid holds 0.3 itself
+        assert run(["stability", "--family", "sf", "--n", 10, "--grid", "sweep", "--alpha", 0.3,
+                    "--points", 98, "--T", 30, "--seed", 1, "--out", tmp_path]) == 0
+        prefix = "stability_sf_n10_a0.3_T30_seed1_points98_sweep_quantum"
         assert json.loads((tmp_path / f"{prefix}_summary.json").read_text())["alpha_ref"] == 0.3
         rows = read_rows(tmp_path / f"{prefix}.csv")
         ref_row = min(rows, key=lambda r: abs(float(r["alpha"]) - 0.3))
@@ -722,7 +729,7 @@ class TestStabilityCommand:
     @pytest.mark.parametrize("grid, ranked", [
         ("coarse", analysis.coarse_alpha_grid(5)),
         ("fine", analysis.coarse_alpha_grid(98)),
-        ("sweep", [0.3, *analysis.coarse_alpha_grid(98)]),
+        ("sweep", [0.3, *analysis.coarse_alpha_grid(5)]),
     ], ids=["coarse", "fine", "sweep"])
     def test_one_ranking_per_damping_value(self, tmp_path, monkeypatch, grid, ranked):
         # a sweep ranks its reference --alpha first, in the same map as the grid
@@ -758,7 +765,7 @@ class TestStabilityCommand:
     @pytest.mark.parametrize("n, grid, extra, alphas", [
         (40, "coarse", ["--points", 6], analysis.coarse_alpha_grid(6)),
         (40, "fine", [], analysis.coarse_alpha_grid(98)),
-        (40, "sweep", ["--alpha", 0.6], [0.6, *analysis.coarse_alpha_grid(98)]),
+        (40, "sweep", ["--alpha", 0.6, "--points", 98], [0.6, *analysis.coarse_alpha_grid(98)]),
         (160, "coarse", ["--points", 3], analysis.coarse_alpha_grid(3)),  # structured G, twins
     ], ids=["coarse", "fine", "sweep", "structured-coarse"])
     def test_artifacts_are_the_oracle_writers(self, tmp_path, n, grid, extra, alphas):

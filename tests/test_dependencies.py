@@ -1,8 +1,10 @@
 """numpy is the only run-time dependency: the package imports nothing else
 outside the standard library and itself. The CLI writes files through one
 text writer and one table writer, and records each run in one place. Every
-definition in the package is used by the package, and every dataclass field
-is read there: reference code that only tests call lives in tests/."""
+definition in the package is used by the package, a method name shared by
+several classes is listed, since uses are matched by name, and every
+dataclass field is read there: reference code that only tests call lives in
+tests/."""
 
 import ast
 import sys
@@ -57,10 +59,8 @@ def test_cli_writes_files_only_through_its_writers():
 def test_cli_records_runs_only_in_main():
     # main writes each run's summary and config echo, after the subcommand returns
     stray = nodes_outside(CLI, ("main",), lambda node: (
-        isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-        and node.func.id == "_echo_config"
-        or isinstance(node, ast.Constant) and isinstance(node.value, str)
-        and "_summary.json" in node.value))
+        isinstance(node, ast.Constant) and isinstance(node.value, str)
+        and ("_summary.json" in node.value or "_run_config.json" in node.value)))
     assert not stray, f"cli.py records a run outside main: {stray}"
 
 
@@ -111,6 +111,31 @@ def test_every_definition_is_used_elsewhere_in_src():
               and not any(use == name and (attribute or not method) and id(node) not in inside
                           for use, attribute, inside in uses)]
     assert not unused, f"defined in src/qprank but used nowhere else in it: {unused}"
+
+
+# Method names that two or more classes in src/ define, and why each is
+# shared. The check above matches a method's uses by name, so a call of one
+# such method counts for every class that defines it.
+SHARED_METHODS_ALLOWED = {
+    "average": "CesaroModes.average and SzegedyWalk.average are both called: the walk's "
+               "closed form calls the first, analysis.importance_vector the second",
+}
+
+
+def test_every_shared_method_name_is_listed():
+    owners = {}  # method name -> the classes that define it
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and not (
+                            item.name.startswith("__") and item.name.endswith("__")):
+                        owners.setdefault(item.name, []).append(f"{path.stem}.{node.name}")
+    shared = {name: classes for name, classes in owners.items() if len(classes) > 1}
+    assert set(SHARED_METHODS_ALLOWED) <= set(shared), "stale SHARED_METHODS_ALLOWED entries"
+    unlisted = {name: classes for name, classes in shared.items()
+                if name not in SHARED_METHODS_ALLOWED}
+    assert not unlisted, f"method names defined by several classes in src/qprank: {unlisted}"
 
 
 # Dataclass fields that nothing in src/ reads, and why they stay.

@@ -24,11 +24,13 @@ from qprank.google import (
     RankOnePlusSparse,
     build_structured_google,
 )
+from qprank.walk import overlap
 
 from conftest import (
     complete,
     cycle,
     dense_google,
+    densified,
     operator_graphs,
     patched_connectivity,
     rel_err,
@@ -114,7 +116,7 @@ class TestBuildGoogle:
         ]
         for g in graphs:
             entries = google_from_graph(g, alpha).entries
-            oracle = build_structured_google(g, alpha).toarray()  # outer(1, c) + S
+            oracle = build_structured_google(g, alpha).entries.toarray()  # outer(1, c) + S
             assert isinstance(entries, np.ndarray)
             assert entries.tobytes() == oracle.tobytes()
 
@@ -222,8 +224,8 @@ class TestStructuredGoogle:
         for alpha in (0.3, 0.85):
             dense = dense_google(g, alpha)
             structured = build_structured_google(g, alpha)
-            assert np.array_equal(structured.toarray(), dense.entries)
-            assert np.array_equal(google_from_graph(g, alpha).toarray(), dense.entries)
+            assert np.array_equal(structured.entries.toarray(), dense.entries)
+            assert np.array_equal(densified(google_from_graph(g, alpha).entries), dense.entries)
             x = np.random.default_rng(0).normal(size=g.n)
             assert rel_err(structured.entries @ x, dense.entries @ x) < 1e-13
             # the dense G of a graph up to DENSE_MAX_NODES is solved, the
@@ -237,7 +239,8 @@ class TestStructuredGoogle:
     @pytest.mark.parametrize("name", sorted(operator_graphs()))
     def test_doubled_operator_gives_doubled_products(self, name):
         # the walk loop folds its factor 2 into D; doubling is exact
-        d = build_structured_google(operator_graphs()[name], 0.85).overlap()
+        g = operator_graphs()[name]
+        d = overlap(build_structured_google(g, 0.85).entries, np.ones(g.n))
         x = np.random.default_rng(2).normal(size=len(d.u))
         doubled = 2.0 * d
         assert isinstance(doubled, RankOnePlusSparse)

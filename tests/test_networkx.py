@@ -45,7 +45,7 @@ def test_classical_pagerank_matches_networkx(g):
         # scales its tol by n); a contraction by alpha then puts each within
         # step / (1 - alpha) of the fixed point.
         bound = (DEFAULT_TOL + g.n * NX_TOL) / (1.0 - alpha)
-        for gm in (structured, GoogleMatrix(g.n, alpha, structured.toarray())):
+        for gm in (structured, GoogleMatrix(g.n, alpha, structured.entries.toarray())):
             assert np.abs(classical_pagerank(gm) - theirs).sum() <= bound
 
 

@@ -17,7 +17,7 @@ from qprank import (
     walk,
 )
 from qprank.google import DENSE_MAX_NODES, RankOnePlusSparse, build_structured_google
-from qprank.walk import CLOSED_FORM_MAX_STATES, G_BLOCK, CesaroModes, dirichlet_ratio
+from qprank.walk import CLOSED_FORM_MAX_STATES, G_BLOCK, CesaroModes, dirichlet_ratio, overlap
 
 from conftest import (
     ComplexCesaroModes,
@@ -26,6 +26,7 @@ from conftest import (
     complete,
     cycle,
     dense_google,
+    densified,
     operator_graphs,
     random_graph,
     rel_err,
@@ -309,7 +310,7 @@ class TestIteratedAverage:
             pytest.skip("needs an extended-precision long double")
         for seed in range(4):
             gm = google_from_graph(gen_scale_free(16, seed=seed), 1e-4)
-            g = gm.toarray().astype(np.longdouble)
+            g = densified(gm.entries).astype(np.longdouble)
             r = np.sqrt(g)
             d = r * r.T
             a, b = np.full(16, 1 / np.sqrt(np.longdouble(16))), np.zeros(16, np.longdouble)
@@ -333,7 +334,7 @@ class TestStructuredWalk:
         r = np.sqrt(dense.entries)
         gm = build_structured_google(g, 0.85)
         x = np.random.default_rng(1).normal(size=g.n)
-        assert rel_err(gm.overlap() @ x, (r * r.T) @ x) < 1e-13
+        assert rel_err(overlap(gm.entries, np.ones(g.n)) @ x, (r * r.T) @ x) < 1e-13
         walk = SzegedyWalk(gm)
         # On the edgeless graph D = J/n has eigenvalue 1, so the coefficients
         # grow linearly in t and both forms' rounding as t**2: at T = 100 they
@@ -417,8 +418,7 @@ class TestClosedForm:
         # unit mode; odd and even horizons, up to one where any rounding of
         # the phase (T - 1) theta would show
         w = walk_for(g)
-        args = ([m if isinstance(m, np.ndarray) else m.toarray() for m in (w.g, w.d)]
-                + [w.sizes, g.n])
+        args = [densified(w.g), densified(w.d), w.sizes, g.n]
         real, ref = CesaroModes(*args), ComplexCesaroModes(*args)
         assert real.conditioned and ref.conditioned
         for horizon in (1, 2, 3, 7, 500, 1000, 10**9):
@@ -585,8 +585,7 @@ class TestTwinClasses:
         assert (w.modes is not None) == (q <= CLOSED_FORM_MAX_STATES)
         assert isinstance(w.d, RankOnePlusSparse) == name.endswith("structured")
         # both engines on the reduced operators, whichever the walk picked
-        dense = [m if isinstance(m, np.ndarray) else m.toarray() for m in (w.g, w.d)]
-        closed = CesaroModes(*dense, w.sizes, n)
+        closed = CesaroModes(densified(w.g), densified(w.d), w.sizes, n)
         assert closed.conditioned
         for avg in (w.average(1000), iterated(gm).average(1000),
                     closed.average(1000)[w.node_class]):
@@ -631,7 +630,7 @@ class TestTwinClasses:
         assert walk.twin_classes(gm.entries) is None
         w = SzegedyWalk(gm)
         assert w.g is gm.entries
-        d = gm.overlap()
+        d = overlap(gm.entries, np.ones(g.n))
         assert all(np.array_equal(getattr(w.d, f), getattr(d, f))
                    for f in ("u", "v", "rows", "cols", "vals"))
         assert np.array_equal(w.trajectory(20), ReducedWalk(gm).rows(20))
