@@ -8,7 +8,7 @@ iterated hub-removal experiment, and seeded ensemble aggregation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -94,8 +94,7 @@ def importance_vector(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IprSample:
+class IprSample(NamedTuple):
     """Inverse participation ratio of one distribution: xi = sum_i p_i**(2r)."""
 
     n: int
@@ -114,8 +113,7 @@ def ipr(p: np.ndarray, r: int = 1) -> IprSample:
     return IprSample(n=len(p), xi=xi)
 
 
-@dataclass(frozen=True)
-class IprScaling:
+class IprScaling(NamedTuple):
     slope: float
     intercept: float
     label: str  # "localized" | "delocalized" | "intermediate"
@@ -148,8 +146,7 @@ def ipr_scaling(samples: list[IprSample]) -> IprScaling:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StabilityGrid:
+class StabilityGrid(NamedTuple):
     """Pairwise overlap/difference of rankings across damping values."""
 
     fidelity: np.ndarray
@@ -181,8 +178,7 @@ def pairwise_stability(vectors: list[np.ndarray]) -> StabilityGrid:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PowerLawFit:
+class PowerLawFit(NamedTuple):
     """Least-squares line on (log rank index, log importance).
 
     beta is the negated slope of importance against 1-based rank index, c the
@@ -275,8 +271,7 @@ def kendall_coefficient(order_a, order_b) -> float:
     return concordant / (k * (k - 1) / 2)
 
 
-@dataclass(frozen=True)
-class AttackRun:
+class AttackRun(NamedTuple):
     """One iterated hub-removal run: removed original ids, K after each removal."""
 
     removed: tuple[int, ...]
@@ -325,8 +320,7 @@ def attack_experiment(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EnsembleReport:
+class EnsembleReport(NamedTuple):
     """Per-metric mean and sample standard deviation over seeded runs."""
 
     count: int
@@ -361,7 +355,7 @@ def ensemble_run(spec: GeneratorSpec, count: int, experiment, map_fn=map) -> Ens
     """
     if count < 1:
         raise ParameterError("ensemble count must be >= 1")
-    items = [(replace(spec, seed=spec.seed + i), experiment) for i in range(count)]
+    items = [(spec.replace(seed=spec.seed + i), experiment) for i in range(count)]
     outcomes = list(map_fn(run_ensemble_item, items))
     failures = tuple(outcome for outcome in outcomes if isinstance(outcome, str))
     metric_dicts = [outcome for outcome in outcomes if not isinstance(outcome, str)]

@@ -93,6 +93,23 @@ def _write_json(path: Path, payload: dict) -> None:
     _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+# The settings a BLAS build reads for its thread count. The closed-form walk's
+# last bits can change with that count, and with numpy and BLAS, so every run
+# records them beside its flags.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _numerical_environment() -> dict:
+    """numpy's version, the BLAS it was built with (None where its build
+    config does not say) and each of BLAS_THREAD_VARS as set, else None."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # no dict form before numpy 1.26
+        blas = {}
+    return {"numpy": np.__version__, "blas": blas.get("name"), "blas_version": blas.get("version"),
+            **{var: os.environ.get(var) for var in BLAS_THREAD_VARS}}
+
+
 def parallel_map(fn, items, jobs: int) -> list:
     """Order-preserving map over a process pool of at most ``jobs`` workers,
     one per item and per usable CPU, or in this process when that is one.
@@ -100,7 +117,9 @@ def parallel_map(fn, items, jobs: int) -> list:
     Results are assembled in input order, so outputs do not depend on jobs.
     """
     items = list(items)
-    workers = min(jobs, len(items), len(os.sched_getaffinity(0)))
+    # macOS and Windows have no sched_getaffinity: all the machine's CPUs count there
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = min(jobs, len(items), cpus)
     if workers <= 1:
         return [fn(item) for item in items]
     from concurrent.futures import ProcessPoolExecutor  # imported on use: it pulls in multiprocessing
@@ -556,7 +575,7 @@ def main(argv: list[str] | None = None) -> int:
     """Run one subcommand: parse the flags, a config file's placed right after
     the subcommand name, run it, then record the run as
     ``<prefix>_summary.json``, when it has a summary, and
-    ``<prefix>_run_config.json``."""
+    ``<prefix>_run_config.json``: the flags and the numerical environment."""
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, _ = build_parser()
     try:
@@ -571,7 +590,8 @@ def main(argv: list[str] | None = None) -> int:
             _write_json(outdir / f"{prefix}_summary.json", summary)
         params = {k: v for k, v in vars(args).items() if k not in ("func", "parser", "config")}
         _write_json(outdir / f"{prefix}_run_config.json",
-                    {"tool": "qprank", "version": __version__, "params": params})
+                    {"tool": "qprank", "version": __version__, "params": params,
+                     "environment": _numerical_environment()})
         return EXIT_OK
     except ParseError as exc:
         print(f"error [stage=input]: {exc}", file=sys.stderr)

@@ -2,12 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ConvergenceError, ParameterError
-from .graphs import DirectedGraph
+from .graphs import DirectedGraph, Frozen
 
 DEFAULT_ALPHA = 0.85
 DEFAULT_TOL = 1e-12
@@ -34,8 +32,7 @@ DENSE_MAX_NODES = 128
 STRUCTURED_MAX_DENSITY = 1 / 64
 
 
-@dataclass(frozen=True, eq=False)
-class RankOnePlusSparse:
+class RankOnePlusSparse(Frozen):
     """The n x n matrix outer(u, v) + S, where S is zero except at
     S[rows[i], cols[i]] = vals[i] (each position listed at most once).
 
@@ -48,6 +45,10 @@ class RankOnePlusSparse:
     rows: np.ndarray
     cols: np.ndarray
     vals: np.ndarray
+
+    def __init__(self, u: np.ndarray, v: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+                 vals: np.ndarray):
+        self.__dict__.update(u=u, v=v, rows=rows, cols=cols, vals=vals)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -71,8 +72,7 @@ class RankOnePlusSparse:
         return a
 
 
-@dataclass(frozen=True, eq=False)
-class GoogleMatrix:
+class GoogleMatrix(Frozen):
     """Damped column-stochastic transition matrix over n nodes.
 
     Column j is the outgoing distribution of node j: weight ``alpha`` on
@@ -90,11 +90,11 @@ class GoogleMatrix:
     alpha: float
     entries: np.ndarray | RankOnePlusSparse
 
-    def __post_init__(self):
-        if not 0.0 < self.alpha < 1.0:
-            raise ParameterError(f"damping alpha={self.alpha} outside (0, 1)")
-        e = self.entries
-        if e.shape != (self.n, self.n):
+    def __init__(self, n: int, alpha: float, entries: np.ndarray | RankOnePlusSparse):
+        if not 0.0 < alpha < 1.0:
+            raise ParameterError(f"damping alpha={alpha} outside (0, 1)")
+        e = entries
+        if e.shape != (n, n):
             raise ParameterError("entries must be an n x n matrix")
         if isinstance(e, np.ndarray):
             col_sums, low = e.sum(axis=0), e.min()
@@ -104,9 +104,10 @@ class GoogleMatrix:
         col_err = np.abs(col_sums - 1.0).max()
         if col_err > 1e-12:
             raise ParameterError(f"columns must sum to 1 (off by {col_err:.3e})")
-        floor = (1.0 - self.alpha) / self.n - 1e-15
+        floor = (1.0 - alpha) / n - 1e-15
         if low < floor:
             raise ParameterError("entries fall below the random-hopping floor")
+        self.__dict__.update(n=n, alpha=alpha, entries=entries)
 
 
 def _columns(g: DirectedGraph, alpha: float) -> tuple[np.ndarray, np.ndarray]:

@@ -10,7 +10,6 @@ integers; ensemble drivers derive per-run seeds as ``base_seed + index``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,7 +27,26 @@ HIERARCHY_SIZES = {"hier3": tuple(3**g for g in range(1, 5)),
 MAX_NODES = int(np.iinfo(np.intp).max) // 8
 
 
-class DirectedGraph:
+class Frozen:
+    """Base of the package's immutable classes. ``__init__`` checks its
+    arguments, where it has checks, then stores the fields in ``__dict__``;
+    nothing can be set or deleted after. Instances pickle by that dict, as
+    process pools need, without running ``__init__`` again. A value class
+    declares its fields as class-level annotations, in the order it stores
+    them, which its repr follows."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable; cannot delete {name!r}")
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())
+        return f"{type(self).__name__}({fields})"
+
+
+class DirectedGraph(Frozen):
     """Immutable directed graph on the dense node set 0..n-1.
 
     The edges are ordered (source, target) pairs without repeats, kept as the
@@ -74,9 +92,6 @@ class DirectedGraph:
         self.__dict__.update(n=n, src=src, dst=dst, allow_self_loops=allow_self_loops)
         return self
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"DirectedGraph is immutable; cannot set {name!r}")
-
     def __eq__(self, other):  # by value, which leaves graphs unhashable
         return isinstance(other, DirectedGraph) and (self.n, self.edge_list()) == (other.n, other.edge_list())
 
@@ -103,14 +118,15 @@ class DirectedGraph:
         return np.bincount(self.src, minlength=self.n)
 
 
-@dataclass(frozen=True)
-class GeneratorSpec:
+class GeneratorSpec(Frozen):
     """Parameters of one seeded graph construction of ``n`` nodes.
 
     family selects the model: "sf" (directed preferential attachment),
     "er" (independent directed edges), "hier3" (ternary hierarchy) or
     "hier2" (outerplanar hierarchy), whose ``n`` is one of
     HIERARCHY_SIZES. Only the fields relevant to the chosen family are read.
+    The class attributes are the defaults, of the CLI's flags too. Specs
+    are equal when their fields are.
     """
 
     family: str
@@ -123,19 +139,33 @@ class GeneratorSpec:
     seed: int = 0
     allow_self_loops: bool = False
 
-    def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ParameterError(f"unknown family {self.family!r}, expected one of {FAMILIES}")
-        if self.seed < 0:
-            raise ParameterError(f"seed {self.seed} must be >= 0")
-        if self.family == "sf":
-            _check_scale_free(self.n, self.sf_alpha, self.sf_beta,
-                              self.sf_delta_in, self.sf_delta_out)
-        elif self.family == "er":
-            _check_erdos_renyi(self.n, self.p)
-        elif self.n not in HIERARCHY_SIZES[self.family]:
-            raise ParameterError(f"{self.family} graphs have n in {HIERARCHY_SIZES[self.family]}, "
-                                 f"not n={self.n}")
+    def __init__(self, family: str, n: int = n, p: float = p, sf_alpha: float = sf_alpha,
+                 sf_beta: float = sf_beta, sf_delta_in: float = sf_delta_in,
+                 sf_delta_out: float = sf_delta_out, seed: int = seed,
+                 allow_self_loops: bool = allow_self_loops):
+        if family not in FAMILIES:
+            raise ParameterError(f"unknown family {family!r}, expected one of {FAMILIES}")
+        if seed < 0:
+            raise ParameterError(f"seed {seed} must be >= 0")
+        if family == "sf":
+            _check_scale_free(n, sf_alpha, sf_beta, sf_delta_in, sf_delta_out)
+        elif family == "er":
+            _check_erdos_renyi(n, p)
+        elif n not in HIERARCHY_SIZES[family]:
+            raise ParameterError(f"{family} graphs have n in {HIERARCHY_SIZES[family]}, not n={n}")
+        self.__dict__.update(family=family, n=n, p=p, sf_alpha=sf_alpha, sf_beta=sf_beta,
+                             sf_delta_in=sf_delta_in, sf_delta_out=sf_delta_out, seed=seed,
+                             allow_self_loops=allow_self_loops)
+
+    def __eq__(self, other):
+        return isinstance(other, GeneratorSpec) and vars(self) == vars(other)
+
+    def __hash__(self):
+        return hash(tuple(vars(self).values()))
+
+    def replace(self, **changes) -> GeneratorSpec:
+        """A new spec with ``changes`` to its fields, checked as any new one is."""
+        return GeneratorSpec(**{**vars(self), **changes})
 
 
 def generate(spec: GeneratorSpec) -> DirectedGraph:

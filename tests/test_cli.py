@@ -861,20 +861,15 @@ class TestAttackCommand:
             assert serial[name] == parallel[name]
 
 
-@pytest.mark.parametrize("jobs, items, workers", [
-    (10**6, 20, 8),  # never more processes than usable CPUs
-    (5, 3, 3),  # nor than items
-    (3, 20, 3),
-    (2, 1, None),  # one item, or one worker, runs in this process
-    (1, 20, None),
-])
-def test_pool_is_capped_at_the_machine(monkeypatch, jobs, items, workers):
-    # a recorder stands in for the pool, so no process is started
-    pools = []
+@pytest.fixture
+def pools(monkeypatch) -> list:
+    """The max_workers of each process pool opened; a recorder stands in for
+    the pool, so no process is started."""
+    opened = []
 
     class Recorder:
         def __init__(self, max_workers):
-            pools.append(max_workers)
+            opened.append(max_workers)
 
         def __enter__(self):
             return self
@@ -885,9 +880,57 @@ def test_pool_is_capped_at_the_machine(monkeypatch, jobs, items, workers):
         map = staticmethod(map)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
+    return opened
+
+
+@pytest.mark.parametrize("jobs, items, workers", [
+    (10**6, 20, 8),  # never more processes than usable CPUs
+    (5, 3, 3),  # nor than items
+    (3, 20, 3),
+    (2, 1, None),  # one item, or one worker, runs in this process
+    (1, 20, None),
+])
+def test_pool_is_capped_at_the_machine(monkeypatch, pools, jobs, items, workers):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
     assert cli.parallel_map(abs, range(-items, 0), jobs) == list(range(items, 0, -1))
     assert pools == ([] if workers is None else [workers])
+
+
+@pytest.mark.parametrize("cpus, jobs, workers", [
+    (4, 8, 4),  # the machine's CPU count caps the pool
+    (4, 1, None),  # one job runs in this process
+    (None, 8, None),  # an unknown CPU count is taken as one
+])
+def test_pool_without_sched_getaffinity(monkeypatch, pools, cpus, jobs, workers):
+    # macOS and Windows have no os.sched_getaffinity
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    assert cli.parallel_map(abs, range(-5, 0), jobs) == [5, 4, 3, 2, 1]
+    assert pools == ([] if workers is None else [workers])
+
+
+GENERATOR_DESTS = ("seed", "p", "sf_alpha", "sf_beta", "sf_delta_in", "sf_delta_out")
+
+
+@pytest.mark.parametrize("command", ["generate", "rank", "ipr", "stability", "powerlaw", "attack"])
+def test_generator_flag_defaults_are_the_specs(command):
+    # the class attributes of GeneratorSpec are the one source of both
+    sp = build_parser()[1][command]
+    spec = graphs.GeneratorSpec("sf", n=16)
+    for dest in GENERATOR_DESTS:
+        assert sp.get_default(dest) == getattr(graphs.GeneratorSpec, dest) == getattr(spec, dest)
+
+
+def test_run_config_records_the_numerical_environment(monkeypatch, tmp_path):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    monkeypatch.setenv("MKL_NUM_THREADS", "2")
+    assert run(["rank", "--family", "sf", "--n", 8, "--T", 10, "--out", tmp_path]) == 0
+    env = json.loads(next(tmp_path.glob("*_run_config.json")).read_text())["environment"]
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert env == {"numpy": np.__version__, "blas": blas.get("name"),
+                   "blas_version": blas.get("version"), "OPENBLAS_NUM_THREADS": "1",
+                   "OMP_NUM_THREADS": None, "MKL_NUM_THREADS": "2"}
 
 
 # Flags a subcommand defines but does not read, and why they stay.

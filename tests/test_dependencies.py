@@ -3,10 +3,12 @@ outside the standard library and itself. The CLI writes files through one
 text writer and one table writer, and records each run in one place. Every
 definition in the package is used by the package, a method name shared by
 several classes is listed, since uses are matched by name, and every
-dataclass field is read there: reference code that only tests call lives in
-tests/."""
+record field is read there: reference code that only tests call lives in
+tests/. Importing the CLI loads no module that only some runs need."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -138,7 +140,7 @@ def test_every_shared_method_name_is_listed():
     assert not unlisted, f"method names defined by several classes in src/qprank: {unlisted}"
 
 
-# Dataclass fields that nothing in src/ reads, and why they stay.
+# Record fields that nothing in src/ reads, and why they stay.
 UNREAD_FIELDS_ALLOWED = {
     "analysis.AttackRun.removed": "the experiment's own record of which hubs fell, which the "
                                   "tests check",
@@ -146,10 +148,13 @@ UNREAD_FIELDS_ALLOWED = {
 
 
 def test_every_dataclass_field_is_read_in_src():
-    # matched by name, as above: a field counts as read when any attribute
-    # load in src/ has its name, whatever the object. So a field that shares
-    # a name with a read attribute elsewhere (a flag's ``args.<dest>``, say)
-    # cannot be seen by this check
+    # a record class declares its fields as class-level annotations: a
+    # NamedTuple, or a graphs.Frozen class, whose __init__ stores exactly
+    # those (tests/test_values.py checks that). Matched by name, as above: a
+    # field counts as read when any attribute load in src/ has its name,
+    # whatever the object. So a field that shares a name with a read
+    # attribute elsewhere (a flag's ``args.<dest>``, say) cannot be seen by
+    # this check
     fields = {}  # qualified name -> field name
     loads = set()
     for path in SOURCES:
@@ -158,10 +163,22 @@ def test_every_dataclass_field_is_read_in_src():
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 loads.add(node.attr)
             if isinstance(node, ast.ClassDef) and any(
-                    "dataclass" in ast.unparse(decorator) for decorator in node.decorator_list):
+                    ast.unparse(base) in ("NamedTuple", "Frozen") for base in node.bases):
                 fields.update((f"{path.stem}.{node.name}.{item.target.id}", item.target.id)
                               for item in node.body if isinstance(item, ast.AnnAssign))
     assert set(UNREAD_FIELDS_ALLOWED) <= set(fields), "stale UNREAD_FIELDS_ALLOWED entries"
     unread = [qualified for qualified, name in fields.items()
               if name not in loads and qualified not in UNREAD_FIELDS_ALLOWED]
-    assert not unread, f"dataclass fields in src/qprank that nothing there reads: {unread}"
+    assert not unread, f"record fields in src/qprank that nothing there reads: {unread}"
+
+
+def test_cli_import_loads_only_what_every_run_needs():
+    # dataclasses would generate and compile code at every start-up; the pool
+    # and the random generators load on first use, in the runs that need them
+    lazy = ("dataclasses", "concurrent.futures", "multiprocessing", "numpy.random")
+    probe = f"import sys, qprank.cli; print([m for m in {lazy!r} if m in sys.modules])"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(CLI.parent.parent), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+                         check=True).stdout
+    assert out.strip() == "[]", f"importing qprank.cli loads {out.strip()}"
